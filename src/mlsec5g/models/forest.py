@@ -18,6 +18,8 @@ import numpy as np
 from .base import ModelSpec, TrainedModel, default_schema
 
 _EPS_GAIN = 1e-12
+_SPLIT_BLOCK = 1 << 12  # sorted values scored per pass: bounds the working set
+_ROUTE_BLOCK = 1 << 12  # (tree, row) pairs routed together: bounds the working set
 
 
 @dataclass
@@ -28,16 +30,18 @@ class _Tree:
     right: np.ndarray      # (n_nodes,) int
     value: np.ndarray      # (n_nodes, K) class weights or (n_nodes, 1) means
 
-    def route(self, X: np.ndarray) -> np.ndarray:
-        idx = np.zeros(X.shape[0], dtype=np.int64)
-        while True:
-            f = self.feature[idx]
-            active = np.nonzero(f >= 0)[0]
-            if active.size == 0:
-                return idx
-            fa = f[active]
-            cond = X[active, fa] <= self.threshold[idx[active]]
-            idx[active] = np.where(cond, self.left[idx[active]], self.right[idx[active]])
+
+_TREE_FIELDS = ("feature", "threshold", "left", "right", "value")
+_ROUTE_FIELDS = _TREE_FIELDS[:4]  # what routing a row to its leaf reads
+
+
+def _stack(trees: list[_Tree], fields=_TREE_FIELDS) -> tuple[np.ndarray, dict]:
+    """Node offsets per tree and the fields concatenated in tree order."""
+    offsets = np.zeros(len(trees) + 1, dtype=np.int64)
+    for i, t in enumerate(trees):
+        offsets[i + 1] = offsets[i] + t.feature.size
+    return offsets, {name: np.concatenate([getattr(t, name) for t in trees])
+                     for name in fields}
 
 
 def _gini(class_w: np.ndarray) -> float:
@@ -48,20 +52,24 @@ def _gini(class_w: np.ndarray) -> float:
     return float(1.0 - np.sum(p * p))
 
 
-def _weighted_var(w, y) -> float:
-    total = w.sum()
-    if total <= 0:
-        return 0.0
-    mean = float(np.dot(w, y) / total)
-    return float(np.dot(w, (y - mean) ** 2) / total)
-
-
 class _Grower:
-    """Grows one tree; accumulates weighted impurity decreases per feature."""
+    """Grows one tree; accumulates weighted impurity decreases per feature.
 
-    def __init__(self, X, y, w, *, classify: bool, n_classes: int, max_depth: int,
+    Every column is stable-argsorted once per tree, into a (p, n) matrix of
+    row ids whose rows each hold the sample ordered by one feature, ties by
+    row id. A node owns a column range of that matrix. Node rows stay in
+    ascending id order, so the stable boolean partition of the range at a
+    split hands each child exactly the order a stable argsort of the child's
+    own values would give, and nothing is sorted again. The split search
+    scores a block of candidate features at once, at their valid cuts only:
+    prefix sums run along one axis, which numpy accumulates sequentially, and
+    candidates are compared in the order the generator drew them.
+    """
+
+    def __init__(self, XT, y, w, *, classify: bool, n_classes: int, max_depth: int,
                  min_split: int, min_leaf: int, mtry: int, rng: np.random.Generator):
-        self.X = X
+        p, n = XT.shape
+        self.XT = XT  # (p, n): one contiguous row per feature
         self.y = y
         self.w = w
         self.classify = classify
@@ -71,116 +79,151 @@ class _Grower:
         self.min_leaf = min_leaf
         self.mtry = mtry
         self.rng = rng
-        self.importance = np.zeros(X.shape[1])
+        self.importance = np.zeros(p)
         if classify:
-            self.onehot = np.zeros((X.shape[0], n_classes))
-            self.onehot[np.arange(X.shape[0]), y] = 1.0
+            self.onehot = np.zeros((n, n_classes))
+            self.onehot[np.arange(n), y] = 1.0
+            self.w_onehot = self.onehot * w[:, None]
+        else:
+            self.wy = w * y
+            self.wyy = self.wy * y
+        self.in_left = np.zeros(n, dtype=bool)
         self.feature: list[int] = []
         self.threshold: list[float] = []
         self.left: list[int] = []
         self.right: list[int] = []
-        self.value: list[np.ndarray] = []
+        self.value: list = []  # class weight arrays, or means
 
-    def _node_value(self, idx) -> np.ndarray:
+    def _new_node(self, rows) -> tuple[int, float, float]:
+        """Append a leaf holding rows; return its id, weight total and impurity."""
+        w = self.w[rows]
+        total = w.sum()
         if self.classify:
-            return self.w[idx] @ self.onehot[idx]
-        total = self.w[idx].sum()
-        mean = float(np.dot(self.w[idx], self.y[idx]) / total) if total > 0 else 0.0
-        return np.array([mean])
-
-    def _impurity(self, idx) -> float:
-        if self.classify:
-            return _gini(self.w[idx] @ self.onehot[idx])
-        return _weighted_var(self.w[idx], self.y[idx])
-
-    def _new_node(self, idx) -> int:
+            value = w @ self.onehot[rows]
+            imp = _gini(value)
+        else:
+            y = self.y[rows]
+            mean = float(np.dot(w, y) / total) if total > 0 else 0.0
+            imp = 0.0 if total <= 0 else float(np.dot(w, (y - mean) ** 2) / total)
+            value = mean
         node = len(self.feature)
         self.feature.append(-1)
         self.threshold.append(0.0)
         self.left.append(-1)
         self.right.append(-1)
-        self.value.append(self._node_value(idx))
-        return node
+        self.value.append(value)
+        return node, total, imp
 
-    def grow(self, idx: np.ndarray) -> _Tree:
-        root = self._new_node(idx)
-        stack = [(root, idx, 0)]
+    def _splittable(self, n: int, imp: float, depth: int) -> bool:
+        return not (depth >= self.max_depth or n < self.min_split
+                    or n < 2 * self.min_leaf or imp <= _EPS_GAIN)
+
+    def grow(self) -> _Tree:
+        rows = np.arange(self.XT.shape[1])
+        stack = []
+        root = self._new_node(rows)
+        if self._splittable(rows.size, root[2], 0):
+            # the only sort: each child inherits its order by partition
+            stack.append((root, rows, np.argsort(self.XT, axis=1, kind="stable"), 0))
         while stack:
-            node, rows, depth = stack.pop()
-            imp = self._impurity(rows)
-            if (depth >= self.max_depth or rows.size < self.min_split
-                    or rows.size < 2 * self.min_leaf or imp <= _EPS_GAIN):
-                continue
-            split = self._best_split(rows, imp)
+            (node, total, imp), rows, order, depth = stack.pop()
+            split = self._best_split(order, imp)
             if split is None:
                 continue
             f, thr, gain = split
-            go_left = self.X[rows, f] <= thr
-            left_rows = rows[go_left]
-            right_rows = rows[~go_left]
-            self.importance[f] += self.w[rows].sum() * gain
+            go_left = self.XT[f, rows] <= thr
+            self.importance[f] += total * gain
             self.feature[node] = f
             self.threshold[node] = thr
-            left_id = self._new_node(left_rows)
-            right_id = self._new_node(right_rows)
-            self.left[node] = left_id
-            self.right[node] = right_id
-            stack.append((right_id, right_rows, depth + 1))
-            stack.append((left_id, left_rows, depth + 1))
+            left_rows, right_rows = rows[go_left], rows[~go_left]
+            left = self._new_node(left_rows)
+            right = self._new_node(right_rows)
+            self.left[node] = left[0]
+            self.right[node] = right[0]
+            n_left = left_rows.size
+            grow_left = self._splittable(n_left, left[2], depth + 1)
+            grow_right = self._splittable(right_rows.size, right[2], depth + 1)
+            if grow_left or grow_right:
+                self._partition(order, rows, go_left, n_left)
+            if grow_right:
+                stack.append((right, right_rows, order[:, n_left:], depth + 1))
+            if grow_left:
+                stack.append((left, left_rows, order[:, :n_left], depth + 1))
         return _Tree(np.asarray(self.feature, dtype=np.int64),
                      np.asarray(self.threshold, dtype=float),
                      np.asarray(self.left, dtype=np.int64),
                      np.asarray(self.right, dtype=np.int64),
-                     np.vstack(self.value))
+                     np.vstack(self.value) if self.classify
+                     else np.array(self.value)[:, None])
 
-    def _best_split(self, rows: np.ndarray, node_imp: float):
-        n = rows.size
-        feats = self.rng.permutation(self.X.shape[1])[:self.mtry]
+    def _partition(self, order, rows, go_left, n_left):
+        """Stable partition of every feature's row order, in place: the rows
+        going left first, each part still in sorted order."""
+        self.in_left[rows] = go_left
+        mask = self.in_left[order]
+        p, n = order.shape
+        to_left, to_right = order[mask], order[~mask]
+        order[:, :n_left] = to_left.reshape(p, n_left)
+        order[:, n_left:] = to_right.reshape(p, n - n_left)
+
+    def _best_split(self, order: np.ndarray, node_imp: float):
+        p, n = order.shape
+        feats = self.rng.permutation(p)[:self.mtry]
+        if self.min_leaf > 1:
+            pos = np.arange(1, n)  # rows left of each cut
+            fits = (pos >= self.min_leaf) & (n - pos >= self.min_leaf)
         best = None
         best_child = node_imp - _EPS_GAIN  # must strictly beat this
-        w_rows = self.w[rows]
-        for f in feats:
-            v = self.X[rows, f]
-            order = np.argsort(v, kind="stable")
-            vs = v[order]
-            if vs[0] == vs[-1]:
+        step = max(1, _SPLIT_BLOCK // (n * self.K))
+        for lo in range(0, feats.size, step):
+            block = feats[lo:lo + step]
+            idx = order[block]  # node rows sorted by each candidate
+            vs = self.XT[block[:, None], idx]
+            valid = vs[:, 1:] > vs[:, :-1]
+            if self.min_leaf > 1:
+                valid &= fits
+            # valid cuts, candidate by candidate in draw order, cut by cut
+            r, c = np.nonzero(valid)
+            if r.size == 0:
                 continue
-            cut = np.nonzero(vs[1:] > vs[:-1])[0]
-            cut = cut[(cut + 1 >= self.min_leaf) & (n - cut - 1 >= self.min_leaf)]
-            if cut.size == 0:
-                continue
-            wo = w_rows[order]
-            if self.classify:
-                cw = np.cumsum(self.onehot[rows][order] * wo[:, None], axis=0)
-                tot = cw[-1]
-                total_w = tot.sum()
-                lw = np.maximum(cw[cut].sum(axis=1), 1e-300)
-                rw = np.maximum(total_w - lw, 1e-300)
-                lc = cw[cut]
-                rc = tot[None, :] - lc
-                gini_l = 1.0 - np.sum((lc / lw[:, None]) ** 2, axis=1)
-                gini_r = 1.0 - np.sum((rc / rw[:, None]) ** 2, axis=1)
-                child = (lw * gini_l + rw * gini_r) / total_w
-            else:
-                yo = self.y[rows][order]
-                cw = np.cumsum(wo)
-                cwy = np.cumsum(wo * yo)
-                cwy2 = np.cumsum(wo * yo * yo)
-                total_w, sy, sy2 = cw[-1], cwy[-1], cwy2[-1]
-                lw = np.maximum(cw[cut], 1e-300)
-                rw = np.maximum(total_w - lw, 1e-300)
-                ly, ry = cwy[cut], sy - cwy[cut]
-                ly2, ry2 = cwy2[cut], sy2 - cwy2[cut]
-                var_l = np.maximum(ly2 / lw - (ly / lw) ** 2, 0.0)
-                var_r = np.maximum(ry2 / rw - (ry / rw) ** 2, 0.0)
-                child = (lw * var_l + rw * var_r) / total_w
-            j = int(np.argmin(child))
-            if child[j] < best_child:
-                best_child = float(child[j])
-                b = cut[j]
-                thr = (vs[b] + vs[b + 1]) / 2.0
-                best = (int(f), float(thr), node_imp - best_child)
-        return best
+            child = self._child_impurity(idx, r, c)
+            nan = np.isnan(child)
+            if nan.any():  # a candidate with a NaN score is out
+                child[np.isin(r, r[nan])] = np.inf
+            k = int(np.argmin(child))  # first candidate, then first cut, of the lowest
+            if child[k] < best_child:
+                best_child = float(child[k])
+                thr = (vs[r[k], c[k]] + vs[r[k], c[k] + 1]) / 2.0
+                best = (int(block[r[k]]), float(thr))
+        if best is None:
+            return None
+        return best[0], best[1], node_imp - best_child
+
+    def _child_impurity(self, idx, r, c) -> np.ndarray:
+        """Weighted child impurity of the cut after sorted position c of the
+        rows idx[r], for each (r, c) pair."""
+        if self.classify:
+            cw = np.cumsum(self.w_onehot[idx], axis=1)
+            tot = cw[:, -1]
+            total_w = tot.sum(axis=1)[r]
+            lc = cw[r, c]
+            lw = np.maximum(lc.sum(axis=1), 1e-300)
+            rw = np.maximum(total_w - lw, 1e-300)
+            rc = tot[r] - lc
+            gini_l = 1.0 - np.sum((lc / lw[:, None]) ** 2, axis=1)
+            gini_r = 1.0 - np.sum((rc / rw[:, None]) ** 2, axis=1)
+            return (lw * gini_l + rw * gini_r) / total_w
+        cw = np.cumsum(self.w[idx], axis=1)
+        cwy = np.cumsum(self.wy[idx], axis=1)
+        cwy2 = np.cumsum(self.wyy[idx], axis=1)
+        total_w, sy, sy2 = cw[r, -1], cwy[r, -1], cwy2[r, -1]
+        lw = np.maximum(cw[r, c], 1e-300)
+        rw = np.maximum(total_w - lw, 1e-300)
+        ly, ry = cwy[r, c], sy - cwy[r, c]
+        ly2, ry2 = cwy2[r, c], sy2 - cwy2[r, c]
+        var_l = np.maximum(ly2 / lw - (ly / lw) ** 2, 0.0)
+        var_r = np.maximum(ry2 / rw - (ry / rw) ** 2, 0.0)
+        return (lw * var_l + rw * var_r) / total_w
 
 
 class ForestModel(TrainedModel):
@@ -194,13 +237,37 @@ class ForestModel(TrainedModel):
 
     # -- prediction -----------------------------------------------------
 
+    def _leaves(self, X):
+        """Each tree's leaf for every row of X, one tree after another. A block
+        of trees is stacked into one node array and descends a level per pass."""
+        n, p = X.shape
+        flat = X.ravel()
+        per = max(1, _ROUTE_BLOCK // max(n, 1))
+        for lo in range(0, len(self.trees), per):
+            offsets, nodes = _stack(self.trees[lo:lo + per], _ROUTE_FIELDS)
+            feature, threshold = nodes["feature"], nodes["threshold"]
+            n_trees = offsets.size - 1
+            tree_start = np.repeat(offsets[:-1], n)  # child ids are local to their tree
+            row_start = np.tile(np.arange(0, n * p, p), n_trees)
+            at = tree_start.copy()                   # node of each (tree, row) pair
+            node = at.copy()
+            live = np.arange(at.size)
+            while live.size:
+                f = feature[at]
+                inner = f >= 0
+                if not inner.all():
+                    live, at, f = live[inner], at[inner], f[inner]
+                go_left = flat[row_start[live] + f] <= threshold[at]
+                at = tree_start[live] + np.where(go_left, nodes["left"][at], nodes["right"][at])
+                node[live] = at
+            yield from (node - tree_start).reshape(n_trees, n)
+
     def predict_proba(self, X) -> np.ndarray:
         if self.task != "classify":
             raise ValueError("predict_proba is only defined for classification")
         X = self._check_width(X)
         acc = np.zeros((X.shape[0], len(self.classes_)))
-        for tree in self.trees:
-            leaves = tree.route(X)
+        for tree, leaves in zip(self.trees, self._leaves(X)):  # tree order keeps the sums' bits
             dist = tree.value[leaves]
             totals = np.maximum(dist.sum(axis=1, keepdims=True), 1e-300)
             acc += dist / totals
@@ -212,8 +279,8 @@ class ForestModel(TrainedModel):
             return self.classes_[np.argmax(proba, axis=1)]
         X = self._check_width(X)
         acc = np.zeros(X.shape[0])
-        for tree in self.trees:
-            acc += tree.value[tree.route(X), 0]
+        for tree, leaves in zip(self.trees, self._leaves(X)):
+            acc += tree.value[leaves, 0]
         return acc / len(self.trees)
 
     # -- introspection ---------------------------------------------------
@@ -231,18 +298,8 @@ class ForestModel(TrainedModel):
     # -- persistence -----------------------------------------------------
 
     def to_state(self):
-        offsets = np.zeros(len(self.trees) + 1, dtype=np.int64)
-        for i, t in enumerate(self.trees):
-            offsets[i + 1] = offsets[i] + t.feature.size
-        arrays = {
-            "offsets": offsets,
-            "feature": np.concatenate([t.feature for t in self.trees]),
-            "threshold": np.concatenate([t.threshold for t in self.trees]),
-            "left": np.concatenate([t.left for t in self.trees]),
-            "right": np.concatenate([t.right for t in self.trees]),
-            "value": np.vstack([t.value for t in self.trees]),
-            "importance": self._importance_raw,
-        }
+        offsets, nodes = _stack(self.trees)
+        arrays = {"offsets": offsets, **nodes, "importance": self._importance_raw}
         if self.classes_ is not None:
             arrays["classes"] = np.asarray(self.classes_, dtype=str)
         meta = {
@@ -258,14 +315,9 @@ class ForestModel(TrainedModel):
     def from_state(cls, meta, arrays):
         spec = ModelSpec("forest", meta["task"], meta["hyperparameters"], meta["seed"])
         offsets = arrays["offsets"]
-        trees = []
-        for i in range(offsets.size - 1):
-            lo, hi = offsets[i], offsets[i + 1]
-            trees.append(_Tree(arrays["feature"][lo:hi], arrays["threshold"][lo:hi],
-                               arrays["left"][lo:hi], arrays["right"][lo:hi],
-                               arrays["value"][lo:hi]))
-        classes = arrays.get("classes")
-        return cls(spec, meta["schema"], meta["fingerprint"], trees, classes,
+        trees = [_Tree(*(arrays[name][lo:hi] for name in _TREE_FIELDS))
+                 for lo, hi in zip(offsets[:-1], offsets[1:])]
+        return cls(spec, meta["schema"], meta["fingerprint"], trees, arrays.get("classes"),
                    arrays["importance"])
 
 
@@ -361,16 +413,17 @@ def train_forest(spec: ModelSpec, X, y, schema=None, sample_weight=None) -> Fore
     trees = []
     importance = np.zeros(X.shape[1])
     n = X.shape[0]
+    XT = np.ascontiguousarray(X.T)
     for t in range(n_trees):
         rng = np.random.default_rng([int(spec.seed) & 0x7FFFFFFFFFFFFFFF, t])
         if bootstrap:
             rows = np.sort(rng.integers(0, n, size=n))
         else:
             rows = np.arange(n)
-        grower = _Grower(X[rows], target[rows], w[rows], classify=classify, n_classes=K,
+        grower = _Grower(XT[:, rows], target[rows], w[rows], classify=classify, n_classes=K,
                          max_depth=max_depth, min_split=min_split, min_leaf=min_leaf,
                          mtry=mtry, rng=rng)
-        trees.append(grower.grow(np.arange(rows.size)))
+        trees.append(grower.grow())
         importance += grower.importance
 
     fp = spec.fingerprint_with(X, np.asarray(y))

@@ -2,10 +2,12 @@
 
 import json
 import os
+import shlex
+from pathlib import Path
 
 import pytest
 
-from mlsec5g.cli import main
+from mlsec5g.cli import build_parser, main, resolve
 from mlsec5g.config import (ConfigError, build_config, default_config,
                             load_config, validate_config)
 
@@ -210,3 +212,26 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 0
         assert captured.out.startswith("cs6 stage=generate")
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def readme_commands() -> list[str]:
+    """The `mlsec5g ...` lines of the README's "Command line" block."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("mlsec5g ")]
+
+
+def test_readme_has_command_examples():
+    assert len(readme_commands()) >= 3
+
+
+@pytest.mark.parametrize("line", readme_commands())
+def test_readme_command_resolves(line, monkeypatch):
+    for name in list(os.environ):
+        if name.startswith("MLSEC5G_"):
+            monkeypatch.delenv(name)
+    monkeypatch.chdir(ROOT)
+    resolve(build_parser().parse_args(shlex.split(line)[1:]))  # raises ConfigError if broken
