@@ -295,6 +295,23 @@ def run_online_attack(model_factory: Callable[[], object], true_series,
     attacked twin receives a spoofed report instead of the truth. spoof_mode
     None runs a no-spoof control whose differential is exactly zero.
     """
+    return run_online_attacks(model_factory, true_series, [spoof_mode],
+                              period_s=period_s, dt=dt, seeds=[seed])[0]
+
+
+def run_online_attacks(model_factory: Callable[[], object], true_series,
+                       spoof_modes: Sequence[str | None], *, period_s: float = 60.0,
+                       dt: float = 1.0, seeds: Sequence[int]) -> list[OnlineAttackResult]:
+    """run_online_attack for several spoof modes against one shared clean twin.
+
+    One clean model, and one attacked twin per entry of spoof_modes, step in
+    lockstep; entry j's jitter draws from seeds[j]. A None entry is the
+    no-spoof control: its twin is a fresh factory replica fed the truth,
+    never the clean model itself, so its zero differential still tests that
+    the factory is deterministic. Every stream depends only on the factory
+    and its own reports, so each result equals that of a separate
+    run_online_attack call.
+    """
     series = np.asarray(true_series, dtype=float)
     if series.ndim != 1 or series.size == 0:
         raise ValueError("true_series must be a non-empty 1-d array")
@@ -306,39 +323,46 @@ def run_online_attack(model_factory: Callable[[], object], true_series,
     if series.size < period_steps:
         raise ValueError(
             f"horizon of {series.size} steps is shorter than one spoof period ({period_steps})")
-    if spoof_mode is not None and spoof_mode not in SPOOF_MODES:
-        raise ValueError(f"unknown spoof mode {spoof_mode!r}")
+    for mode in spoof_modes:
+        if mode is not None and mode not in SPOOF_MODES:
+            raise ValueError(f"unknown spoof mode {mode!r}")
+    if len(seeds) != len(spoof_modes):
+        raise ValueError(f"{len(seeds)} seeds for {len(spoof_modes)} spoof modes")
 
     clean = model_factory()
-    attacked = model_factory()
+    attacked = [model_factory() for _ in spoof_modes]
     H = series.size
     pred_clean = np.empty(H)
-    pred_attacked = np.empty(H)
-    spoof_steps = []
+    pred_attacked = np.empty((len(spoof_modes), H))
     for i in range(H):
         pred_clean[i] = clean.predict_next()
-        pred_attacked[i] = attacked.predict_next()
         truth = float(series[i])
-        reported = truth
-        if spoof_mode is not None and i % period_steps == 0:
-            reported = spoof_value(spoof_mode, truth, i, seed)
-            spoof_steps.append(i)
         clean.step(truth)
-        attacked.step(reported)
+        for j, (mode, model) in enumerate(zip(spoof_modes, attacked)):
+            pred_attacked[j, i] = model.predict_next()
+            reported = truth
+            if mode is not None and i % period_steps == 0:
+                reported = spoof_value(mode, truth, i, seeds[j])
+            model.step(reported)
 
+    slots = tuple(range(0, H, period_steps))
+    t = np.arange(1, H + 1, dtype=float) * dt
     crmse_clean = M.crmse(series, pred_clean)
-    crmse_attacked = M.crmse(series, pred_attacked)
-    return OnlineAttackResult(
-        t=np.arange(1, H + 1, dtype=float) * dt,
-        true_series=series,
-        pred_clean=pred_clean,
-        pred_attacked=pred_attacked,
-        crmse_clean=crmse_clean,
-        crmse_attacked=crmse_attacked,
-        differential=crmse_attacked - crmse_clean,
-        spoof_steps=tuple(spoof_steps),
-        spoof_mode=spoof_mode,
-    )
+    results = []
+    for j, mode in enumerate(spoof_modes):
+        crmse_attacked = M.crmse(series, pred_attacked[j])
+        results.append(OnlineAttackResult(
+            t=t.copy(),
+            true_series=series,
+            pred_clean=pred_clean.copy(),
+            pred_attacked=pred_attacked[j],
+            crmse_clean=crmse_clean.copy(),
+            crmse_attacked=crmse_attacked,
+            differential=crmse_attacked - crmse_clean,
+            spoof_steps=() if mode is None else slots,
+            spoof_mode=mode,
+        ))
+    return results
 
 
 def spoof_positions(topology, attacker_ids: Sequence[int], step_count: int = 8,

@@ -5,7 +5,7 @@ from __future__ import annotations
 from .base import KINDS, TASKS, ModelSpec, TrainedModel, default_schema, load_model, save_model
 from .forest import FeatureImportance, ForestModel, distill_forest, train_forest
 from .network import FeedforwardModel, train_network
-from .recurrent import OnlineRecurrentModel, init_online, step_online
+from .recurrent import OnlineRecurrentModel, init_online
 
 
 def train(spec: ModelSpec, X, y, schema=None, sample_weight=None) -> TrainedModel:
@@ -33,7 +33,6 @@ __all__ = [
     "init_online",
     "load_model",
     "save_model",
-    "step_online",
     "train",
     "train_forest",
     "train_network",

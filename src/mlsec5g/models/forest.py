@@ -193,8 +193,13 @@ class _Grower:
             k = int(np.argmin(child))  # first candidate, then first cut, of the lowest
             if child[k] < best_child:
                 best_child = float(child[k])
-                thr = (vs[r[k], c[k]] + vs[r[k], c[k] + 1]) / 2.0
-                best = (int(block[r[k]]), float(thr))
+                below, above = float(vs[r[k], c[k]]), float(vs[r[k], c[k] + 1])
+                thr = (below + above) / 2.0
+                # between adjacent doubles the midpoint rounds up to `above`,
+                # next to inf it is inf or NaN: every row would go left
+                if not thr < above:
+                    thr = below
+                best = (int(block[r[k]]), thr)
         if best is None:
             return None
         return best[0], best[1], node_imp - best_child

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import ModelSpec, TrainedModel, default_schema
+from .base import ModelSpec, TrainedModel, default_schema, sigmoid
 
 _ACTIVATIONS = ("tanh", "relu", "identity")
 
@@ -41,15 +41,6 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 def _softplus(z: np.ndarray) -> np.ndarray:
     # overflow-safe: softplus(z) = max(z, 0) + log1p(exp(-|z|))
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 class FeedforwardModel(TrainedModel):
@@ -180,7 +171,7 @@ class FeedforwardModel(TrainedModel):
             out = _softplus(z_out)
             diff = out - targets
             loss = float(np.mean(diff ** 2))
-            delta = (2.0 * diff / diff.size) * _sigmoid(z_out)
+            delta = (2.0 * diff / diff.size) * sigmoid(z_out)
         else:
             diff = z_out - targets
             loss = float(np.mean(diff ** 2))

@@ -3,8 +3,12 @@
 The model predicts the next value of a scalar series from the last `window`
 observations as reported (spoofed reports poison both the input window and
 the online update; that is the attack surface). After warmup pretraining the
-model keeps learning: every observation handed to step_online triggers
-exactly one gradient step before it joins the history.
+model keeps learning: every observation handed to `step()` triggers exactly
+one gradient step before it joins the history.
+
+`history` and `params` change only through `step()`. The model keeps the
+forward pass over its current window, so `predict_next()` and the gradient
+step that follows it share one pass instead of recomputing it.
 
 State is owned by a single stream; nothing here is shared or thread-safe,
 and a replay of the same stream reproduces predictions bit-for-bit.
@@ -14,18 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import ModelSpec, TrainedModel
+from .base import ModelSpec, TrainedModel, sigmoid
 
 _PARAM_ORDER = ("Wz", "Uz", "bz", "Wr", "Ur", "br", "Wh", "Uh", "bh", "Wy", "by")
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 class OnlineRecurrentModel(TrainedModel):
@@ -46,6 +41,7 @@ class OnlineRecurrentModel(TrainedModel):
             theta = self._flat(params)
             adam_state = {"m": np.zeros_like(theta), "v": np.zeros_like(theta), "t": 0}
         self.adam = adam_state
+        self._window_pass = None  # forward over the current window, built on first use
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -72,8 +68,8 @@ class OnlineRecurrentModel(TrainedModel):
         caches = []
         for t in range(T):
             x = Xn[:, t:t + 1]
-            z = _sigmoid(x @ p["Wz"] + h @ p["Uz"] + p["bz"])
-            r = _sigmoid(x @ p["Wr"] + h @ p["Ur"] + p["br"])
+            z = sigmoid(x @ p["Wz"] + h @ p["Uz"] + p["bz"])
+            r = sigmoid(x @ p["Wr"] + h @ p["Ur"] + p["br"])
             c = np.tanh(x @ p["Wh"] + (r * h) @ p["Uh"] + p["bh"])
             h_new = (1.0 - z) * h + z * c
             if cache:
@@ -84,9 +80,13 @@ class OnlineRecurrentModel(TrainedModel):
 
     def _loss_grad(self, Xn: np.ndarray, target_n: np.ndarray):
         """MSE loss and flat gradient via backprop through the full window."""
+        return self._backward(self._forward(Xn, cache=True), target_n)
+
+    def _backward(self, fwd, target_n: np.ndarray):
+        """MSE loss and flat gradient of a cached forward pass."""
         p = self.params
-        pred, h_last, caches = self._forward(Xn, cache=True)
-        B = Xn.shape[0]
+        pred, h_last, caches = fwd
+        B = pred.shape[0]
         diff = pred - target_n
         loss = float(np.mean(diff ** 2))
         grads = {k: np.zeros_like(p[k]) for k in _PARAM_ORDER}
@@ -132,11 +132,19 @@ class OnlineRecurrentModel(TrainedModel):
     def _normalize(self, values) -> np.ndarray:
         return (np.asarray(values, dtype=float) - self.mu) / self.sd
 
+    def _window_forward(self):
+        """The cached forward pass over the current window under the current params."""
+        if self._window_pass is None:
+            window = np.asarray(self.history[-self.window:], dtype=float).reshape(1, -1)
+            self._window_pass = self._forward(self._normalize(window), cache=True)
+        return self._window_pass
+
+    def _next_value(self) -> float:
+        return float(self._window_forward()[0][0, 0] * self.sd + self.mu)
+
     def predict_next(self) -> float:
         """Prediction for the next step from the current reported window."""
-        window = np.asarray(self.history[-self.window:], dtype=float).reshape(1, -1)
-        pred, _, _ = self._forward(self._normalize(window))
-        return float(pred[0, 0] * self.sd + self.mu)
+        return self._next_value()
 
     def step(self, observation: float) -> float:
         """Consume one observation: one online update, then predict the next step.
@@ -145,14 +153,14 @@ class OnlineRecurrentModel(TrainedModel):
         no way to tell truth from spoof.
         """
         obs = float(observation)
-        window = np.asarray(self.history[-self.window:], dtype=float).reshape(1, -1)
         target = np.array([[obs]], dtype=float)
-        _, grad = self._loss_grad(self._normalize(window), self._normalize(target))
+        _, grad = self._backward(self._window_forward(), self._normalize(target))
+        self._window_pass = None
         self._adam_step(grad, self.online_lr)
         self.history.append(obs)
         if len(self.history) > self.window:
             self.history = self.history[-self.window:]
-        return self.predict_next()
+        return self._next_value()
 
     def predict(self, X):
         """Batch next-step predictions for rows of window-length inputs."""
@@ -251,8 +259,3 @@ def init_online(spec: ModelSpec, warmup_series) -> OnlineRecurrentModel:
         model._adam_step(grad, lr)
     return model
 
-
-def step_online(model: OnlineRecurrentModel, observation: float
-                ) -> tuple[float, OnlineRecurrentModel]:
-    """Functional wrapper over OnlineRecurrentModel.step."""
-    return model.step(observation), model

@@ -20,7 +20,7 @@ import numpy as np
 
 from .. import metrics as M
 from ..attacks import (CurvePoint, DegradationCurve, run_inference_attack,
-                       run_online_attack, run_training_attack, spoof_positions)
+                       run_online_attacks, run_training_attack, spoof_positions)
 from ..config import ExperimentConfig, STAGES, default_config
 from ..defenses import adversarial_training, evaluate_defense, feature_removal
 from ..flows import (FEATURE_NAMES, LabelRule, aggregate_flows,
@@ -476,19 +476,16 @@ def _run_cs3(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
         def factory(meta=meta, arrays=arrays):
             return OnlineRecurrentModel.from_state(meta, arrays)
 
-        with _timed(timings, f"control[{profile}]"):
-            control = run_online_attack(factory, live, None, period_s=period_s)
-            control_exact = bool(np.all(control.differential == 0.0))
+        # one clean stream shared by the no-spoof control and every spoof mode
+        modes = [None, *spoof_modes] if depth >= 2 else [None]
+        seeds = [0] + [derive_seed(seed, "spoof", profile, mode) for mode in modes[1:]]
+        with _timed(timings, f"{'attack' if depth >= 2 else 'control'}[{profile}]"):
+            control, *attacked = run_online_attacks(factory, live, modes,
+                                                    period_s=period_s, seeds=seeds)
             report.baseline[f"CRMSE[{profile}]"] = float(control.crmse_clean[-1])
-            report.extras[f"control_zero[{profile}]"] = control_exact
-        if depth < 2:
-            continue
-
-        with _timed(timings, f"attack[{profile}]"):
-            for mode in spoof_modes:
-                res = run_online_attack(
-                    factory, live, mode, period_s=period_s,
-                    seed=derive_seed(seed, "spoof", profile, mode))
+            report.extras[f"control_zero[{profile}]"] = bool(
+                np.all(control.differential == 0.0))
+            for mode, res in zip(spoof_modes, attacked):
                 finals[(profile, mode)] = float(res.differential[-1])
                 points = []
                 stride = max(1, res.t.size // 60)

@@ -7,8 +7,8 @@ import pytest
 
 from mlsec5g.attacks import (AttackPlan, map_trials, resolve_metric,
                              run_inference_attack, run_online_attack,
-                             run_training_attack, spoof_positions, spoof_value,
-                             summarize_curve)
+                             run_online_attacks, run_training_attack, spoof_positions,
+                             spoof_value, summarize_curve)
 from mlsec5g.models import ModelSpec, init_online
 
 
@@ -232,6 +232,8 @@ class TestOnlineAttack:
             run_online_attack(factory, np.ones(10), None, period_s=60.0)
         with pytest.raises(ValueError, match="positive"):
             run_online_attack(factory, np.ones(100), None, period_s=0.0)
+        with pytest.raises(ValueError, match="1 seeds for 2 spoof modes"):
+            run_online_attacks(factory, np.ones(100), [None, "jitter"], seeds=[1])
 
 
 def square_topology():

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from online_oracle import _sigmoid as masked_sigmoid
 
 from mlsec5g.metrics import accuracy, rmse
 from mlsec5g.models import (ModelSpec, distill_forest, init_online, load_model,
                             save_model, train, train_forest, train_network)
+from mlsec5g.models.base import sigmoid
 
 
 def blobs(n=150, seed=0, spread=0.4):
@@ -97,6 +99,25 @@ class TestForest:
         path = str(tmp_path / "reg.npz")
         save_model(model, path)
         assert np.array_equal(model.predict(X), load_model(path).predict(X))
+
+
+    @pytest.mark.parametrize("low,high", [
+        (1.0 + 2.0 ** -52, 1.0 + 2.0 ** -51),  # adjacent doubles: the midpoint rounds up
+        (0.0, np.inf),                          # the midpoint is inf
+        (-np.inf, np.inf),                      # the midpoint is NaN
+    ])
+    def test_cut_between_values_without_a_midpoint_splits_them(self, low, high):
+        X = np.array([[low], [low], [high], [high]])
+        y = np.array([0.0, 0.0, 1.0, 1.0])
+        spec = ModelSpec("forest", "regress",
+                         {"n_trees": 1, "max_depth": 5, "bootstrap": False}, seed=0)
+        model = train_forest(spec, X, y)
+        tree = model.trees[0]
+        # a threshold equal to the upper value sent every row left, again and again
+        assert tree.feature.size == 3
+        assert tree.threshold[0] == low
+        assert tree.value[tree.left[0], 0] == 0.0 and tree.value[tree.right[0], 0] == 1.0
+        assert np.array_equal(model.predict(X), y)
 
 
 class TestDistillation:
@@ -299,6 +320,16 @@ class TestOnlineRecurrent:
         again = load_model(path)
         assert again.predict_next() == model.predict_next()
         assert [again.step(v) for v in (8.0, 8.1)] == [model.step(v) for v in (8.0, 8.1)]
+
+
+def test_sigmoid_matches_the_masked_form_bit_for_bit():
+    rng = np.random.default_rng(0)
+    z = np.concatenate([rng.standard_normal(20000) * scale for scale in (1, 10, 100, 800)]
+                       + [np.array([0.0, -0.0, np.inf, -np.inf, 1e-320, -1e-320, 745.0, -745.0])])
+    for shape in ((z.size,), (z.size // 8, 8)):
+        got, want = sigmoid(z.reshape(shape)), masked_sigmoid(z.reshape(shape))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert np.isnan(sigmoid(np.array([np.nan]))[0])
 
 
 class TestDispatcher:

@@ -1,0 +1,142 @@
+"""The online recurrent model, which keeps one forward pass per step, and
+`run_online_attacks`, which shares one clean stream across spoof modes, match
+the reference model and per-mode attack run bit for bit."""
+
+import copy
+
+import numpy as np
+import pytest
+from online_oracle import (_PARAM_ORDER, ReferenceOnlineModel, reference_online_attack,
+                           reference_warmup)
+
+from mlsec5g.attacks import run_online_attack, run_online_attacks
+from mlsec5g.models import ModelSpec, OnlineRecurrentModel, init_online, load_model, save_model
+
+SHAPES = [(1, 1), (1, 6), (5, 1), (5, 6), (16, 1), (16, 6)]  # (window, hidden)
+MODES = [None, "floor_zero", "jitter"]
+PERIOD_S, DT = 7.5, 2.0  # a spoof every round(3.75) = 4 steps
+
+
+def _cqi(n, seed):
+    rng = np.random.default_rng(seed)
+    return np.clip(np.round(8.0 + np.cumsum(rng.uniform(-0.7, 0.7, n))), 0.0, 15.0)
+
+
+def _warmed(window, hidden, seed=0):
+    spec = ModelSpec("recurrent", "regress",
+                     {"window": window, "hidden_size": hidden, "epochs": 6, "lr": 0.03},
+                     seed=seed)
+    warmup = _cqi(window + 20, seed)
+    return init_online(spec, warmup), reference_warmup(spec, warmup)
+
+
+def _factories(model):
+    """Production and reference factories from one state, each recording
+    the streams it makes."""
+    meta, arrays = model.to_state()
+    made, ref_made = [], []
+
+    def factory():
+        made.append(OnlineRecurrentModel.from_state(meta, arrays))
+        return made[-1]
+
+    def ref_factory():
+        ref_made.append(ReferenceOnlineModel.from_state(meta, arrays))
+        return ref_made[-1]
+
+    return factory, ref_factory, made, ref_made
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def assert_same_result(got, want):
+    for name in ("t", "true_series", "pred_clean", "pred_attacked",
+                 "crmse_clean", "crmse_attacked", "differential"):
+        assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
+    assert got.spoof_steps == want.spoof_steps
+    assert got.spoof_mode == want.spoof_mode
+
+
+def assert_same_state(got, want):
+    for k in _PARAM_ORDER:
+        assert _bits(got.params[k]) == _bits(want.params[k]), k
+    assert _bits(got.adam["m"]) == _bits(want.adam["m"])
+    assert _bits(got.adam["v"]) == _bits(want.adam["v"])
+    assert got.adam["t"] == want.adam["t"]
+    assert _bits(got.history) == _bits(want.history)
+
+
+@pytest.mark.parametrize("window,hidden", SHAPES)
+def test_warmup_matches_reference(window, hidden):
+    model, ref = _warmed(window, hidden)
+    assert_same_state(model, ref)
+    assert (model.mu, model.sd, model.online_lr) == (ref.mu, ref.sd, ref.online_lr)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("window,hidden", SHAPES)
+def test_single_mode_run_matches_reference(window, hidden, mode):
+    model, _ = _warmed(window, hidden)
+    factory, ref_factory, made, ref_made = _factories(model)
+    live = _cqi(24, 7)
+    got = run_online_attack(factory, live, mode, period_s=PERIOD_S, dt=DT, seed=3)
+    want = reference_online_attack(ref_factory, live, mode, period_s=PERIOD_S, dt=DT, seed=3)
+    assert_same_result(got, want)
+    assert len(got.spoof_steps) == (0 if mode is None else 6)
+    assert len(made) == len(ref_made) == 2
+    for stream, ref_stream in zip(made, ref_made):
+        assert_same_state(stream, ref_stream)
+
+
+@pytest.mark.parametrize("window,hidden", [(1, 6), (5, 1), (16, 6)])
+def test_shared_clean_stream_matches_separate_runs(window, hidden):
+    model, _ = _warmed(window, hidden, seed=4)
+    factory, ref_factory, made, ref_made = _factories(model)
+    live = _cqi(24, 9)
+    seeds = [21, 22, 23]
+    results = run_online_attacks(factory, live, MODES, period_s=PERIOD_S, dt=DT, seeds=seeds)
+    assert len(made) == 1 + len(MODES)  # the no-spoof twin is its own replica
+    for j, (mode, seed) in enumerate(zip(MODES, seeds)):
+        want = reference_online_attack(ref_factory, live, mode, period_s=PERIOD_S,
+                                       dt=DT, seed=seed)
+        assert_same_result(results[j], want)
+        assert_same_state(made[0], ref_made[-2])
+        assert_same_state(made[1 + j], ref_made[-1])
+    assert np.all(results[0].differential == 0.0)
+
+
+def test_save_load_mid_stream_matches_reference(tmp_path):
+    model, _ = _warmed(5, 6)
+    factory, ref_factory, _, _ = _factories(model)
+    stream, ref = factory(), ref_factory()
+    feed = _cqi(16, 2)
+    for v in feed[:7]:
+        assert stream.predict_next() == ref.predict_next()
+        assert stream.step(v) == ref.step(v)
+    stream.predict_next()  # the saved model leaves its cached pass behind
+    path = str(tmp_path / "online.npz")
+    save_model(stream, path)
+    again, ref_again = load_model(path), copy.deepcopy(ref)
+    for v in feed[7:]:
+        want = ref.step(v)
+        assert stream.step(v) == want
+        assert again.predict_next() == ref_again.predict_next()
+        assert again.step(v) == ref_again.step(v) == want
+    for m in (stream, again):
+        assert_same_state(m, ref)
+
+
+def test_repeated_predict_next_and_batch_predict_leave_the_stream_alone():
+    model, _ = _warmed(16, 6)
+    factory, ref_factory, _, _ = _factories(model)
+    stream, ref = factory(), ref_factory()
+    batch = np.lib.stride_tricks.sliding_window_view(_cqi(40, 5), 16)
+    for v in _cqi(6, 8):
+        first = stream.predict_next()
+        assert stream.predict_next() == stream.predict_next() == first == ref.predict_next()
+        assert _bits(stream.predict(batch)) == _bits(ref.predict(batch))
+        assert stream.step(v) == ref.step(v)
+    assert_same_state(stream, ref)
