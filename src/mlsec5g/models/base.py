@@ -45,9 +45,16 @@ class ModelSpec:
         if self.task not in _VALID[self.kind]:
             raise ValueError(f"kind {self.kind!r} does not support task {self.task!r}")
         hp = self.hyperparameters
-        for key in ("n_trees", "epochs", "hidden_size", "window"):
-            if key in hp and int(hp[key]) < 1:
-                raise ValueError(f"hyperparameter {key} must be >= 1, got {hp[key]}")
+        # a batch_size of None means full batch
+        counts = [key for key in ("n_trees", "epochs", "hidden_size", "window") if key in hp]
+        if hp.get("batch_size") is not None:
+            counts.append("batch_size")
+        errors = [f"hyperparameter {key} must be >= 1, got {hp[key]}"
+                  for key in counts if int(hp[key]) < 1]
+        if any(int(h) < 1 for h in hp.get("hidden", ())):
+            errors.append(f"hyperparameter hidden widths must be >= 1, got {hp['hidden']}")
+        if errors:
+            raise ValueError("; ".join(errors))
 
     def fingerprint_with(self, X: np.ndarray, y: np.ndarray) -> str:
         meta = canonical_json({

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import ModelSpec, TrainedModel, default_schema
+from .base import ModelSpec, TrainedModel, _jsonable, default_schema
 
 _EPS_GAIN = 1e-12
 _SPLIT_BLOCK = 1 << 12  # sorted values scored per pass: bounds the working set
@@ -312,7 +312,7 @@ class ForestModel(TrainedModel):
             "schema": list(self.schema),
             "fingerprint": self.fingerprint,
             "seed": int(self.spec.seed),
-            "hyperparameters": {k: _plain(v) for k, v in self.spec.hyperparameters.items()},
+            "hyperparameters": {k: _jsonable(v) for k, v in self.spec.hyperparameters.items()},
         }
         return meta, arrays
 
@@ -324,16 +324,6 @@ class ForestModel(TrainedModel):
                  for lo, hi in zip(offsets[:-1], offsets[1:])]
         return cls(spec, meta["schema"], meta["fingerprint"], trees, arrays.get("classes"),
                    arrays["importance"])
-
-
-def _plain(v):
-    if isinstance(v, np.integer):
-        return int(v)
-    if isinstance(v, np.floating):
-        return float(v)
-    if isinstance(v, (tuple, list)):
-        return [_plain(x) for x in v]
-    return v
 
 
 @dataclass(frozen=True)

@@ -4,43 +4,68 @@ Heads: softmax + cross-entropy for classification, identity + MSE for scalar
 regression, softplus + MSE for non-negative vector regression (power
 allocations must not go negative). Inputs are standardized with statistics
 frozen at fit time. The full parameter vector is exposed flat so the analytic
-backward pass can be audited against central differences.
+backward pass can be audited against central differences: the public
+`loss_grad` is that audited entry point.
+
+`train_network` standardizes and encodes its data once, then runs every batch
+through the private `_loss_grad` on the prepared arrays. Layer outputs,
+deltas and the gradient go into a workspace of preallocated buffers, one per
+batch row count, that lives only for the length of the fit and never becomes
+part of the model. The buffered path runs the same floating-point operations
+in the same order as the plain form that allocates every result afresh, so
+the trained weights are bit-identical to it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .base import ModelSpec, TrainedModel, default_schema, sigmoid
+from .base import ModelSpec, TrainedModel, _jsonable, default_schema
 
 _ACTIVATIONS = ("tanh", "relu", "identity")
 
 
-def _act(name: str, z: np.ndarray) -> np.ndarray:
+def _activate(name: str, z: np.ndarray) -> None:
+    """Apply the hidden activation in place."""
     if name == "tanh":
-        return np.tanh(z)
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    return z
+        np.tanh(z, out=z)
+    elif name == "relu":
+        np.maximum(z, 0.0, out=z)
 
 
-def _act_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    if name == "tanh":
-        return 1.0 - a * a
-    if name == "relu":
-        return (z > 0.0).astype(float)
-    return np.ones_like(z)
-
-
-def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+def _softmax(z: np.ndarray, out=None) -> np.ndarray:
+    e = np.subtract(z, z.max(axis=1, keepdims=True), out=out)
+    np.exp(e, out=e)
+    np.divide(e, e.sum(axis=1, keepdims=True), out=e)
+    return e
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:
     # overflow-safe: softplus(z) = max(z, 0) + log1p(exp(-|z|))
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+
+
+class _Workspace:
+    """Buffers for one batch row count: each layer's output, delta and
+    scratch, and the flat gradient with per-layer views into it."""
+
+    def __init__(self, model: "FeedforwardModel", rows: int):
+        widths = [W.shape[1] for W in model.weights]
+        self.out = [np.empty((rows, w)) for w in widths]      # z, then the activation in place
+        self.delta = [np.empty((rows, w)) for w in widths]
+        self.scratch = [np.empty((rows, w)) for w in widths]
+        self.exp = np.empty((rows, widths[-1]))               # exp(-|z|) of the softplus head
+        self.grad = np.empty(model.n_params())
+        self.grad_W, self.grad_b = [], []
+        pos = 0
+        for W, b in zip(model.weights, model.biases):
+            self.grad_W.append(self.grad[pos:pos + W.size].reshape(W.shape))
+            pos += W.size
+            if b is None:
+                self.grad_b.append(None)
+            else:
+                self.grad_b.append(self.grad[pos:pos + b.size])
+                pos += b.size
 
 
 class FeedforwardModel(TrainedModel):
@@ -62,20 +87,19 @@ class FeedforwardModel(TrainedModel):
     def _standardize(self, X: np.ndarray) -> np.ndarray:
         return (X - self.x_mean) / self.x_std
 
-    def _forward(self, Xs: np.ndarray):
-        """Return (pre-activations, activations); activations[0] is the input."""
-        zs = []
-        acts = [Xs]
+    def _forward(self, Xs: np.ndarray, ws: _Workspace | None = None) -> np.ndarray:
+        """Output-layer pre-activation; with a workspace, every layer's output
+        lands in ws.out (hidden layers after their activation)."""
         a = Xs
         last = len(self.weights) - 1
-        for i, W in enumerate(self.weights):
-            z = a @ W
-            if self.biases[i] is not None:
-                z = z + self.biases[i]
-            zs.append(z)
-            a = _act(self.activation, z) if i < last else z
-            acts.append(a)
-        return zs, acts
+        for i, (W, b) in enumerate(zip(self.weights, self.biases)):
+            z = np.matmul(a, W, out=None if ws is None else ws.out[i])
+            if b is not None:
+                np.add(z, b, out=z)
+            if i < last:
+                _activate(self.activation, z)
+            a = z
+        return a
 
     def _head(self, z_out: np.ndarray) -> np.ndarray:
         if self.task == "classify":
@@ -88,13 +112,11 @@ class FeedforwardModel(TrainedModel):
         if self.task != "classify":
             raise ValueError("predict_proba is only defined for classification")
         X = self._check_width(X)
-        _, acts = self._forward(self._standardize(X))
-        return _softmax(acts[-1])
+        return _softmax(self._forward(self._standardize(X)))
 
     def predict(self, X):
         X = self._check_width(X)
-        _, acts = self._forward(self._standardize(X))
-        out = self._head(acts[-1])
+        out = self._head(self._forward(self._standardize(X)))
         if self.task == "classify":
             return self.classes_[np.argmax(out, axis=1)]
         if self.task == "regress":
@@ -156,47 +178,68 @@ class FeedforwardModel(TrainedModel):
         """Mean loss over rows plus L2 on weights; gradient as a flat vector."""
         X = self._check_width(np.asarray(X, dtype=float))
         Xs = self._standardize(X)
-        targets = self._encode_targets(y)
+        return self._loss_grad(Xs, self._encode_targets(y), l2,
+                               _Workspace(self, Xs.shape[0]), with_loss=True)
+
+    def _loss_grad(self, Xs: np.ndarray, targets: np.ndarray, l2: float,
+                   ws: _Workspace, with_loss: bool):
+        """loss_grad on standardized inputs and encoded targets. The gradient
+        is ws.grad; the loss is None unless with_loss."""
         n = Xs.shape[0]
-        zs, acts = self._forward(Xs)
-        z_out = acts[-1]
+        z_out = self._forward(Xs, ws)
+        delta = ws.delta[-1]
+        loss = None
 
         if self.task == "classify":
-            proba = _softmax(z_out)
-            logp = z_out - z_out.max(axis=1, keepdims=True)
-            logp = logp - np.log(np.exp(logp).sum(axis=1, keepdims=True))
-            loss = float(-np.sum(targets * logp) / n)
-            delta = (proba - targets) / n
-        elif self.task == "vector_regress":
-            out = _softplus(z_out)
-            diff = out - targets
-            loss = float(np.mean(diff ** 2))
-            delta = (2.0 * diff / diff.size) * sigmoid(z_out)
+            if with_loss:
+                logp = z_out - z_out.max(axis=1, keepdims=True)
+                logp = logp - np.log(np.exp(logp).sum(axis=1, keepdims=True))
+                loss = float(-np.sum(targets * logp) / n)
+            _softmax(z_out, out=delta)
+            delta -= targets
+            delta /= n
         else:
-            diff = z_out - targets
-            loss = float(np.mean(diff ** 2))
-            delta = 2.0 * diff / diff.size
+            if self.task == "vector_regress":
+                # softplus and its derivative, the sigmoid, from one exp(-|z|),
+                # by the same ops as _softplus and base.sigmoid
+                e = np.abs(z_out, out=ws.exp)
+                np.negative(e, out=e)
+                np.exp(e, out=e)
+                diff = np.maximum(z_out, 0.0, out=delta)
+                diff += np.log1p(e, out=ws.scratch[-1])
+                diff -= targets
+            else:
+                diff = np.subtract(z_out, targets, out=delta)
+            if with_loss:
+                loss = float(np.mean(diff ** 2))
+            diff *= 2.0
+            diff /= diff.size
+            if self.task == "vector_regress":
+                denom = np.add(1.0, e, out=ws.scratch[-1])
+                np.copyto(e, 1.0, where=z_out >= 0)
+                e /= denom
+                diff *= e
 
-        grads_W = [None] * len(self.weights)
-        grads_b = [None] * len(self.weights)
         for i in range(len(self.weights) - 1, -1, -1):
-            a_prev = acts[i]
-            grads_W[i] = a_prev.T @ delta
-            grads_b[i] = delta.sum(axis=0) if self.biases[i] is not None else None
+            a_prev = Xs if i == 0 else ws.out[i - 1]
+            np.matmul(a_prev.T, delta, out=ws.grad_W[i])
+            if self.biases[i] is not None:
+                np.sum(delta, axis=0, out=ws.grad_b[i])
             if i > 0:
-                delta = (delta @ self.weights[i].T) * _act_grad(self.activation, zs[i - 1], acts[i])
+                delta = np.matmul(delta, self.weights[i].T, out=ws.delta[i - 1])
+                if self.activation == "tanh":
+                    g = np.multiply(a_prev, a_prev, out=ws.scratch[i - 1])
+                    delta *= np.subtract(1.0, g, out=g)
+                elif self.activation == "relu":
+                    # relu(z) > 0 exactly where z > 0
+                    delta *= np.greater(a_prev, 0.0, out=ws.scratch[i - 1])
 
         if l2 > 0.0:
             for i, W in enumerate(self.weights):
-                loss += 0.5 * l2 * float(np.sum(W * W))
-                grads_W[i] = grads_W[i] + l2 * W
-
-        chunks = []
-        for gW, gb in zip(grads_W, grads_b):
-            chunks.append(gW.ravel())
-            if gb is not None:
-                chunks.append(gb.ravel())
-        return loss, np.concatenate(chunks)
+                if with_loss:
+                    loss += 0.5 * l2 * float(np.sum(W * W))
+                ws.grad_W[i] += l2 * W
+        return loss, ws.grad
 
     # -- persistence --------------------------------------------------------
 
@@ -215,7 +258,7 @@ class FeedforwardModel(TrainedModel):
             "schema": list(self.schema),
             "fingerprint": self.fingerprint,
             "seed": int(self.spec.seed),
-            "hyperparameters": {k: _plain(v) for k, v in self.spec.hyperparameters.items()},
+            "hyperparameters": {k: _jsonable(v) for k, v in self.spec.hyperparameters.items()},
             "activation": self.activation,
             "n_layers": len(self.weights),
             "bias_mask": bias_mask,
@@ -233,16 +276,6 @@ class FeedforwardModel(TrainedModel):
         return cls(spec, meta["schema"], meta["fingerprint"], weights, biases,
                    meta["activation"], classes, arrays["x_mean"], arrays["x_std"],
                    meta["out_dim"])
-
-
-def _plain(v):
-    if isinstance(v, np.integer):
-        return int(v)
-    if isinstance(v, np.floating):
-        return float(v)
-    if isinstance(v, (tuple, list)):
-        return [_plain(x) for x in v]
-    return v
 
 
 def build_network(spec: ModelSpec, in_dim: int, out_dim: int, schema, classes,
@@ -307,27 +340,37 @@ def train_network(spec: ModelSpec, X, y, schema=None) -> FeedforwardModel:
     l2 = float(hp.get("l2", 0.0))
     batch_size = hp.get("batch_size")
 
+    n = X.shape[0]
+    Xs = model._standardize(X)
+    targets = model._encode_targets(y)
+    if targets.shape[0] != n:
+        raise ValueError(f"{targets.shape[0]} target rows for {n} input rows")
+    # standardizing and encoding work row by row, so a permutation of the
+    # prepared arrays equals the preparation of the permuted data
+    full_batch = batch_size is None or int(batch_size) >= n
+    bs = n if full_batch else int(batch_size)
+    workspaces = {}
+
     theta = model.flat_params()
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
-    n = X.shape[0]
     shuffle_rng = np.random.default_rng([int(spec.seed) & 0x7FFFFFFFFFFFFFFF, 0x5F1E])
 
     for _ in range(epochs):
-        if batch_size is None or int(batch_size) >= n:
-            batches = [slice(0, n)]
-            Xe, ye = X, y
+        if full_batch:
+            Xe, te = Xs, targets
         else:
             order = shuffle_rng.permutation(n)
-            Xe = X[order]
-            ye = np.asarray(y)[order]
-            bs = int(batch_size)
-            batches = [slice(i, min(i + bs, n)) for i in range(0, n, bs)]
-        for sl in batches:
+            Xe, te = Xs[order], targets[order]
+        for start in range(0, n, bs):
+            Xb, tb = Xe[start:start + bs], te[start:start + bs]
+            ws = workspaces.get(Xb.shape[0])
+            if ws is None:
+                ws = workspaces[Xb.shape[0]] = _Workspace(model, Xb.shape[0])
             model.set_flat_params(theta)
-            _, grad = model.loss_grad(Xe[sl], ye[sl], l2)
+            _, grad = model._loss_grad(Xb, tb, l2, ws, with_loss=False)
             step += 1
             m = beta1 * m + (1 - beta1) * grad
             v = beta2 * v + (1 - beta2) * grad * grad

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import ModelSpec, TrainedModel, sigmoid
+from .base import ModelSpec, TrainedModel, _jsonable, sigmoid
 
 _PARAM_ORDER = ("Wz", "Uz", "bz", "Wr", "Ur", "br", "Wh", "Uh", "bh", "Wy", "by")
 
@@ -179,7 +179,7 @@ class OnlineRecurrentModel(TrainedModel):
             "task": self.task,
             "fingerprint": self.fingerprint,
             "seed": int(self.spec.seed),
-            "hyperparameters": {k: _plain(v) for k, v in self.spec.hyperparameters.items()},
+            "hyperparameters": {k: _jsonable(v) for k, v in self.spec.hyperparameters.items()},
             "mu": self.mu,
             "sd": self.sd,
             "window": self.window,
@@ -196,16 +196,6 @@ class OnlineRecurrentModel(TrainedModel):
                 "v": np.array(arrays["adam_v"], dtype=float), "t": meta["adam_t"]}
         return cls(spec, meta["fingerprint"], params, meta["mu"], meta["sd"],
                    meta["window"], list(arrays["history"]), adam)
-
-
-def _plain(v):
-    if isinstance(v, np.integer):
-        return int(v)
-    if isinstance(v, np.floating):
-        return float(v)
-    if isinstance(v, (tuple, list)):
-        return [_plain(x) for x in v]
-    return v
 
 
 def init_online(spec: ModelSpec, warmup_series) -> OnlineRecurrentModel:

@@ -350,3 +350,30 @@ class TestDispatcher:
     def test_spec_rejects_nonpositive_counts(self):
         with pytest.raises(ValueError, match="n_trees"):
             ModelSpec("forest", "classify", {"n_trees": 0})
+
+    @pytest.mark.parametrize("hp, bad", [
+        ({"batch_size": -5}, "batch_size must be >= 1, got -5"),
+        ({"batch_size": 0}, "batch_size must be >= 1, got 0"),
+        ({"hidden": [0]}, r"hidden widths must be >= 1, got \[0\]"),
+        ({"hidden": [8, -1]}, r"hidden widths must be >= 1, got \[8, -1\]"),
+    ])
+    def test_spec_rejects_bad_network_sizes(self, hp, bad):
+        with pytest.raises(ValueError, match=bad):
+            ModelSpec("feedforward", "regress", hp)
+
+    def test_spec_lists_every_violation(self):
+        with pytest.raises(ValueError) as err:
+            ModelSpec("feedforward", "regress", {"epochs": 0, "batch_size": 0, "hidden": [0]})
+        assert all(key in str(err.value) for key in ("epochs", "batch_size", "hidden"))
+
+    def test_spec_accepts_full_batch_and_no_hidden_layer(self):
+        X, y = linear_data(20)
+        spec = ModelSpec("feedforward", "regress",
+                         {"batch_size": None, "hidden": [], "epochs": 2}, seed=0)
+        assert train_network(spec, X, y).predict(X).shape == (20,)
+
+    def test_network_rejects_mismatched_target_rows(self):
+        X, y = linear_data(20)
+        spec = ModelSpec("feedforward", "regress", {"hidden": [3], "epochs": 1}, seed=0)
+        with pytest.raises(ValueError, match="target rows"):
+            train_network(spec, X, y[:1])
