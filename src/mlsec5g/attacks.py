@@ -15,6 +15,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import metrics as M
+from .models.recurrent import OnlineRecurrentModel
 from .repro import derive_seed
 from .threat import degradation
 
@@ -284,7 +285,7 @@ class OnlineAttackResult:
     spoof_mode: str | None
 
 
-def run_online_attack(model_factory: Callable[[], object], true_series,
+def run_online_attack(model_factory: Callable[[], OnlineRecurrentModel], true_series,
                       spoof_mode: str | None, period_s: float = 60.0,
                       dt: float = 1.0, seed: int = 0) -> OnlineAttackResult:
     """Drive twin online models through one operational phase.
@@ -299,7 +300,7 @@ def run_online_attack(model_factory: Callable[[], object], true_series,
                               period_s=period_s, dt=dt, seeds=[seed])[0]
 
 
-def run_online_attacks(model_factory: Callable[[], object], true_series,
+def run_online_attacks(model_factory: Callable[[], OnlineRecurrentModel], true_series,
                        spoof_modes: Sequence[str | None], *, period_s: float = 60.0,
                        dt: float = 1.0, seeds: Sequence[int]) -> list[OnlineAttackResult]:
     """run_online_attack for several spoof modes against one shared clean twin.
@@ -311,6 +312,12 @@ def run_online_attacks(model_factory: Callable[[], object], true_series,
     the factory is deterministic. Every stream depends only on the factory
     and its own reports, so each result equals that of a separate
     run_online_attack call.
+
+    The streams step as one stack (`OnlineRecurrentModel._stack`), which
+    needs the replicas to agree on window, hidden size, normalization,
+    online learning rate and Adam step count; a ValueError lists every one
+    they differ on. At the end each factory-made model holds its own
+    stream's params, Adam state and history.
     """
     series = np.asarray(true_series, dtype=float)
     if series.ndim != 1 or series.size == 0:
@@ -329,21 +336,21 @@ def run_online_attacks(model_factory: Callable[[], object], true_series,
     if len(seeds) != len(spoof_modes):
         raise ValueError(f"{len(seeds)} seeds for {len(spoof_modes)} spoof modes")
 
-    clean = model_factory()
-    attacked = [model_factory() for _ in spoof_modes]
+    models = [model_factory() for _ in range(1 + len(spoof_modes))]
+    stack = OnlineRecurrentModel._stack(models)
     H = series.size
-    pred_clean = np.empty(H)
-    pred_attacked = np.empty((len(spoof_modes), H))
+    preds = np.empty((len(models), H))
+    reported = np.empty(len(models))
     for i in range(H):
-        pred_clean[i] = clean.predict_next()
-        truth = float(series[i])
-        clean.step(truth)
-        for j, (mode, model) in enumerate(zip(spoof_modes, attacked)):
-            pred_attacked[j, i] = model.predict_next()
-            reported = truth
-            if mode is not None and i % period_steps == 0:
-                reported = spoof_value(mode, truth, i, seeds[j])
-            model.step(reported)
+        preds[:, i] = stack.predict_next()
+        reported[:] = series[i]
+        if i % period_steps == 0:
+            for j, (mode, seed) in enumerate(zip(spoof_modes, seeds), start=1):
+                if mode is not None:
+                    reported[j] = spoof_value(mode, float(series[i]), i, seed)
+        stack.step(reported)
+    stack._unstack(models)
+    pred_clean, pred_attacked = preds[0], preds[1:]
 
     slots = tuple(range(0, H, period_steps))
     t = np.arange(1, H + 1, dtype=float) * dt

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .repro import canonical_json, fingerprint
+from .repro import fingerprint
 from .scenarios.generators import SCENARIOS
 
 FOREST_KEYS = ("n_trees", "max_depth", "min_samples_split",
@@ -266,9 +266,6 @@ class ExperimentConfig:
 
     def fingerprint(self) -> str:
         return fingerprint(self.to_dict())
-
-    def canonical_text(self) -> str:
-        return canonical_json(self.to_dict())
 
 
 def build_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:

@@ -10,11 +10,22 @@ one gradient step before it joins the history.
 forward pass over its current window, so `predict_next()` and the gradient
 step that follows it share one pass instead of recomputing it.
 
-State is owned by a single stream; nothing here is shared or thread-safe,
-and a replay of the same stream reproduces predictions bit-for-bit.
+The math runs over optional leading axes. A stack of S streams (`_stack`)
+is one model whose params, Adam moments and window carry a leading stream
+axis, so one set of numpy calls steps every stream: `step()` takes S reports
+and `predict_next()` returns S values. Stacking is exact. A stacked matmul
+runs the same kernel on each stream's matrices as the one-stream call does,
+every other operation is elementwise or sums over one stream's batch rows,
+and the streams share nothing but the step count. `_unstack` writes each
+stream back into its own model.
+
+State is owned by its streams; nothing here is shared or thread-safe, and a
+replay of the same stream reproduces predictions bit-for-bit.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -47,74 +58,73 @@ class OnlineRecurrentModel(TrainedModel):
 
     @staticmethod
     def _flat(params: dict) -> np.ndarray:
-        return np.concatenate([params[k].ravel() for k in _PARAM_ORDER])
+        """All params as one (P,) vector, or (S, P) for a stack of S streams."""
+        lead = params["by"].shape[:-1]
+        return np.concatenate([params[k].reshape(lead + (-1,)) for k in _PARAM_ORDER],
+                              axis=-1)
 
     def _unflatten(self, theta: np.ndarray) -> None:
+        lead = theta.ndim - 1
         pos = 0
         for k in _PARAM_ORDER:
             shape = self.params[k].shape
-            size = self.params[k].size
-            self.params[k] = theta[pos:pos + size].reshape(shape).copy()
+            size = math.prod(shape[lead:])
+            self.params[k] = theta[..., pos:pos + size].reshape(shape).copy()
             pos += size
 
     # -- forward / backward --------------------------------------------------
 
     def _forward(self, Xn: np.ndarray, cache: bool = False):
-        """Xn: (B, T) normalized inputs -> predictions (B, 1), optional caches."""
+        """Xn: (..., B, T) normalized inputs -> predictions (..., B, 1), optional caches."""
         p = self.params
-        B, T = Xn.shape
-        H = p["Uz"].shape[0]
-        h = np.zeros((B, H))
+        h = np.zeros(Xn.shape[:-1] + (p["Uz"].shape[-1],))
+        bz, br, bh = (p[k][..., None, :] for k in ("bz", "br", "bh"))
         caches = []
-        for t in range(T):
-            x = Xn[:, t:t + 1]
-            z = sigmoid(x @ p["Wz"] + h @ p["Uz"] + p["bz"])
-            r = sigmoid(x @ p["Wr"] + h @ p["Ur"] + p["br"])
-            c = np.tanh(x @ p["Wh"] + (r * h) @ p["Uh"] + p["bh"])
+        for t in range(Xn.shape[-1]):
+            x = Xn[..., t:t + 1]
+            z = sigmoid(x @ p["Wz"] + h @ p["Uz"] + bz)
+            r = sigmoid(x @ p["Wr"] + h @ p["Ur"] + br)
+            c = np.tanh(x @ p["Wh"] + (r * h) @ p["Uh"] + bh)
             h_new = (1.0 - z) * h + z * c
             if cache:
                 caches.append((x, h, z, r, c))
             h = h_new
-        pred = h @ p["Wy"] + p["by"]
+        pred = h @ p["Wy"] + p["by"][..., None, :]
         return (pred, h, caches) if cache else (pred, h, None)
 
-    def _loss_grad(self, Xn: np.ndarray, target_n: np.ndarray):
-        """MSE loss and flat gradient via backprop through the full window."""
-        return self._backward(self._forward(Xn, cache=True), target_n)
-
-    def _backward(self, fwd, target_n: np.ndarray):
-        """MSE loss and flat gradient of a cached forward pass."""
+    def _backward(self, fwd, target_n: np.ndarray) -> np.ndarray:
+        """Flat gradient of the MSE of a cached forward pass, backprop through
+        the full window; each stream's batch rows make its own mean."""
         p = self.params
         pred, h_last, caches = fwd
-        B = pred.shape[0]
-        diff = pred - target_n
-        loss = float(np.mean(diff ** 2))
         grads = {k: np.zeros_like(p[k]) for k in _PARAM_ORDER}
-        dpred = 2.0 * diff / B
-        grads["Wy"] = h_last.T @ dpred
-        grads["by"] = dpred.sum(axis=0)
-        dh = dpred @ p["Wy"].T
+        dpred = 2.0 * (pred - target_n) / pred.shape[-2]
+        grads["Wy"] = h_last.swapaxes(-1, -2) @ dpred
+        grads["by"] = dpred.sum(axis=-2)
+        dh = dpred @ p["Wy"].swapaxes(-1, -2)
+        UzT, UrT, UhT = (p[k].swapaxes(-1, -2) for k in ("Uz", "Ur", "Uh"))
         for x, h_prev, z, r, c in reversed(caches):
+            xT, h_prevT = x.swapaxes(-1, -2), h_prev.swapaxes(-1, -2)
             dz = dh * (c - h_prev)
             dc = dh * z
             dh_prev = dh * (1.0 - z)
             dc_pre = dc * (1.0 - c * c)
-            grads["Wh"] += x.T @ dc_pre
-            grads["Uh"] += (r * h_prev).T @ dc_pre
-            grads["bh"] += dc_pre.sum(axis=0)
-            drh = dc_pre @ p["Uh"].T
+            grads["Wh"] += xT @ dc_pre
+            grads["Uh"] += (r * h_prev).swapaxes(-1, -2) @ dc_pre
+            grads["bh"] += dc_pre.sum(axis=-2)
+            drh = dc_pre @ UhT
             dr = drh * h_prev
             dh_prev = dh_prev + drh * r
             dr_pre = dr * r * (1.0 - r)
             dz_pre = dz * z * (1.0 - z)
-            grads["Wr"] += x.T @ dr_pre
-            grads["Ur"] += h_prev.T @ dr_pre
-            grads["br"] += dr_pre.sum(axis=0)
-            grads["Wz"] += x.T @ dz_pre
-            grads["Uz"] += h_prev.T @ dz_pre
-            grads["bz"] += dz_pre.sum(axis=0)
-            dh = dh_prev + dr_pre @ p["Ur"].T + dz_pre @ p["Uz"].T
-        return loss, np.concatenate([grads[k].ravel() for k in _PARAM_ORDER])
+            grads["Wr"] += xT @ dr_pre
+            grads["Ur"] += h_prevT @ dr_pre
+            grads["br"] += dr_pre.sum(axis=-2)
+            grads["Wz"] += xT @ dz_pre
+            grads["Uz"] += h_prevT @ dz_pre
+            grads["bz"] += dz_pre.sum(axis=-2)
+            dh = dh_prev + dr_pre @ UrT + dz_pre @ UzT
+        return self._flat(grads)
 
     def _adam_step(self, grad: np.ndarray, lr: float) -> None:
         beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -127,6 +137,46 @@ class OnlineRecurrentModel(TrainedModel):
         theta = self._flat(self.params) - lr * mhat / (np.sqrt(vhat) + eps)
         self._unflatten(theta)
 
+    # -- stream stacks -----------------------------------------------------------
+
+    @classmethod
+    def _stack(cls, models) -> OnlineRecurrentModel:
+        """One model stepping every model in lockstep, stream j being models[j].
+
+        The streams may differ in params, Adam moments and history values,
+        but not in anything one set of calls must share; every field where
+        they differ is listed in one ValueError.
+        """
+        shared = {
+            "window": [m.window for m in models],
+            "hidden size": [m.params["Uz"].shape[-1] for m in models],
+            "mu": [m.mu for m in models],
+            "sd": [m.sd for m in models],
+            "online_lr": [m.online_lr for m in models],
+            "adam t": [m.adam["t"] for m in models],
+            "history length": [len(m.history[-m.window:]) for m in models],
+        }
+        differ = [f"{name} {values}" for name, values in shared.items()
+                  if any(v != values[0] for v in values)]
+        if differ:
+            raise ValueError("stacked streams must agree on: " + "; ".join(differ))
+        first = models[0]
+        params = {k: np.stack([m.params[k] for m in models]) for k in _PARAM_ORDER}
+        adam = {"m": np.stack([m.adam["m"] for m in models]),
+                "v": np.stack([m.adam["v"] for m in models]), "t": first.adam["t"]}
+        window = np.array([m.history[-first.window:] for m in models], dtype=float)
+        return cls(first.spec, first.fingerprint, params, first.mu, first.sd,
+                   first.window, window.T.tolist(), adam)
+
+    def _unstack(self, models) -> None:
+        """Write stream j of this stack back into models[j]."""
+        for j, m in enumerate(models):
+            m.params = {k: self.params[k][j].copy() for k in _PARAM_ORDER}
+            m.adam = {"m": self.adam["m"][j].copy(), "v": self.adam["v"][j].copy(),
+                      "t": self.adam["t"]}
+            m.history = [reports[j] for reports in self.history]
+            m._window_pass = None
+
     # -- public surface --------------------------------------------------------
 
     def _normalize(self, values) -> np.ndarray:
@@ -135,29 +185,34 @@ class OnlineRecurrentModel(TrainedModel):
     def _window_forward(self):
         """The cached forward pass over the current window under the current params."""
         if self._window_pass is None:
-            window = np.asarray(self.history[-self.window:], dtype=float).reshape(1, -1)
+            # history holds one report per step: a float, or a list of S for a stack
+            window = np.asarray(self.history[-self.window:], dtype=float).T[..., None, :]
             self._window_pass = self._forward(self._normalize(window), cache=True)
         return self._window_pass
 
-    def _next_value(self) -> float:
-        return float(self._window_forward()[0][0, 0] * self.sd + self.mu)
+    def _next_value(self):
+        pred = self._window_forward()[0][..., 0, 0] * self.sd + self.mu
+        return pred if pred.ndim else float(pred)
 
-    def predict_next(self) -> float:
-        """Prediction for the next step from the current reported window."""
+    def predict_next(self):
+        """Prediction for the next step from the current reported window:
+        a float, or one value per stream for a stack."""
         return self._next_value()
 
-    def step(self, observation: float) -> float:
-        """Consume one observation: one online update, then predict the next step.
+    def step(self, observation):
+        """Consume one observation (one per stream for a stack): one online
+        update, then predict the next step.
 
         The observation enters the history exactly as reported; the model has
         no way to tell truth from spoof.
         """
-        obs = float(observation)
-        target = np.array([[obs]], dtype=float)
-        _, grad = self._backward(self._window_forward(), self._normalize(target))
+        obs = np.array(observation, dtype=float)
+        if obs.shape != self.params["by"].shape[:-1]:
+            raise ValueError(f"expected one observation per stream, got shape {obs.shape}")
+        grad = self._backward(self._window_forward(), self._normalize(obs[..., None, None]))
         self._window_pass = None
         self._adam_step(grad, self.online_lr)
-        self.history.append(obs)
+        self.history.append(obs.tolist())
         if len(self.history) > self.window:
             self.history = self.history[-self.window:]
         return self._next_value()
@@ -245,7 +300,6 @@ def init_online(spec: ModelSpec, warmup_series) -> OnlineRecurrentModel:
     Xn = model._normalize(Xw)
     tn = model._normalize(targets)
     for _ in range(epochs):
-        _, grad = model._loss_grad(Xn, tn)
-        model._adam_step(grad, lr)
+        model._adam_step(model._backward(model._forward(Xn, cache=True), tn), lr)
     return model
 

@@ -152,12 +152,6 @@ class DependencyGraph:
             out.update(d.name for d in derived)
         return out
 
-    def derived_names(self) -> set[str]:
-        out: set[str] = set()
-        for derived in self.edges.values():
-            out.update(d.name for d in derived)
-        return out
-
     def propagate(self, old_record: Mapping, new_record: dict, changed: set[str]) -> set[str]:
         """Recompute dependents of changed fields, in dependency order.
 

@@ -4,8 +4,9 @@ The plain form of the online path: every stream step runs its own forward
 pass for the prediction, another inside the gradient step and a third for the
 prediction it returns, and every spoof mode gets its own clean twin. Tests
 start it from the same warmup state as `OnlineRecurrentModel` and require the
-production model, which keeps one forward pass per step, and
-`run_online_attacks`, which shares one clean stream, to match it bit for bit.
+production model, which keeps one forward pass per step and steps stacked
+streams together, and `run_online_attacks`, which shares one clean stream, to
+match it bit for bit.
 """
 
 import numpy as np

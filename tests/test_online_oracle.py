@@ -1,6 +1,7 @@
-"""The online recurrent model, which keeps one forward pass per step, and
-`run_online_attacks`, which shares one clean stream across spoof modes, match
-the reference model and per-mode attack run bit for bit."""
+"""The online recurrent model, which keeps one forward pass per step and
+steps stacked streams on one leading axis, and `run_online_attacks`, which
+shares one clean stream across spoof modes, match the reference model and
+per-mode attack run bit for bit."""
 
 import copy
 
@@ -140,3 +141,118 @@ def test_repeated_predict_next_and_batch_predict_leave_the_stream_alone():
         assert _bits(stream.predict(batch)) == _bits(ref.predict(batch))
         assert stream.step(v) == ref.step(v)
     assert_same_state(stream, ref)
+
+
+def _seeded(window, hidden, seed, warmup):
+    spec = ModelSpec("recurrent", "regress",
+                     {"window": window, "hidden_size": hidden, "epochs": 6, "lr": 0.03},
+                     seed=seed)
+    return init_online(spec, warmup)
+
+
+@pytest.mark.parametrize("streams", [1, 2, 4])
+@pytest.mark.parametrize("window,hidden", SHAPES)
+def test_stack_steps_every_stream_like_the_reference(window, hidden, streams):
+    """Streams with their own params, each fed its own reports, step on one
+    stacked axis with the bits of stepping each alone."""
+    warmup = _cqi(window + 20, 0)
+    states = [_seeded(window, hidden, seed, warmup).to_state() for seed in range(streams)]
+    models = [OnlineRecurrentModel.from_state(*state) for state in states]
+    refs = [ReferenceOnlineModel.from_state(*state) for state in states]
+    stack = OnlineRecurrentModel._stack(models)
+    feeds = np.stack([_cqi(12, 30 + j) for j in range(streams)], axis=1)
+    for reports in feeds:
+        got = stack.predict_next()
+        assert got.shape == (streams,)
+        assert _bits(got) == _bits([ref.predict_next() for ref in refs])
+        want = [ref.step(v) for ref, v in zip(refs, reports)]
+        assert _bits(stack.step(reports)) == _bits(want)
+    stack._unstack(models)
+    for model, ref in zip(models, refs):
+        assert_same_state(model, ref)
+
+
+def test_factory_models_keep_stepping_alone_after_a_lockstep_run():
+    model, _ = _warmed(5, 6, seed=2)
+    factory, ref_factory, made, ref_made = _factories(model)
+    live = _cqi(24, 9)
+    seeds = [21, 22, 23]
+    run_online_attacks(factory, live, MODES, period_s=PERIOD_S, dt=DT, seeds=seeds)
+    for mode, seed in zip(MODES, seeds):
+        reference_online_attack(ref_factory, live, mode, period_s=PERIOD_S, dt=DT, seed=seed)
+    # each reference run makes a clean twin, then an attacked one
+    pairs = list(zip(made, [ref_made[0], *ref_made[1::2]]))
+    for v in _cqi(8, 5):
+        for stream, ref in pairs:  # interleaved, so state shared between streams shows
+            assert stream.predict_next() == ref.predict_next()
+            assert stream.step(v) == ref.step(v)
+    for stream, ref in pairs:
+        assert_same_state(stream, ref)
+
+
+def _refused_fields(states):
+    made = []
+
+    def alternating():
+        made.append(OnlineRecurrentModel.from_state(*states[len(made) % len(states)]))
+        return made[-1]
+
+    with pytest.raises(ValueError, match="stacked streams must agree on: ") as err:
+        run_online_attacks(alternating, _cqi(24, 7), MODES, period_s=PERIOD_S, dt=DT,
+                           seeds=[1, 2, 3])
+    listed = str(err.value).split(": ", 1)[1].split("; ")
+    return [item.split(" [")[0] for item in listed]
+
+
+def test_replicas_that_disagree_are_refused_with_every_field_listed():
+    model, _ = _warmed(5, 6)
+    other = init_online(ModelSpec("recurrent", "regress",
+                                  {"window": 16, "hidden_size": 1, "epochs": 4,
+                                   "online_lr": 0.01}, seed=1), _cqi(30, 1))
+    assert _refused_fields([model.to_state(), other.to_state()]) == [
+        "window", "hidden size", "mu", "sd", "online_lr", "adam t", "history length"]
+    stepped = OnlineRecurrentModel.from_state(*model.to_state())
+    stepped.step(3.0)  # params, moments and history may differ; the step count may not
+    assert _refused_fields([model.to_state(), stepped.to_state()]) == ["adam t"]
+
+
+def test_step_takes_one_report_per_stream():
+    model, _ = _warmed(5, 6)
+    with pytest.raises(ValueError, match="one observation per stream"):
+        model.step([1.0, 2.0])
+    stack = OnlineRecurrentModel._stack([copy.deepcopy(model), copy.deepcopy(model)])
+    for reports in (1.0, [1.0, 2.0, 3.0]):
+        with pytest.raises(ValueError, match="one observation per stream"):
+            stack.step(reports)
+
+
+_PRODUCTS = {  # every matmul shape of the forward and backward pass at batch 1
+    "h@U": lambda o: o["h"] @ o["U"],
+    "x@W": lambda o: o["x"] @ o["W"],
+    "d@U^T": lambda o: o["d"] @ o["U"].swapaxes(-1, -2),
+    "h^T@d": lambda o: o["h"].swapaxes(-1, -2) @ o["d"],
+    "x^T@d": lambda o: o["x"].swapaxes(-1, -2) @ o["d"],
+    "h@Wy": lambda o: o["h"] @ o["Wy"],
+    "dy@Wy^T": lambda o: o["dy"] @ o["Wy"].swapaxes(-1, -2),
+}
+
+
+@pytest.mark.parametrize("streams", [1, 2, 3, 4, 7])
+def test_stacked_matmul_matches_each_streams_own_product(streams):
+    """Lockstep exactness rests on numpy and BLAS running each stacked core
+    product with the kernel of the one-stream call, so this checks it on
+    the operand layouts the model makes."""
+    rng = np.random.default_rng(streams)
+    for H in range(1, 16):
+        for scale in (1e-3, 1.0, 1e3):
+            def draw(*shape):
+                return rng.standard_normal((streams,) + shape) * scale
+            reports = rng.standard_normal((4, streams)) * scale  # a window, one column per stream
+            stacked = {"h": draw(1, H), "d": draw(1, H), "U": draw(H, H), "W": draw(1, H),
+                       "Wy": draw(H, 1), "dy": draw(1, 1),
+                       "x": (reports.T[..., None, :] * 1.0)[..., 2:3]}
+            for s in range(streams):
+                one = {k: v[s].copy() for k, v in stacked.items() if k != "x"}
+                one["x"] = (reports[:, s].reshape(1, -1) * 1.0)[:, 2:3]
+                for name, product in _PRODUCTS.items():
+                    assert _bits(product(stacked)[s]) == _bits(product(one)), (name, H, scale)
