@@ -8,6 +8,13 @@ learners, attack and defense harnesses, six case-study drivers, and a CLI that
 turns configs into deterministic reports.
 """
 
+import os
+
+# OpenBLAS fixes its thread count when numpy loads, and some results (the
+# network's sums) depend on it: one thread unless the caller chose otherwise.
+# This must run before the imports below load numpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .threat import (
     AttackOutcome,
     FeatureScope,

@@ -6,11 +6,19 @@ first-improvement tie breaking are all driven by per-tree generators derived
 from the model seed, so retraining on identical data reproduces the forest
 exactly. Sample weights are first-class (bootstrap duplication and soft-label
 distillation both ride on them).
+
+A fit sorts every column once. Its trees are independent: the first grows in
+the calling process, and when it shows the rest are worth a pool, they grow
+in forked worker processes (one per usable CPU) that hand back tree arrays.
+Trees are gathered and importances summed in tree order, so the forest has
+the same bits for any worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +28,11 @@ from .base import ModelSpec, TrainedModel, _jsonable, default_schema
 _EPS_GAIN = 1e-12
 _SPLIT_BLOCK = 1 << 12  # sorted values scored per pass: bounds the working set
 _ROUTE_BLOCK = 1 << 12  # (tree, row) pairs routed together: bounds the working set
+_ORDER_BLOCK = 1 << 14  # sorted row ids expanded per pass: bounds the working set
+# the first tree's nodes times the trees left, from which forking workers pays
+# for their start and for shipping the trees back
+_FORK_MIN_NODES = 8000
+_workers = None  # worker processes when forking; None: the usable CPUs
 
 
 @dataclass
@@ -55,9 +68,9 @@ def _gini(class_w: np.ndarray) -> float:
 class _Grower:
     """Grows one tree; accumulates weighted impurity decreases per feature.
 
-    Every column is stable-argsorted once per tree, into a (p, n) matrix of
-    row ids whose rows each hold the sample ordered by one feature, ties by
-    row id. A node owns a column range of that matrix. Node rows stay in
+    `grow` takes the tree's sample presorted: a (p, n) matrix of row ids whose
+    rows each hold the sample ordered by one feature, ties by row id (see
+    `_tree_order`). A node owns a column range of that matrix. Node rows stay in
     ascending id order, so the stable boolean partition of the range at a
     split hands each child exactly the order a stable argsort of the child's
     own values would give, and nothing is sorted again. The split search
@@ -118,13 +131,13 @@ class _Grower:
         return not (depth >= self.max_depth or n < self.min_split
                     or n < 2 * self.min_leaf or imp <= _EPS_GAIN)
 
-    def grow(self) -> _Tree:
+    def grow(self, order: np.ndarray) -> _Tree:
         rows = np.arange(self.XT.shape[1])
         stack = []
         root = self._new_node(rows)
         if self._splittable(rows.size, root[2], 0):
-            # the only sort: each child inherits its order by partition
-            stack.append((root, rows, np.argsort(self.XT, axis=1, kind="stable"), 0))
+            # each child inherits its order by partition, in place
+            stack.append((root, rows, order, 0))
         while stack:
             (node, total, imp), rows, order, depth = stack.pop()
             split = self._best_split(order, imp)
@@ -405,24 +418,115 @@ def train_forest(spec: ModelSpec, X, y, schema=None, sample_weight=None) -> Fore
     if target.shape[0] != X.shape[0]:
         raise ValueError("X and y row counts differ")
 
-    trees = []
-    importance = np.zeros(X.shape[1])
     n = X.shape[0]
+    seed = int(spec.seed) & 0x7FFFFFFFFFFFFFFF
     XT = np.ascontiguousarray(X.T)
-    for t in range(n_trees):
-        rng = np.random.default_rng([int(spec.seed) & 0x7FFFFFFFFFFFFFFF, t])
-        if bootstrap:
-            rows = np.sort(rng.integers(0, n, size=n))
-        else:
-            rows = np.arange(n)
+    order = np.argsort(XT, axis=1, kind="stable")  # the fit's only sort
+
+    def grow(t: int):
+        rng = np.random.default_rng([seed, t])
+        rows = np.sort(rng.integers(0, n, size=n)) if bootstrap else np.arange(n)
         grower = _Grower(XT[:, rows], target[rows], w[rows], classify=classify, n_classes=K,
                          max_depth=max_depth, min_split=min_split, min_leaf=min_leaf,
                          mtry=mtry, rng=rng)
-        trees.append(grower.grow())
-        importance += grower.importance
+        return grower.grow(_tree_order(order, rows)), grower.importance
+
+    trees = []
+    importance = np.zeros(X.shape[1])
+    for tree, tree_importance in _grow_trees(grow, n_trees):  # tree order keeps the sum's bits
+        trees.append(tree)
+        importance += tree_importance
 
     fp = spec.fingerprint_with(X, np.asarray(y))
     return ForestModel(spec, schema, fp, trees, classes, importance)
+
+
+def _tree_order(order: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The fit's sorted row ids expanded to a tree's sorted sample `rows`.
+
+    A row drawn c times holds c adjacent sample positions, which follow row id
+    order. So replacing each row id of `order` by its run of positions gives
+    exactly the stable argsort of the sample's own columns, without sorting.
+    """
+    p, n = order.shape
+    counts = np.bincount(rows, minlength=n)
+    first = np.cumsum(counts) - counts  # sample position of each row's first copy
+    out = np.empty_like(order)
+    step = max(1, _ORDER_BLOCK // n)
+    for lo in range(0, p, step):
+        c = counts[order[lo:lo + step]]
+        # position i of a run that starts at i0 holds first + (i - i0)
+        shift = first[order[lo:lo + step]] - np.cumsum(c, axis=1) + c
+        out[lo:lo + step] = np.repeat(shift.ravel(), c.ravel()).reshape(c.shape) + np.arange(n)
+    return out
+
+
+def _fork_workers(first_nodes: int, n_rest: int) -> int:
+    """Worker processes for the trees after the first; 0 grows them here."""
+    if first_nodes * n_rest < _FORK_MIN_NODES or threading.active_count() > 1:
+        return 0  # not worth the forks, or forking beside other threads could deadlock
+    if _workers is not None:
+        return min(_workers, n_rest)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return min(cpus, n_rest) if cpus > 1 else 0
+
+
+def _grow_in_worker(grow, trees, send) -> None:
+    """A forked worker: send (True, grow(t)) for each tree t in turn, or
+    (False, exception) once one fails."""
+    try:
+        for t in trees:
+            send.send((True, grow(t)))
+    except BaseException as exc:
+        send.send((False, exc))
+    finally:
+        send.close()
+
+
+def _grow_trees(grow, n_trees: int) -> list:
+    """grow(t) for every tree t, in tree order.
+
+    Tree 0 grows here, and its size decides whether the rest grow in forked
+    workers. Worker k takes every workers-th tree from tree k + 1 on. It
+    inherits `grow`, with the fit's data, by the fork itself, and sends back
+    only tree arrays and importances, which this process reads in tree order.
+    Reading here rather than in a pool's helper threads keeps the caller's
+    memory peak down.
+    """
+    first = grow(0)
+    rest = range(1, n_trees)
+    workers = _fork_workers(first[0].feature.size, len(rest))
+    if not workers:
+        return [first, *map(grow, rest)]
+    import multiprocessing  # here, so that importing the package does not load it
+    ctx = multiprocessing.get_context("fork")
+    procs = []
+    try:
+        for k in range(workers):
+            recv, send = ctx.Pipe(duplex=False)
+            with send:  # closed here, the worker holds the only write end: its exit reads as EOF
+                proc = ctx.Process(target=_grow_in_worker, args=(grow, rest[k::workers], send),
+                                   daemon=True)
+                proc.start()
+            procs.append((proc, recv))
+        grown = [first]
+        for i, t in enumerate(rest):
+            try:
+                ok, result = procs[i % workers][1].recv()
+            except EOFError:
+                raise RuntimeError(f"forest worker exited before sending tree {t}") from None
+            if not ok:
+                raise result
+            grown.append(result)
+        return grown
+    except BaseException:
+        for proc, _ in procs:
+            proc.terminate()
+        raise
+    finally:
+        for proc, recv in procs:
+            recv.close()
+            proc.join()
 
 
 def distill_forest(teacher: ForestModel, X, student_spec: ModelSpec | None = None,

@@ -4,7 +4,8 @@ A report is the complete quantitative outcome of one run: baseline metrics,
 degradation curves, defense evaluations, perturbation provenance summaries,
 and scenario extras. Metric artifacts (report.json, curves.csv, defenses.csv,
 plots/*.csv) are byte-identical across runs of the same config and seed;
-wall-clock timings go to run_meta.json, the one file allowed to differ.
+wall-clock timings and the BLAS thread and CPU counts go to run_meta.json,
+the one file allowed to differ.
 Every artifact carries the config fingerprint so any number can be traced
 back to the exact configuration that produced it.
 """
@@ -159,12 +160,42 @@ def emit_plot_data(report: ExperimentReport, out_dir: str) -> list[str]:
     return written
 
 
+def _blas_threads() -> int | None:
+    """Thread count of the OpenBLAS that numpy loaded, asked of the library;
+    None where no OpenBLAS shows in /proc/self/maps."""
+    import ctypes
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)  # the loaded library, not a second copy
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_int
+                return int(fn())
+    return None
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on, as `nproc` counts them."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def write_report(report: ExperimentReport, out_dir: str) -> dict:
     """Write all artifacts atomically; returns {artifact: path}.
 
     report.json, curves.csv, defenses.csv and plots/ are pure functions of
-    (config, seed); run_meta.json carries wall-clock timings and is expected
-    to differ between runs.
+    (config, seed); run_meta.json carries wall-clock timings and the BLAS
+    thread and CPU counts, and is expected to differ between runs.
     """
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
@@ -191,6 +222,8 @@ def write_report(report: ExperimentReport, out_dir: str) -> dict:
         "seed": int(report.seed),
         "stage": report.stage,
         "timings_s": {k: float(v) for k, v in sorted(report.timings.items())},
+        "blas_threads": _blas_threads(),
+        "nproc": _usable_cpus(),
     }) + "\n")
     paths["run_meta"] = meta_path
     return paths

@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mlsec5g
 from mlsec5g.attacks import summarize_curve
 from mlsec5g.defenses import DefenseEvaluation
 from mlsec5g.report import (ExperimentReport, curves_csv_text,
@@ -77,6 +80,8 @@ class TestArtifacts:
             assert os.path.exists(p)
         meta = json.loads(open(paths["run_meta"]).read())
         assert meta["timings_s"] == {"train_s": 3.2}
+        assert meta["nproc"] >= 1
+        assert meta["blas_threads"] is None or meta["blas_threads"] >= 1
         report = json.loads(open(paths["report"]).read())
         assert report["config_fingerprint"] == "abc123"
 
@@ -109,3 +114,18 @@ class TestArtifacts:
         written = emit_plot_data(rep, str(tmp_path))
         lines = open(written[0]).read().splitlines()
         assert lines == ["series,x,mean,std", "s,0.25,1.0,0.0"]
+
+
+@pytest.mark.parametrize("chosen", [None, "2"])
+def test_importing_the_package_pins_blas_unless_the_caller_chose(chosen):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if chosen is not None:
+        env["OPENBLAS_NUM_THREADS"] = chosen
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(mlsec5g.__file__))
+    code = ("import os, mlsec5g; from mlsec5g.report import _blas_threads; "
+            "print(os.environ['OPENBLAS_NUM_THREADS'], _blas_threads())")
+    variable, threads = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                       capture_output=True, text=True).stdout.split()
+    assert variable == (chosen or "1")
+    if chosen is None:
+        assert threads in ("1", "None")  # None: numpy links no OpenBLAS
