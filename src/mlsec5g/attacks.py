@@ -102,30 +102,6 @@ def summarize_curve(name, metric_name, orientation, x_label, baseline,
 
 
 @dataclass(frozen=True)
-class AttackPlan:
-    """Config-level description of one attack run."""
-
-    scenario: str
-    stage: str  # "inference" | "training" | "online"
-    perturbations: tuple[str, ...] = ()
-    trials: int = 1
-    ratios: tuple[float, ...] = ()
-    attacker_ids: tuple[str, ...] = ()
-    fraction: float = 1.0
-
-    def __post_init__(self):
-        if self.stage not in ("inference", "training", "online"):
-            raise ValueError(f"unknown attack stage {self.stage!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if not 0.0 <= self.fraction <= 1.0:
-            raise ValueError("fraction must be in [0, 1]")
-        for r in self.ratios:
-            if not 0.0 <= r <= 1.0:
-                raise ValueError(f"poison ratio {r} outside [0, 1]")
-
-
-@dataclass(frozen=True)
 class InferenceAttackResult:
     aggregate: DegradationCurve
     per_group: Mapping[object, DegradationCurve] = field(default_factory=dict)

@@ -10,7 +10,6 @@ exactly when they ran the same experiment.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .repro import fingerprint
@@ -25,6 +24,9 @@ RECURRENT_KEYS = ("window", "hidden_size", "epochs", "lr", "online_lr")
 STAGES = ("generate", "train", "attack", "defend", "report", "all")
 
 MULTIPLIERS = [0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0]
+
+# the cs2 attacker scopes the runner knows how to perturb
+CS2_SCOPES = ("rsrp_replace", "pktrxbyt_shift", "pktrx_shift", "both_counters")
 
 # allowed keys, per scenario and section; None means "any key" (never used)
 _SCHEMA: dict[str, dict[str, tuple]] = {
@@ -82,8 +84,7 @@ DEFAULTS: dict[str, dict] = {
         "data": {"synthetic": {"n": 3000}},
         "model": {"n_trees": 30},
         "attack": {"multipliers": MULTIPLIERS,
-                   "scopes": ["rsrp_replace", "pktrxbyt_shift",
-                              "pktrx_shift", "both_counters"],
+                   "scopes": list(CS2_SCOPES),
                    "replace_levels": 7},
         "defense": {"adversarial_training": {"aug_fraction": 0.05},
                     "feature_removal": True},
@@ -213,6 +214,19 @@ def validate_config(raw: dict) -> list[str]:
         if trials is not None and (not isinstance(trials, int) or
                                    isinstance(trials, bool) or trials < 1):
             violations.append("config.attack.trials: must be an integer >= 1")
+        scopes = attack.get("scopes")
+        if scopes is not None and not (isinstance(scopes, list) and scopes and
+                                       all(s in CS2_SCOPES for s in scopes)):
+            violations.append("config.attack.scopes: must be a non-empty list of "
+                              f"scope names from {', '.join(CS2_SCOPES)}, got {scopes!r}")
+        if scenario == "cs1":
+            # against the merged list: a shorter one can strand the default index
+            merged = {**DEFAULTS["cs1"]["attack"], **attack}
+            pad, mults = merged["pad_level_index"], merged["multipliers"]
+            if isinstance(mults, list) and not (isinstance(pad, int) and not isinstance(pad, bool)
+                                                and 0 <= pad < len(mults)):
+                violations.append("config.attack.pad_level_index: must be an integer "
+                                  f"in [0, {len(mults)}), got {pad!r}")
 
     defense = raw.get("defense", {})
     if not isinstance(defense, dict):
@@ -298,17 +312,6 @@ def build_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
         defense=_merge(defaults["defense"], merged_raw.get("defense", {})),
         raw=dict(raw),
     )
-
-
-def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError([f"config file not found: {path}"])
-    except json.JSONDecodeError as exc:
-        raise ConfigError([f"config is not valid JSON: {exc}"])
-    return build_config(raw, overrides)
 
 
 def default_config(scenario: str, seed: int = 0, out_dir: str = "runs",

@@ -15,10 +15,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .attacks import DegradationCurve, run_inference_attack
+from .attacks import DegradationCurve, resolve_metric, run_inference_attack
 from .perturb import PerturbationSpec, apply_rsp
 from .repro import derive_seed
-from .threat import TradeoffReport, tradeoff
+from .threat import _METRIC_NAMES, TradeoffReport, tradeoff
 
 
 def project_columns(X: np.ndarray, full_schema: Sequence[str],
@@ -121,19 +121,14 @@ def evaluate_defense(baseline_model, hardened_model, V, adversarial_sets,
     """
     X, y, schema = V
     X = np.asarray(X, dtype=float)
-    fn = metric_fn
-    if fn is None:
-        from .attacks import METRIC_REGISTRY
-        fn = METRIC_REGISTRY.get(metric_name)
-        if fn is None:
-            raise ValueError(f"no metric function registered for {metric_name!r}")
+    fn, orient = resolve_metric(metric_name, metric_fn, orientation)
 
     Xb = project_columns(X, schema, baseline_model.schema)
     Xh = project_columns(X, schema, hardened_model.schema)
     p_base = float(fn(y, baseline_model.predict(Xb)))
     p_hardened = float(fn(y, hardened_model.predict(Xh)))
     report = tradeoff(p_base, p_hardened,
-                      metric_name if metric_name in ("Acc", "F1", "RMSE", "CRMSE", "SE") else "Acc")
+                      metric_name if metric_name in _METRIC_NAMES else "Acc")
 
     projected = [
         (x, [project_columns(np.asarray(v, dtype=float), schema, hardened_model.schema)
@@ -142,5 +137,5 @@ def evaluate_defense(baseline_model, hardened_model, V, adversarial_sets,
     ]
     residual = run_inference_attack(
         hardened_model, (Xh, y), projected, metric_name, metric_fn=fn,
-        orientation=orientation, name=f"residual[{defense}]").aggregate
+        orientation=orient, name=f"residual[{defense}]").aggregate
     return DefenseEvaluation(defense, report, residual, p_base, p_hardened)

@@ -267,18 +267,6 @@ def aggregate_flows(packets: Sequence[PacketRecord], idle_timeout: float = IDLE_
     return done
 
 
-def _compile_prefixes(internal_prefixes: Sequence) -> list:
-    nets = []
-    for p in internal_prefixes:
-        nets.append(p if isinstance(p, ipaddress._BaseNetwork) else ipaddress.ip_network(str(p)))
-    return nets
-
-
-def is_internal(ip: str, internal_prefixes: Sequence) -> bool:
-    addr = ipaddress.ip_address(ip)
-    return any(addr in net for net in _compile_prefixes(internal_prefixes))
-
-
 def port_category(port: int) -> int:
     """0 well-known (<=1023), 1 registered (<=49151), 2 dynamic."""
     if not 0 <= port <= 65535:
@@ -290,35 +278,15 @@ def port_category(port: int) -> int:
     return 2
 
 
-def extract_features(flow: FlowRecord, internal_prefixes: Sequence) -> np.ndarray:
-    """13-entry feature vector in the fixed FEATURE_NAMES order.
+def extract_feature_matrix(flows: Sequence[FlowRecord], internal_prefixes: Sequence
+                           ) -> np.ndarray:
+    """One 13-entry row per flow, in the fixed FEATURE_NAMES order.
 
     IP types are 1 for internal, 0 otherwise; direction is 1 when the
     initiator is internal; the connection state is label-encoded.
     """
-    nets = _compile_prefixes(internal_prefixes)
-    src_internal = any(ipaddress.ip_address(flow.src_ip) in n for n in nets)
-    dst_internal = any(ipaddress.ip_address(flow.dst_ip) in n for n in nets)
-    return np.array([
-        1.0 if src_internal else 0.0,
-        1.0 if dst_internal else 0.0,
-        float(port_category(flow.src_port)),
-        float(port_category(flow.dst_port)),
-        1.0 if src_internal else 0.0,
-        float(STATE_CODE[flow.state]),
-        float(flow.dur),
-        float(flow.src_tos),
-        float(flow.dst_tos),
-        float(flow.src_bytes),
-        float(flow.dst_bytes),
-        float(flow.tot_bytes),
-        float(flow.tot_pkts),
-    ])
-
-
-def extract_feature_matrix(flows: Sequence[FlowRecord], internal_prefixes: Sequence
-                           ) -> np.ndarray:
-    nets = _compile_prefixes(internal_prefixes)
+    nets = [p if isinstance(p, ipaddress._BaseNetwork) else ipaddress.ip_network(str(p))
+            for p in internal_prefixes]
     cache: dict[str, bool] = {}
 
     def internal(ip: str) -> bool:

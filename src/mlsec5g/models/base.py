@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..repro import canonical_json, fingerprint_arrays
+from ..repro import _jsonable, canonical_json, fingerprint_arrays
 
 KINDS = ("forest", "feedforward", "recurrent")
 TASKS = ("classify", "regress", "vector_regress")
@@ -64,16 +64,6 @@ class ModelSpec:
             "seed": int(self.seed),
         })
         return fingerprint_arrays(np.asarray(X), np.asarray(y), extra=meta)
-
-
-def _jsonable(v):
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    if isinstance(v, (tuple, list)):
-        return [_jsonable(x) for x in v]
-    return v
 
 
 class TrainedModel:

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import ModelSpec, TrainedModel, _jsonable, default_schema
+from ..repro import _jsonable
+from .base import ModelSpec, TrainedModel, default_schema
 
 _EPS_GAIN = 1e-12
 _SPLIT_BLOCK = 1 << 12  # sorted values scored per pass: bounds the working set

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import ModelSpec, TrainedModel, _jsonable, default_schema
+from ..repro import _jsonable
+from .base import ModelSpec, TrainedModel, default_schema
 
 _ACTIVATIONS = ("tanh", "relu", "identity")
 

@@ -29,7 +29,8 @@ import math
 
 import numpy as np
 
-from .base import ModelSpec, TrainedModel, _jsonable, sigmoid
+from ..repro import _jsonable
+from .base import ModelSpec, TrainedModel, sigmoid
 
 _PARAM_ORDER = ("Wz", "Uz", "bz", "Wr", "Ur", "br", "Wh", "Uh", "bh", "Wy", "by")
 

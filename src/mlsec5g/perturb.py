@@ -25,9 +25,6 @@ import numpy as np
 
 MODES = ("additive_std", "replace_random", "spoof_fixed", "translate_position", "pad_payload")
 
-# Default intensity multipliers, applied to the per-field population std.
-DEFAULT_MULTIPLIERS = (0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0)
-
 
 @dataclass(frozen=True)
 class ConstraintRule:
@@ -374,38 +371,6 @@ def _enforce(record: dict, constraints: Sequence[ConstraintRule]) -> IntegrityVe
             if rule.action == "clamp" and rule.field in record and rule.violated(record[rule.field]):
                 record[rule.field] = rule.clamped(record[rule.field])
     return verdict
-
-
-def replace_random(records: Sequence[Mapping], field_name: str, donor_pool: Sequence,
-                   count: int, seed: int, linked: Mapping[str, Sequence] | None = None
-                   ) -> list[dict]:
-    """Replace field_name in `count` uniformly chosen records with donor values.
-
-    Donors are drawn uniformly with replacement from donor_pool; when linked
-    columns are given, each replacement copies the donor's companion values at
-    the same pool index, so physically coupled pairs stay coherent.
-    count=0 is the identity; count >= len(records) replaces every record.
-    """
-    if len(donor_pool) == 0:
-        raise ValueError("empty donor pool")
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    linked = dict(linked or {})
-    for fname, values in linked.items():
-        if len(values) != len(donor_pool):
-            raise ValueError(f"linked column {fname!r} not aligned with donor_pool")
-    out = [dict(r) for r in records]
-    if count == 0:
-        return out
-    rng = np.random.default_rng([int(seed) & 0x7FFFFFFFFFFFFFFF, 0x5EED])
-    n = len(out)
-    chosen = rng.choice(n, size=min(count, n), replace=False) if n else []
-    for i in sorted(int(c) for c in np.atleast_1d(chosen)):
-        j = int(rng.integers(0, len(donor_pool)))
-        out[i][field_name] = donor_pool[j]
-        for fname, values in linked.items():
-            out[i][fname] = values[j]
-    return out
 
 
 def _record_rng(seed: int, index: int) -> np.random.Generator:

@@ -15,11 +15,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .attacks import DegradationCurve
 from .defenses import DefenseEvaluation
-from .repro import atomic_write_text, canonical_json
+from .repro import _jsonable, atomic_write_text, canonical_json
 
 
 @dataclass
@@ -76,20 +74,6 @@ def defense_to_dict(ev: DefenseEvaluation) -> dict:
         "hardened_clean": _num(ev.hardened_clean),
         "residual": curve_to_dict(ev.residual),
     }
-
-
-def _jsonable(v):
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    if isinstance(v, np.ndarray):
-        return [_jsonable(x) for x in v.tolist()]
-    if isinstance(v, dict):
-        return {str(k): _jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    return v
 
 
 def report_to_dict(report: ExperimentReport) -> dict:

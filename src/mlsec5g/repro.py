@@ -28,14 +28,24 @@ def derive_seed(master: int, *parts: object) -> int:
     return int.from_bytes(digest[:8], "big") & 0x7FFFFFFFFFFFFFFF
 
 
-def rng_for(master: int, *parts: object) -> np.random.Generator:
-    """Generator seeded by the derived child seed."""
-    return np.random.default_rng(derive_seed(master, *parts))
-
-
 def canonical_json(obj: Any) -> str:
     """Deterministic JSON rendering: sorted keys, no whitespace drift."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+
+
+def _jsonable(v):
+    """numpy scalars and arrays, tuples and dict keys made JSON-native."""
+    if isinstance(v, (np.integer,)):
+        return int(v)
+    if isinstance(v, (np.floating,)):
+        return float(v)
+    if isinstance(v, np.ndarray):
+        return [_jsonable(x) for x in v.tolist()]
+    if isinstance(v, dict):
+        return {str(k): _jsonable(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_jsonable(x) for x in v]
+    return v
 
 
 def fingerprint(obj: Any) -> str:

@@ -7,6 +7,12 @@ train, measure the baseline, run the staged attacks, and score defenses.
 The master seed fans out through derive_seed(seed, stage, ...) so any stage
 can be reproduced in isolation.
 
+The drivers share their common steps: _load_data (synthetic or ingested
+data), _apply_levels (one row-aligned adversarial matrix per perturbation
+level, with its provenance), _plot_rows (a curve's points as plot rows) and
+_defend (adversarial training and feature removal against one perturbation,
+each scored against the baseline).
+
 Stage depths: "generate" stops after data, "train" after the baseline,
 "attack" after degradation curves, "defend"/"report"/"all" run everything.
 """
@@ -15,12 +21,14 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 
 from .. import metrics as M
 from ..attacks import (CurvePoint, DegradationCurve, run_inference_attack,
-                       run_online_attacks, run_training_attack, spoof_positions)
+                       run_online_attacks, run_training_attack, spoof_positions,
+                       summarize_curve)
 from ..config import ExperimentConfig, STAGES, default_config
 from ..defenses import adversarial_training, evaluate_defense, feature_removal
 from ..flows import (FEATURE_NAMES, LabelRule, aggregate_flows,
@@ -61,23 +69,16 @@ def _split(n: int, train_frac: float, seed: int) -> tuple[np.ndarray, np.ndarray
 
 
 def _scope_dict(scope: FeatureScope) -> dict:
+    """The scope's four sets as lists, for the report; an invalid scope is fatal."""
+    problems = validate_scope(scope)
+    if problems:
+        raise ValueError("invalid feature scope: " + "; ".join(problems))
     return {
         "full": list(scope.full_set),
         "known": list(scope.known),
         "conscious": list(scope.conscious),
         "affected": list(scope.affected),
     }
-
-
-def _checked_scope(scope: FeatureScope) -> FeatureScope:
-    problems = validate_scope(scope)
-    if problems:
-        raise ValueError("invalid feature scope: " + "; ".join(problems))
-    return scope
-
-
-def _forest_spec(task: str, hp: dict, seed: int) -> ModelSpec:
-    return ModelSpec("forest", task, hp, seed=seed)
 
 
 def run_case_study(scenario, config: ExperimentConfig | None = None,
@@ -119,9 +120,66 @@ def _new_report(config: ExperimentConfig, stage: str) -> ExperimentReport:
 def _load_data(config: ExperimentConfig, scenario: str, seed: int):
     if "path" in config.data:
         return ingest_real_dataset(scenario, config.data["path"],
-                                   config.data.get("format")), True
+                                   config.data.get("format"))
     params = dict(config.data.get("synthetic", {}))
-    return G.generate_scenario_data(scenario, seed=seed, **params), False
+    return G.generate_scenario_data(scenario, seed=seed, **params)
+
+
+def _plot_rows(report: ExperimentReport, figure: str, series: str, curve,
+               x_of=lambda x: x) -> None:
+    """One plot row (figure, series, x, mean, std) per point of the curve."""
+    for p in curve.points:
+        report.plot_series.append(
+            (figure, series, x_of(p.x), p.metric_mean, p.metric_std))
+
+
+def _apply_levels(records, spec, schema, seed):
+    """One adversarial matrix per level; alignment-breaking rejects are fatal."""
+    sets = []
+    logs = []
+    for li, level in enumerate(spec.intensity_levels):
+        out, plog = apply_rsp(records, spec, li, seed)
+        if len(out) != len(records):
+            raise RuntimeError(
+                f"{spec.name}: {plog.n_rejected} records rejected; "
+                "row-aligned evaluation impossible")
+        sets.append((level, records_to_matrix(out, schema)))
+        logs.append({"spec": spec.name, "level": level, **plog.counts()})
+    return sets, logs
+
+
+def _defend(report, config, data, tr, va, baseline, task, spec, removed,
+            adv_sets, metric_fn) -> None:
+    """Adversarial training against spec and removal of the features it
+    affects, each scored against the baseline on the same adversarial sets.
+
+    data is (records, X, y, schema); the forests train on config.model.
+    """
+    records, X, y, schema = data
+    seed = config.seed
+
+    def trainer(X_, y_, schema_, s):
+        return train_forest(ModelSpec("forest", task, config.model, seed=s),
+                            X_, y_, schema_)
+
+    def scored(model, defense):
+        report.defenses.append(evaluate_defense(
+            baseline, model, (X[va], y[va], schema), adv_sets, "Acc",
+            metric_fn=metric_fn, defense=defense))
+
+    at_cfg = config.defense.get("adversarial_training")
+    if at_cfg:
+        frac = float(at_cfg.get("aug_fraction", 0.05)) \
+            if isinstance(at_cfg, dict) else 0.05
+        scored(adversarial_training(
+            trainer, [records[i] for i in tr], y[tr], [spec],
+            lambda recs: records_to_matrix(recs, schema), schema,
+            derive_seed(seed, "advtrain"), aug_fraction=frac),
+            "adversarial_training")
+    if config.defense.get("feature_removal"):
+        scored(feature_removal(trainer, X[tr], y[tr], schema, removed,
+                               derive_seed(seed, "removal")),
+               "feature_removal")
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +192,7 @@ def _run_cs1(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
     timings = report.timings
 
     with _timed(timings, "data"):
-        data, _ = _load_data(config, "cs1", derive_seed(seed, "data"))
+        data = _load_data(config, "cs1", derive_seed(seed, "data"))
         packets = data["packets"]
         session_labels = data["session_labels"]
         attackers = tuple(data["attacker_ips"])
@@ -148,19 +206,17 @@ def _run_cs1(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
     extractor_fp = fingerprint({"extractor": "flow13",
                                 "features": list(FEATURE_NAMES),
                                 "internal": list(INTERNAL_PREFIXES)})
-    scope = _checked_scope(FeatureScope(
-        full_set=FEATURE_NAMES,
-        known=("src_ip_type", "dst_ip_type", "src_port_type", "dst_port_type",
-               "dur", "tot_bytes", "tot_pkts"),
-        conscious=("tot_bytes", "tot_pkts"),
-        affected=("dur", "src_bytes", "dst_bytes", "tot_bytes", "tot_pkts"),
-    ))
     report.extras.update({
         "n_packets": len(packets),
         "n_flows": len(flows),
         "attacker_flow_share": float(attacker_row.mean()),
         "classes": sorted(set(y.tolist())),
-        "scope": _scope_dict(scope),
+        "scope": _scope_dict(FeatureScope(
+            full_set=FEATURE_NAMES,
+            known=("src_ip_type", "dst_ip_type", "src_port_type", "dst_port_type",
+                   "dur", "tot_bytes", "tot_pkts"),
+            conscious=("tot_bytes", "tot_pkts"),
+            affected=("dur", "src_bytes", "dst_bytes", "tot_bytes", "tot_pkts"))),
         "extractor_fingerprint": extractor_fp,
     })
     if depth < 1:
@@ -168,7 +224,8 @@ def _run_cs1(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
 
     with _timed(timings, "train"):
         tr, va = _split(len(flows), 0.8, derive_seed(seed, "split"))
-        model_spec = _forest_spec("classify", config.model, derive_seed(seed, "model"))
+        model_spec = ModelSpec("forest", "classify", config.model,
+                               seed=derive_seed(seed, "model"))
         baseline = train_forest(model_spec, X[tr], y[tr], FEATURE_NAMES)
         pred_va = baseline.predict(X[va])
         counts = {c: int(np.sum(y[tr] == c)) for c in sorted(set(y[tr].tolist()))}
@@ -192,7 +249,6 @@ def _run_cs1(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
         bounds = [int(round(m * pay_std)) for m in multipliers]
         adv_flows_by_level = []
         adversarial_sets = []
-        pad_provenance = []
         for m, bound in zip(multipliers, bounds):
             padded = pad_payloads(packets, attackers, bound, pad_seed)
             n_padded = sum(1 for a, b in zip(packets, padded)
@@ -203,39 +259,28 @@ def _run_cs1(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
             X_adv = extract_feature_matrix(adv_flows, INTERNAL_PREFIXES)
             adv_flows_by_level.append(adv_flows)
             adversarial_sets.append((m, X_adv[va]))
-            pad_provenance.append({"operation": "pad_payload", "bound_bytes": bound,
-                                   "packets_padded": n_padded})
-        report.provenance.extend(pad_provenance)
+            report.provenance.append({"operation": "pad_payload", "bound_bytes": bound,
+                                      "packets_padded": n_padded})
 
         inference = run_inference_attack(
             baseline, (X[va], y[va]), adversarial_sets, "Acc",
             group_by=attacker_row[va], name="cs1/inference",
             x_label="pad_multiplier")
         report.curves.append(inference.aggregate)
-        for gid, curve in inference.per_group.items():
-            curve_name = "attacker_rows" if gid else "other_rows"
-            report.curves.append(DegradationCurve(
-                name=f"cs1/inference[{curve_name}]", metric_name=curve.metric_name,
-                orientation=curve.orientation, x_label=curve.x_label,
-                baseline=curve.baseline, points=curve.points))
+        report.curves.extend(
+            replace(curve, name=f"cs1/inference[{'attacker' if gid else 'other'}_rows]")
+            for gid, curve in inference.per_group.items())
         for curve in report.curves:
-            if curve.name.startswith("cs1/inference"):
-                series = curve.name.split("cs1/", 1)[1]
-                for p in curve.points:
-                    report.plot_series.append(
-                        ("cs1_inference", series, p.x, p.metric_mean, p.metric_std))
+            _plot_rows(report, "cs1_inference", curve.name.split("cs1/", 1)[1], curve)
 
         T_flows = [flows[i] for i in tr]
-        pad_level = int(attack_cfg["pad_level_index"])
-        if not 0 <= pad_level < len(multipliers):
-            raise ValueError(f"pad_level_index {pad_level} out of range")
-        poison_twins = adv_flows_by_level[pad_level]
+        poison_twins = adv_flows_by_level[attack_cfg["pad_level_index"]]
 
         def trainer(flow_list, train_seed):
             Xp = extract_feature_matrix(flow_list, INTERNAL_PREFIXES)
             yp = np.array([f.label for f in flow_list])
-            return train_forest(_forest_spec("classify", config.model, train_seed),
-                                Xp, yp, FEATURE_NAMES)
+            return train_forest(ModelSpec("forest", "classify", config.model,
+                                          seed=train_seed), Xp, yp, FEATURE_NAMES)
 
         def poison_fn(T, adversarial_flows, ratio, poison_seed):
             return poison_training_set(T, attackers, ratio, adversarial_flows,
@@ -251,10 +296,8 @@ def _run_cs1(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
             poison_fn, evaluator, "Acc", jobs=int(attack_cfg["jobs"]),
             name="cs1/poisoning")
         report.curves.append(poison_curve)
-        for p in poison_curve.points:
-            report.plot_series.append(
-                ("cs1_poisoning", "poisoned_acc", int(round(p.x * 100)),
-                 p.metric_mean, p.metric_std))
+        _plot_rows(report, "cs1_poisoning", "poisoned_acc", poison_curve,
+                   x_of=lambda x: int(round(x * 100)))
     if depth < 3:
         return report
 
@@ -317,28 +360,13 @@ def _cs2_specs(records, multipliers, replace_levels):
     return base_specs, scopes
 
 
-def _apply_levels(v_records, spec, xs, seed):
-    """One adversarial matrix per level; alignment-breaking rejects are fatal."""
-    sets = []
-    logs = []
-    for li in range(len(spec.intensity_levels)):
-        out, plog = apply_rsp(v_records, spec, li, seed)
-        if len(out) != len(v_records):
-            raise RuntimeError(
-                f"{spec.name}: {plog.n_rejected} records rejected; "
-                "row-aligned evaluation impossible")
-        sets.append((xs[li], records_to_matrix(out, G.CQI_FEATURES)))
-        logs.append({"spec": spec.name, "level": xs[li], **plog.counts()})
-    return sets, logs
-
-
 def _run_cs2(config: ExperimentConfig, depth: int, stage: str) -> ExperimentReport:
     report = _new_report(config, stage)
     seed = config.seed
     timings = report.timings
 
     with _timed(timings, "data"):
-        data, _ = _load_data(config, "cs2", derive_seed(seed, "data"))
+        data = _load_data(config, "cs2", derive_seed(seed, "data"))
         records = data["records"]
         y = np.asarray(data["targets"], dtype=float)
         schema = tuple(data["schema"])
@@ -352,7 +380,8 @@ def _run_cs2(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
 
     with _timed(timings, "train"):
         tr, va = _split(len(records), 0.9, derive_seed(seed, "split"))
-        spec = _forest_spec("regress", config.model, derive_seed(seed, "model"))
+        spec = ModelSpec("forest", "regress", config.model,
+                         seed=derive_seed(seed, "model"))
         baseline = train_forest(spec, X[tr], y[tr], schema)
         pred_va = baseline.predict(X[va])
         report.baseline.update({
@@ -366,19 +395,14 @@ def _run_cs2(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
     multipliers = [float(m) for m in attack_cfg["multipliers"]]
     replace_levels = int(attack_cfg["replace_levels"])
     specs, scopes = _cs2_specs(records, multipliers, replace_levels)
-    report.extras["scopes"] = {name: _scope_dict(_checked_scope(s))
-                               for name, s in scopes.items()}
+    report.extras["scopes"] = {name: _scope_dict(s) for name, s in scopes.items()}
 
     v_records = [records[i] for i in va]
     sets_by_scope = {}
     with _timed(timings, "attack"):
         for name in attack_cfg["scopes"]:
-            if name not in specs:
-                raise ValueError(f"unknown cs2 scope {name!r}; "
-                                 f"expected one of {sorted(specs)}")
             pspec = specs[name]
-            xs = list(pspec.intensity_levels)
-            sets, logs = _apply_levels(v_records, pspec, xs,
+            sets, logs = _apply_levels(v_records, pspec, schema,
                                        derive_seed(seed, "rsp", name))
             sets_by_scope[name] = sets
             report.provenance.extend(logs)
@@ -388,46 +412,18 @@ def _run_cs2(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
                 x_label="draw" if pspec.mode == "replace_random" else "multiplier"
             ).aggregate
             report.curves.append(curve)
-            for p in curve.points:
-                report.plot_series.append(
-                    ("cs2_scopes", name, p.x, p.metric_mean, p.metric_std))
+            _plot_rows(report, "cs2_scopes", name, curve)
     if depth < 3:
         return report
 
     with _timed(timings, "defend"):
         canonical = "pktrx_shift"
         if canonical in sets_by_scope:
-            adv_sets = sets_by_scope[canonical]
-            removed = tuple(scopes[canonical].affected)
-
-            def trainer(X_, y_, schema_, s):
-                return train_forest(_forest_spec("regress", config.model, s),
-                                    X_, y_, schema_)
-
-            defense_cfg = config.defense
-            at_cfg = defense_cfg.get("adversarial_training")
-            if at_cfg:
-                frac = float(at_cfg.get("aug_fraction", 0.05)) \
-                    if isinstance(at_cfg, dict) else 0.05
-                hardened = adversarial_training(
-                    trainer, [records[i] for i in tr], y[tr], [specs[canonical]],
-                    lambda recs: records_to_matrix(recs, schema), schema,
-                    derive_seed(seed, "advtrain"), aug_fraction=frac)
-                report.defenses.append(evaluate_defense(
-                    baseline, hardened, (X[va], y[va], schema), adv_sets,
-                    "Acc", metric_fn=M.cqi_accuracy, orientation="higher_better",
-                    defense="adversarial_training"))
-            if defense_cfg.get("feature_removal"):
-                reduced = feature_removal(trainer, X[tr], y[tr], schema,
-                                          removed, derive_seed(seed, "removal"))
-                report.defenses.append(evaluate_defense(
-                    baseline, reduced, (X[va], y[va], schema), adv_sets,
-                    "Acc", metric_fn=M.cqi_accuracy, orientation="higher_better",
-                    defense="feature_removal"))
+            _defend(report, config, (records, X, y, schema), tr, va, baseline,
+                    "regress", specs[canonical], scopes[canonical].affected,
+                    sets_by_scope[canonical], M.cqi_accuracy)
             for d in report.defenses:
-                for p in d.residual.points:
-                    report.plot_series.append(
-                        ("cs2_defenses", d.defense, p.x, p.metric_mean, p.metric_std))
+                _plot_rows(report, "cs2_defenses", d.defense, d.residual)
     return report
 
 
@@ -445,8 +441,7 @@ def _run_cs3(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
     series_by_profile = {}
     with _timed(timings, "data"):
         if "path" in config.data:
-            data = ingest_real_dataset("cs3", config.data["path"],
-                                       config.data.get("format"))
+            data = _load_data(config, "cs3", derive_seed(seed, "data"))
             series_by_profile[data.get("profile", "real")] = \
                 np.asarray(data["series"], dtype=float)
         else:
@@ -521,7 +516,7 @@ def _run_cs4(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
     timings = report.timings
 
     with _timed(timings, "data"):
-        data, _ = _load_data(config, "cs4", derive_seed(seed, "data"))
+        data = _load_data(config, "cs4", derive_seed(seed, "data"))
         X = np.asarray(data["X"], dtype=float)
         y = np.asarray(data["y"])
         schema = tuple(data["schema"])
@@ -538,8 +533,8 @@ def _run_cs4(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
     with _timed(timings, "train"):
         tr, va = _split(X.shape[0], 0.5, derive_seed(seed, "split"))
         forest = train_forest(
-            _forest_spec("classify", config.model.get("forest", {}),
-                         derive_seed(seed, "model", "forest")),
+            ModelSpec("forest", "classify", config.model.get("forest", {}),
+                      seed=derive_seed(seed, "model", "forest")),
             X[tr], y[tr], schema)
         network = train_network(
             ModelSpec("feedforward", "classify", config.model.get("network", {}),
@@ -596,9 +591,7 @@ def _run_cs4(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
         for curve, series in ((top_curve, "top25_forest"),
                               (rand_curve, "random25_forest"),
                               (net_curve, "top25_network")):
-            for p in curve.points:
-                report.plot_series.append(
-                    ("cs4_importance", series, p.x, p.metric_mean, p.metric_std))
+            _plot_rows(report, "cs4_importance", series, curve)
         informative = data.get("informative")
         report.extras["top_features"] = top_names
         if informative is not None:
@@ -646,7 +639,7 @@ def _run_cs5(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
     timings = report.timings
 
     with _timed(timings, "data"):
-        data, _ = _load_data(config, "cs5", derive_seed(seed, "data"))
+        data = _load_data(config, "cs5", derive_seed(seed, "data"))
         X = np.asarray(data["X"], dtype=float)
         Y = np.asarray(data["Y"], dtype=float)
         schema = tuple(data["schema"])
@@ -706,17 +699,10 @@ def _run_cs5(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
                              for c in range(topo.n_cells)]
                             for s in range(len(sweep))])
 
-        points = []
-        base_mean = float(se_steps[0].mean())
-        for s, off in enumerate(offsets):
-            mean_se = float(se_steps[s].mean())
-            points.append(CurvePoint(
-                x=float(off), metric_mean=mean_se, metric_std=0.0,
-                degradation_mean=base_mean - mean_se, degradation_std=0.0,
-                n_trials=1, values=(mean_se,)))
-        report.curves.append(DegradationCurve(
-            name="cs5/mean_se", metric_name="SE", orientation="higher_better",
-            x_label="offset_m", baseline=base_mean, points=points))
+        report.curves.append(summarize_curve(
+            "cs5/mean_se", "SE", "higher_better", "offset_m",
+            float(se_steps[0].mean()),
+            [(off, [float(se_steps[s].mean())]) for s, off in enumerate(offsets)]))
 
         for s, off in enumerate(offsets):
             report.plot_series.append(
@@ -755,7 +741,7 @@ def _run_cs6(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
     timings = report.timings
 
     with _timed(timings, "data"):
-        data, _ = _load_data(config, "cs6", derive_seed(seed, "data"))
+        data = _load_data(config, "cs6", derive_seed(seed, "data"))
         records = data["records"]
         y = np.asarray(data["labels"])
         schema = tuple(data["schema"])
@@ -764,19 +750,19 @@ def _run_cs6(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
     report.extras["extractor_fingerprint"] = fingerprint(
         {"extractor": "column_order", "features": list(schema)})
 
-    outsider_scope = _checked_scope(FeatureScope(
-        schema, known=schema, conscious=("Day", "Hour"), affected=("Day", "Hour")))
     insider_fields = ("PacketDelayBudget", "PacketLossRate")
-    insider_scope = _checked_scope(FeatureScope(
-        schema, known=schema, conscious=insider_fields, affected=insider_fields))
-    report.extras["scopes"] = {"outsider": _scope_dict(outsider_scope),
-                               "insider": _scope_dict(insider_scope)}
+    report.extras["scopes"] = {
+        "outsider": _scope_dict(FeatureScope(schema, known=schema, conscious=("Day", "Hour"),
+                                             affected=("Day", "Hour"))),
+        "insider": _scope_dict(FeatureScope(schema, known=schema, conscious=insider_fields,
+                                            affected=insider_fields))}
     if depth < 1:
         return report
 
     with _timed(timings, "train"):
         tr, va = _split(len(records), 0.9, derive_seed(seed, "split"))
-        spec = _forest_spec("classify", config.model, derive_seed(seed, "model"))
+        spec = ModelSpec("forest", "classify", config.model,
+                         seed=derive_seed(seed, "model"))
         baseline = train_forest(spec, X[tr], y[tr], schema)
         pred_clean = baseline.predict(X[va])
         report.baseline["Acc"] = M.accuracy(y[va], pred_clean)
@@ -787,7 +773,6 @@ def _run_cs6(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
         day_col = schema.index("Day")
         hour_col = schema.index("Hour")
         successes = 0
-        grid_rows = []
         for d in range(1, 8):
             for h in range(0, 24):
                 Xa = X[va].copy()
@@ -795,67 +780,35 @@ def _run_cs6(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
                 Xa[:, hour_col] = float(h)
                 flips = int(np.sum(baseline.predict(Xa) != pred_clean))
                 successes += flips
-                grid_rows.append(((d - 1) * 24 + h, flips))
+                report.plot_series.append(("cs6_outsider", "prediction_flips",
+                                           (d - 1) * 24 + h, float(flips), 0.0))
         report.extras["outsider_successes"] = successes
         report.extras["outsider_variants"] = 7 * 24
         report.extras["outsider_rows"] = int(len(va))
-        for x, flips in grid_rows:
-            report.plot_series.append(("cs6_outsider", "prediction_flips",
-                                       x, float(flips), 0.0))
 
-        insider_sets = []
         insider_spec = None
         if config.attack.get("insider", True):
-            multipliers = [float(m) for m in config.attack["multipliers"]]
             insider_spec = PerturbationSpec(
-                "insider_qos", insider_fields, "additive_std", tuple(multipliers),
+                "insider_qos", insider_fields, "additive_std",
+                tuple(config.attack["multipliers"]),
                 constraints=(
                     ConstraintRule("PacketDelayBudget", lo=0.0, action="clamp"),
                     ConstraintRule("PacketLossRate", lo=0.0, action="clamp")))
-            v_records = [records[i] for i in va]
-            logs = []
-            for li, m in enumerate(multipliers):
-                out, plog = apply_rsp(v_records, insider_spec, li,
-                                      derive_seed(seed, "rsp", "insider"))
-                if len(out) != len(v_records):
-                    raise RuntimeError("insider perturbation rejected records; "
-                                       "row alignment broken")
-                insider_sets.append((m, records_to_matrix(out, schema)))
-                logs.append({"spec": "insider_qos", "level": m, **plog.counts()})
+            insider_sets, logs = _apply_levels(
+                [records[i] for i in va], insider_spec, schema,
+                derive_seed(seed, "rsp", "insider"))
             report.provenance.extend(logs)
             curve = run_inference_attack(baseline, (X[va], y[va]), insider_sets,
                                          "Acc", name="cs6/insider",
                                          x_label="multiplier").aggregate
             report.curves.append(curve)
-            for p in curve.points:
-                report.plot_series.append(
-                    ("cs6_insider", "insider_acc", p.x, p.metric_mean, p.metric_std))
+            _plot_rows(report, "cs6_insider", "insider_acc", curve)
     if depth < 3:
         return report
 
     with _timed(timings, "defend"):
-        if insider_spec is not None and insider_sets:
-            def trainer(X_, y_, schema_, s):
-                return train_forest(_forest_spec("classify", config.model, s),
-                                    X_, y_, schema_)
-
-            defense_cfg = config.defense
-            at_cfg = defense_cfg.get("adversarial_training")
-            if at_cfg:
-                frac = float(at_cfg.get("aug_fraction", 0.05)) \
-                    if isinstance(at_cfg, dict) else 0.05
-                hardened = adversarial_training(
-                    trainer, [records[i] for i in tr], y[tr], [insider_spec],
-                    lambda recs: records_to_matrix(recs, schema), schema,
-                    derive_seed(seed, "advtrain"), aug_fraction=frac)
-                report.defenses.append(evaluate_defense(
-                    baseline, hardened, (X[va], y[va], schema), insider_sets,
-                    "Acc", defense="adversarial_training"))
-            if defense_cfg.get("feature_removal"):
-                reduced = feature_removal(trainer, X[tr], y[tr], schema,
-                                          insider_fields,
-                                          derive_seed(seed, "removal"))
-                report.defenses.append(evaluate_defense(
-                    baseline, reduced, (X[va], y[va], schema), insider_sets,
-                    "Acc", defense="feature_removal"))
+        if insider_spec is not None:
+            _defend(report, config, (records, X, y, schema), tr, va, baseline,
+                    "classify", insider_spec, insider_fields, insider_sets,
+                    M.accuracy)
     return report

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mlsec5g.attacks import (AttackPlan, map_trials, resolve_metric,
+from mlsec5g.attacks import (map_trials, resolve_metric,
                              run_inference_attack, run_online_attack,
                              run_online_attacks, run_training_attack, spoof_positions,
                              spoof_value, summarize_curve)
@@ -287,17 +287,3 @@ class TestSpoofPositions:
             spoof_positions(topo, [0], step_count=0)
         with pytest.raises(ValueError, match="max_offset"):
             spoof_positions(topo, [0], max_offset=-1.0)
-
-
-class TestAttackPlan:
-    def test_valid_plan(self):
-        plan = AttackPlan("cs1", "training", trials=3, ratios=(0.5,))
-        assert plan.stage == "training"
-
-    def test_invalid_fields(self):
-        with pytest.raises(ValueError, match="stage"):
-            AttackPlan("cs1", "spray")
-        with pytest.raises(ValueError, match="trials"):
-            AttackPlan("cs1", "inference", trials=0)
-        with pytest.raises(ValueError, match="ratio"):
-            AttackPlan("cs1", "training", ratios=(2.0,))

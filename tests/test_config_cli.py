@@ -9,7 +9,7 @@ import pytest
 
 from mlsec5g.cli import build_parser, main, resolve
 from mlsec5g.config import (ConfigError, build_config, default_config,
-                            load_config, validate_config)
+                            validate_config)
 
 
 class TestValidation:
@@ -89,14 +89,6 @@ class TestBuildConfig:
         for s in ("cs1", "cs2", "cs3", "cs4", "cs5", "cs6"):
             assert default_config(s).scenario == s
 
-    def test_load_config_errors(self, tmp_path):
-        with pytest.raises(ConfigError, match="not found"):
-            load_config(str(tmp_path / "missing.json"))
-        bad = tmp_path / "bad.json"
-        bad.write_text("{nope")
-        with pytest.raises(ConfigError, match="not valid JSON"):
-            load_config(str(bad))
-
 
 class TestFingerprint:
     def test_stable_for_identical_configs(self):
@@ -165,6 +157,33 @@ class TestCli:
         assert code == 2
         assert "config.bogus_section: unknown key" in captured.err
         assert "config.seed" in captured.err
+
+    def test_unreadable_config_file_exits_2(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        assert main(["train", "--config", missing]) == 2
+        assert f"config file not found: {missing}" in capsys.readouterr().err
+        bad = tmp_path / "bad.json"
+        bad.write_text("{nope")
+        assert main(["train", "--config", str(bad)]) == 2
+        assert "config is not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario, attack, key", [
+        ("cs2", {"scopes": ["bogus"]}, "config.attack.scopes"),
+        ("cs2", {"scopes": []}, "config.attack.scopes"),
+        ("cs1", {"pad_level_index": 9}, "config.attack.pad_level_index"),
+        ("cs1", {"multipliers": [1.0, 2.0]}, "config.attack.pad_level_index"),
+        ("cs1", {"pad_level_index": -1}, "config.attack.pad_level_index"),
+    ])
+    def test_attack_settings_are_checked_before_any_stage(self, tmp_path, capsys,
+                                                          scenario, attack, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenario": scenario, "seed": -1, "attack": attack}))
+        out = tmp_path / "r"
+        code = main(["train", "--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{key}: must be" in err and "config.seed" in err
+        assert not out.exists()
 
     def test_missing_scenario_is_a_config_error(self, capsys):
         code = main(["all"])

@@ -6,8 +6,7 @@ import pytest
 from flow_oracle import handwritten_packets, naive_aggregate, naive_features
 from mlsec5g.flows import (FEATURE_NAMES, MAX_PAYLOAD, FlowRecord, LabelRule,
                            PacketRecord, aggregate_flows, extract_feature_matrix,
-                           extract_features, flow_identity, is_internal,
-                           label_flows, packets_to_text, pad_payloads,
+                           flow_identity, label_flows, packets_to_text, pad_payloads,
                            parse_packets, poison_training_set, port_category)
 
 PREFIXES = ("10.0.0.0/8", "172.16.0.0/12", "192.168.0.0/16")
@@ -59,13 +58,6 @@ class TestAggregationAgainstReference:
         states = {f.state for f in flows}
         assert states == {"INT", "REQ", "CON", "FIN", "RST"}
 
-    def test_single_flow_matrix_row_equals_single_extraction(self):
-        flows = aggregate_flows(handwritten_packets(),
-                                idle_timeout=IDLE_S, active_timeout=ACTIVE_S)
-        X = extract_feature_matrix(flows, PREFIXES)
-        for i, f in enumerate(flows):
-            assert np.array_equal(X[i], extract_features(f, PREFIXES))
-
 
 class TestPacketParsing:
     def test_text_round_trip(self):
@@ -109,11 +101,6 @@ class TestPortsAndPrefixes:
     def test_port_category_range_check(self):
         with pytest.raises(ValueError):
             port_category(-1)
-
-    def test_is_internal(self):
-        assert is_internal("10.1.2.3", PREFIXES)
-        assert is_internal("192.168.0.1", PREFIXES)
-        assert not is_internal("8.8.8.8", PREFIXES)
 
 
 def make_packets(src="10.0.0.2", n=5, payload=100):

@@ -5,7 +5,7 @@ import pytest
 
 from mlsec5g.perturb import (ConstraintRule, DependencyGraph, DerivedField,
                              PerturbationSpec, apply_rsp, intensity_schedule,
-                             population_std, replace_random, verify_integrity)
+                             population_std, verify_integrity)
 
 
 def records_fixture(n=20, seed=3):
@@ -308,14 +308,22 @@ class TestApplyRsp:
         assert len(lines) == 2
 
 
+def budget_spec(donors, count):
+    """replace_random on RSRP with a record budget of count."""
+    return PerturbationSpec("rep", ("RSRP",), "replace_random", (1.0,),
+                            params={"donor_pool": donors, "count": count})
+
+
 def test_replace_random_helper_count_zero_is_identity():
     recs = records_fixture(10)
-    out = replace_random(recs, "RSRP", [0.0], count=0, seed=1)
+    out, log = apply_rsp(recs, budget_spec([0.0], 0), 0, seed=1)
     assert out == [dict(r) for r in recs]
+    assert log.entries == []
 
 
 def test_replace_random_helper_respects_count():
     recs = records_fixture(10)
-    out = replace_random(recs, "RSRP", [999.0], count=4, seed=1)
+    out, log = apply_rsp(recs, budget_spec([999.0], 4), 0, seed=1)
     changed = sum(1 for b, a in zip(recs, out) if a["RSRP"] != b["RSRP"])
     assert changed == 4
+    assert len(log.entries) == 4
