@@ -8,7 +8,6 @@ reported spreads are population standard deviations over trial means.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -35,20 +34,6 @@ def resolve_metric(metric_name: str, metric_fn: Callable | None = None,
     if orient is None:
         raise ValueError(f"unknown orientation for metric {metric_name!r}")
     return fn, orient
-
-
-def map_trials(fn: Callable[[int], object], n_trials: int, jobs: int = 1) -> list:
-    """Run fn(trial_index) for each trial; order of results is by index.
-
-    Trials are seed-isolated, so parallel execution cannot change any value,
-    only wall-clock time.
-    """
-    if n_trials < 1:
-        raise ValueError("need at least one trial")
-    if jobs <= 1:
-        return [fn(t) for t in range(n_trials)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, range(n_trials)))
 
 
 @dataclass(frozen=True)
@@ -84,11 +69,16 @@ class DegradationCurve:
 
 def summarize_curve(name, metric_name, orientation, x_label, baseline,
                     raw_points) -> DegradationCurve:
-    """raw_points: sequence of (x, [per-trial metric values])."""
+    """raw_points: sequence of (x, [per-trial metric values]).
+
+    baseline is one clean metric value, or one per trial, each measured
+    against that trial's values; the curve's baseline is their mean.
+    """
     pts = []
     for x, values in raw_points:
         values = tuple(float(v) for v in values)
-        degs = tuple(degradation(baseline, v, orientation) for v in values)
+        bases = np.broadcast_to(np.asarray(baseline, dtype=float), len(values))
+        degs = tuple(degradation(b, v, orientation) for b, v in zip(bases, values))
         pts.append(CurvePoint(
             x=float(x),
             metric_mean=float(np.mean(values)),
@@ -98,7 +88,8 @@ def summarize_curve(name, metric_name, orientation, x_label, baseline,
             n_trials=len(values),
             values=values,
         ))
-    return DegradationCurve(name, metric_name, orientation, x_label, float(baseline), tuple(pts))
+    return DegradationCurve(name, metric_name, orientation, x_label,
+                            float(np.mean(baseline)), tuple(pts))
 
 
 @dataclass(frozen=True)
@@ -180,14 +171,16 @@ def run_training_attack(trainer: Callable, T, V, ratios: Sequence[float],
                         adversarial_flows, trials: int, seed: int,
                         poison_fn: Callable, evaluator: Callable,
                         metric_name: str, orientation: str | None = None,
-                        jobs: int = 1, name: str = "training") -> DegradationCurve:
+                        name: str = "training") -> DegradationCurve:
     """Poison a growing share of the attacker's training flows and retrain.
 
     trainer(T_poisoned, seed) -> model; poison_fn(T, adversarial_flows, ratio,
     seed) -> T_poisoned; evaluator(model, V) -> metric value on the untouched
     validation split. A ratio-0 control is always included; under a fixed
-    master seed its model is the baseline model, bit for bit, because the
-    trainer seed depends only on the trial index.
+    master seed its model is the trial's baseline model, bit for bit, because
+    the trainer seed depends only on the trial index. Each trial's damage is
+    measured against its own ratio-0 value, so the control's degradation is
+    exactly zero; the curve's baseline is the mean of those values.
     """
     orient = orientation if orientation is not None else M.ORIENTATION.get(metric_name)
     if orient is None:
@@ -199,8 +192,8 @@ def run_training_attack(trainer: Callable, T, V, ratios: Sequence[float],
     if trials < 1:
         raise ValueError("trials must be >= 1")
 
-    def one_trial(t: int) -> list[float]:
-        out = []
+    values: list[list[float]] = [[] for _ in ratios]
+    for t in range(trials):
         for j, ratio in enumerate(ratios):
             if ratio == 0.0:
                 poisoned = T
@@ -208,15 +201,10 @@ def run_training_attack(trainer: Callable, T, V, ratios: Sequence[float],
                 poisoned = poison_fn(T, adversarial_flows, ratio,
                                      derive_seed(seed, "poison", t, j))
             model = trainer(poisoned, derive_seed(seed, "train", t))
-            out.append(float(evaluator(model, V)))
-        return out
-
-    per_trial = map_trials(one_trial, trials, jobs)
-    baseline_values = [trial[0] for trial in per_trial]
-    baseline = float(np.mean(baseline_values))
-    raw = [(ratio, [per_trial[t][j] for t in range(trials)])
-           for j, ratio in enumerate(ratios)]
-    return summarize_curve(name, metric_name, orient, "poison_ratio", baseline, raw)
+            values[j].append(float(evaluator(model, V)))
+    # ratios[0] is the 0.0 control, the baseline of its own trial
+    return summarize_curve(name, metric_name, orient, "poison_ratio", values[0],
+                           list(zip(ratios, values)))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Every setting resolves as flag > environment > config file. Environment
 variables mirror the flags: MLSEC5G_CONFIG, MLSEC5G_SCENARIO, MLSEC5G_SEED,
-MLSEC5G_OUT, MLSEC5G_STAGE, MLSEC5G_JOBS.
+MLSEC5G_OUT, MLSEC5G_STAGE.
 
 Exit codes: 0 success, 2 configuration error (every violation listed on
 stderr), 3 runtime failure.
@@ -76,8 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="artifact root directory")
     shared.add_argument("--stage", choices=STAGES,
                         help="override the subcommand's stage")
-    shared.add_argument("--jobs", type=int, metavar="N",
-                        help="parallel trial workers, where the scenario supports them")
 
     parser = argparse.ArgumentParser(
         prog="mlsec5g",
@@ -96,7 +94,6 @@ def resolve(args: argparse.Namespace):
     scenario = args.scenario or _env("SCENARIO")
     seed = args.seed if args.seed is not None else _env_int("SEED")
     out_dir = args.out or _env("OUT")
-    jobs = args.jobs if args.jobs is not None else _env_int("JOBS")
 
     stage = args.stage or _env("STAGE") or args.command
     if stage not in STAGES:
@@ -104,12 +101,6 @@ def resolve(args: argparse.Namespace):
             [f"stage: must be one of {', '.join(STAGES)}, got {stage!r}"])
 
     raw = _load_raw(config_path) if config_path else {}
-    if jobs is not None:
-        # jobs belongs to the attack section; routing the flag through the
-        # raw config keeps the fingerprint honest about what actually ran
-        attack = raw.get("attack", {})
-        if isinstance(attack, dict):
-            raw["attack"] = {**attack, "jobs": jobs}
     if scenario is None and "scenario" not in raw:
         raise ConfigError(
             ["config.scenario: required (pass --scenario, set "

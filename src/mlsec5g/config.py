@@ -4,13 +4,14 @@ Configs are plain JSON. Unknown keys are hard errors, not warnings: a typoed
 hyperparameter that silently falls back to a default would quietly change
 what an experiment measures. Validation collects every violation before
 failing so a config is fixed in one pass. The fingerprint hashes the fully
-merged effective config (defaults included), so two runs share a fingerprint
+merged effective config (defaults included) except out_dir, which says where
+the artifacts land, not what produced them: two runs share a fingerprint
 exactly when they ran the same experiment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .repro import fingerprint
 from .scenarios.generators import SCENARIOS
@@ -33,7 +34,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
     "cs1": {
         "data": ("n_hosts", "sessions_per_host", "sessions_per_attacker"),
         "model": FOREST_KEYS,
-        "attack": ("multipliers", "ratios", "trials", "jobs", "pad_level_index"),
+        "attack": ("multipliers", "ratios", "trials", "pad_level_index"),
         "defense": ("distillation",),
     },
     "cs2": {
@@ -77,7 +78,7 @@ DEFAULTS: dict[str, dict] = {
                                "sessions_per_attacker": 7}},
         "model": {"n_trees": 30},
         "attack": {"multipliers": MULTIPLIERS, "ratios": [0.25, 0.5, 0.75, 0.9],
-                   "trials": 3, "jobs": 1, "pad_level_index": 6},
+                   "trials": 3, "pad_level_index": 6},
         "defense": {"distillation": True},
     },
     "cs2": {
@@ -216,8 +217,9 @@ def validate_config(raw: dict) -> list[str]:
             violations.append("config.attack.trials: must be an integer >= 1")
         scopes = attack.get("scopes")
         if scopes is not None and not (isinstance(scopes, list) and scopes and
-                                       all(s in CS2_SCOPES for s in scopes)):
-            violations.append("config.attack.scopes: must be a non-empty list of "
+                                       all(s in CS2_SCOPES for s in scopes) and
+                                       len(set(scopes)) == len(scopes)):
+            violations.append("config.attack.scopes: must be a non-empty list of distinct "
                               f"scope names from {', '.join(CS2_SCOPES)}, got {scopes!r}")
         if scenario == "cs1":
             # against the merged list: a shorter one can strand the default index
@@ -265,7 +267,6 @@ class ExperimentConfig:
     model: dict
     attack: dict
     defense: dict
-    raw: dict = field(repr=False, default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -279,7 +280,7 @@ class ExperimentConfig:
         }
 
     def fingerprint(self) -> str:
-        return fingerprint(self.to_dict())
+        return fingerprint({k: v for k, v in self.to_dict().items() if k != "out_dir"})
 
 
 def build_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
@@ -310,7 +311,6 @@ def build_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
         model=_merge(defaults["model"], merged_raw.get("model", {})),
         attack=_merge(defaults["attack"], merged_raw.get("attack", {})),
         defense=_merge(defaults["defense"], merged_raw.get("defense", {})),
-        raw=dict(raw),
     )
 
 

@@ -29,7 +29,7 @@ from .. import metrics as M
 from ..attacks import (CurvePoint, DegradationCurve, run_inference_attack,
                        run_online_attacks, run_training_attack, spoof_positions,
                        summarize_curve)
-from ..config import ExperimentConfig, STAGES, default_config
+from ..config import ExperimentConfig, STAGES, build_config, default_config
 from ..defenses import adversarial_training, evaluate_defense, feature_removal
 from ..flows import (FEATURE_NAMES, LabelRule, aggregate_flows,
                      extract_feature_matrix, label_flows, pad_payloads,
@@ -99,11 +99,7 @@ def run_case_study(scenario, config: ExperimentConfig | None = None,
         raise ValueError(
             f"config is for {config.scenario!r}, requested {scenario!r}")
     if seed is not None and seed != config.seed:
-        config = default_config(scenario, seed=seed, out_dir=config.out_dir,
-                                data=config.raw.get("data", {}),
-                                model=config.raw.get("model", {}),
-                                attack=config.raw.get("attack", {}),
-                                defense=config.raw.get("defense", {}))
+        config = build_config({**config.to_dict(), "seed": seed})
     driver = {
         "cs1": _run_cs1, "cs2": _run_cs2, "cs3": _run_cs3,
         "cs4": _run_cs4, "cs5": _run_cs5, "cs6": _run_cs6,
@@ -293,8 +289,7 @@ def _run_cs1(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
         poison_curve = run_training_attack(
             trainer, T_flows, (X[va], y[va]), [float(r) for r in attack_cfg["ratios"]],
             poison_twins, int(attack_cfg["trials"]), derive_seed(seed, "poison-stage"),
-            poison_fn, evaluator, "Acc", jobs=int(attack_cfg["jobs"]),
-            name="cs1/poisoning")
+            poison_fn, evaluator, "Acc", name="cs1/poisoning")
         report.curves.append(poison_curve)
         _plot_rows(report, "cs1_poisoning", "poisoned_acc", poison_curve,
                    x_of=lambda x: int(round(x * 100)))

@@ -5,8 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mlsec5g.attacks import (map_trials, resolve_metric,
-                             run_inference_attack, run_online_attack,
+from mlsec5g.attacks import (resolve_metric, run_inference_attack, run_online_attack,
                              run_online_attacks, run_training_attack, spoof_positions,
                              spoof_value, summarize_curve)
 from mlsec5g.models import ModelSpec, init_online
@@ -54,17 +53,6 @@ class TestCurveMath:
         fn, orient = resolve_metric("GiniIndex", metric_fn=lambda t, p: 0.5,
                                     orientation="lower_better")
         assert fn(None, None) == 0.5 and orient == "lower_better"
-
-
-class TestMapTrials:
-    def test_parallel_equals_serial(self):
-        serial = map_trials(lambda t: t * t, 8, jobs=1)
-        parallel = map_trials(lambda t: t * t, 8, jobs=4)
-        assert serial == parallel == [t * t for t in range(8)]
-
-    def test_needs_at_least_one_trial(self):
-        with pytest.raises(ValueError):
-            map_trials(lambda t: t, 0)
 
 
 class TestInferenceAttack:
@@ -127,7 +115,7 @@ class TestTrainingAttack:
     of its training numbers, poisoning replaces numbers with a large constant,
     and the metric is the absolute error against the clean mean."""
 
-    def run(self, jobs=1, trials=3, ratios=(0.5, 1.0), seed=42):
+    def run(self, trials=3, ratios=(0.5, 1.0), seed=42):
         T = list(np.linspace(0.0, 1.0, 20))
         V = 0.5
 
@@ -146,8 +134,7 @@ class TestTrainingAttack:
 
         return run_training_attack(trainer, T, V, ratios, adversarial_flows=None,
                                    trials=trials, seed=seed, poison_fn=poison_fn,
-                                   evaluator=evaluator, metric_name="RMSE",
-                                   jobs=jobs, name="toy")
+                                   evaluator=evaluator, metric_name="RMSE", name="toy")
 
     def test_ratio_zero_control_is_always_included(self):
         curve = self.run(ratios=(0.5,))
@@ -160,12 +147,11 @@ class TestTrainingAttack:
     def test_more_poison_more_damage(self):
         curve = self.run()
         degs = curve.degradations()
-        assert degs[0] == pytest.approx(0.0, abs=1e-9)
+        # the trials' ratio-0 values differ, and each trial is its own control
+        assert len(set(curve.points[0].values)) == 3
+        assert degs[0] == curve.points[0].degradation_std == 0.0
         assert degs[1] < degs[2]
         assert degs[2] > 10.0
-
-    def test_parallel_trials_change_nothing(self):
-        assert self.run(jobs=1) == self.run(jobs=4)
 
     def test_bad_ratio_rejected(self):
         with pytest.raises(ValueError, match="ratio"):

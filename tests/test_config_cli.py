@@ -99,9 +99,15 @@ class TestFingerprint:
     def test_any_effective_difference_changes_it(self):
         base = build_config({"scenario": "cs3", "seed": 4})
         for raw in ({"scenario": "cs3", "seed": 5},
-                    {"scenario": "cs3", "seed": 4, "out_dir": "other"},
                     {"scenario": "cs3", "seed": 4, "model": {"epochs": 111}}):
             assert build_config(raw).fingerprint() != base.fingerprint()
+
+    def test_out_dir_leaves_it_unchanged(self):
+        # where the artifacts land is not what produced them
+        base = build_config({"scenario": "cs3", "seed": 4})
+        moved = build_config({"scenario": "cs3", "seed": 4, "out_dir": "other"})
+        assert moved.out_dir == "other"
+        assert moved.fingerprint() == base.fingerprint()
 
     def test_spelling_out_a_default_is_not_a_different_experiment(self):
         implicit = build_config({"scenario": "cs3"})
@@ -173,6 +179,7 @@ class TestCli:
         ("cs1", {"pad_level_index": 9}, "config.attack.pad_level_index"),
         ("cs1", {"multipliers": [1.0, 2.0]}, "config.attack.pad_level_index"),
         ("cs1", {"pad_level_index": -1}, "config.attack.pad_level_index"),
+        ("cs2", {"scopes": ["pktrx_shift", "pktrx_shift"]}, "config.attack.scopes"),
     ])
     def test_attack_settings_are_checked_before_any_stage(self, tmp_path, capsys,
                                                           scenario, attack, key):

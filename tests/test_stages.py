@@ -1,14 +1,24 @@
-"""Stage prefixes: each stage's report is a prefix of the next stage's.
+"""Stage prefixes and the determinism contract, at reduced sizes.
 
 Any stage can be reproduced in isolation, so `train` must report exactly
 what `all` reports about data and the baseline, `attack` exactly its curves,
 and so on. Dict sections keep every value they had; list sections (curves,
-defenses, provenance, plot rows) only grow at the end.
+defenses, provenance, plot rows) only grow at the end. The artifacts are a
+function of config and seed alone: not of the output directory, nor of the
+BLAS thread count at these sizes.
 """
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from mlsec5g.config import build_config
+import mlsec5g
+from mlsec5g.config import ConfigError, build_config
 from mlsec5g.report import report_to_dict
 from mlsec5g.repro import canonical_json
 from mlsec5g.scenarios.runner import run_case_study
@@ -61,3 +71,54 @@ def test_each_stage_is_a_prefix_of_the_next(scenario):
         assert_prefix(v0, v1, f"{scenario} {s0} -> {s1}")
     # the full run adds something at every stage boundary
     assert views[-1]["baseline"] and views[-1]["curves"] and views[-1]["plot_series"]
+
+
+def test_cs1_ratio_zero_control_is_exact_for_every_seed():
+    raw = {"scenario": "cs1", **REDUCED["cs1"], "attack": {"trials": 3}}
+    for seed in range(10):
+        report = run_case_study("cs1", config=build_config({**raw, "seed": seed}),
+                                stage="attack")
+        curve = next(c for c in report.curves if c.name == "cs1/poisoning")
+        zero = curve.points[0]
+        assert zero.x == 0.0 and zero.n_trials == 3
+        assert (zero.degradation_mean, zero.degradation_std) == (0.0, 0.0), f"seed {seed}"
+
+
+def test_a_seed_override_equals_a_config_built_at_that_seed():
+    raw = {"scenario": "cs2", **REDUCED["cs2"], "out_dir": "elsewhere"}
+    overridden = run_case_study("cs2", config=build_config({**raw, "seed": 1}), seed=5)
+    built = run_case_study("cs2", config=build_config({**raw, "seed": 5}))
+    assert report_to_dict(overridden) == report_to_dict(built)
+    with pytest.raises(ConfigError, match="config.seed"):
+        run_case_study("cs2", config=build_config(raw), seed=-1)
+
+
+def artifact_digest(run_dir: Path) -> str:
+    """sha256 over every artifact but run_meta.json, which holds timings."""
+    h = hashlib.sha256()
+    for path in sorted(p for p in run_dir.rglob("*") if p.is_file()):
+        if path.name != "run_meta.json":
+            h.update(str(path.relative_to(run_dir)).encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+def test_cli_artifacts_ignore_out_dir_and_blas_threads(tmp_path):
+    """Every scenario through the CLI, with BLAS threads left to the package
+    (which pins 1), pinned to 1, and at 2, each into its own --out. Stock cs5
+    at 2 threads still differs from 1; these sizes do not show that."""
+    src = os.path.dirname(os.path.dirname(mlsec5g.__file__))
+    digests: dict[str, set[str]] = {}
+    for threads in (None, "1", "2"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = src
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / f"out-{threads}"
+        for scenario, sizes in sorted(REDUCED.items()):
+            config = tmp_path / f"{scenario}.json"
+            config.write_text(json.dumps({"scenario": scenario, "seed": 2, **sizes}))
+            subprocess.run([sys.executable, "-m", "mlsec5g.cli", "all", "--config",
+                            str(config), "--out", str(out)],
+                           env=env, check=True, capture_output=True)
+            digests.setdefault(scenario, set()).add(artifact_digest(out / scenario))
+    assert {s: len(d) for s, d in digests.items()} == dict.fromkeys(REDUCED, 1)
