@@ -11,10 +11,12 @@ exactly when they ran the same experiment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
+from .attacks import SPOOF_MODES
 from .repro import fingerprint
-from .scenarios.generators import SCENARIOS
+from .scenarios.generators import CQI_PROFILES, SCENARIOS
 
 FOREST_KEYS = ("n_trees", "max_depth", "min_samples_split",
                "min_samples_leaf", "bootstrap", "max_features")
@@ -137,6 +139,16 @@ def _check_keys(section: dict, allowed, path: str, violations: list) -> None:
                               f"(allowed: {', '.join(sorted(allowed)) or 'none'})")
 
 
+def _check_names(section: dict, key: str, allowed: tuple, path: str, violations: list) -> None:
+    """section[key], when given, must be a non-empty list of distinct names from allowed."""
+    names = section.get(key)
+    if names is not None and not (isinstance(names, list) and names and
+                                  all(n in allowed for n in names) and
+                                  len(set(names)) == len(names)):
+        violations.append(f"{path}.{key}: must be a non-empty list of distinct names "
+                          f"from {', '.join(allowed)}, got {names!r}")
+
+
 def validate_config(raw: dict) -> list[str]:
     """All violations in one list; empty means the config is acceptable."""
     violations: list[str] = []
@@ -173,6 +185,8 @@ def validate_config(raw: dict) -> list[str]:
             violations.append("config.data.synthetic: must be an object")
         else:
             _check_keys(syn, schema["data"], "config.data.synthetic", violations)
+            _check_names(syn, "profiles", tuple(CQI_PROFILES), "config.data.synthetic",
+                         violations)
         if "path" in data and (not isinstance(data["path"], str) or not data["path"]):
             violations.append("config.data.path: must be a non-empty string")
 
@@ -215,12 +229,13 @@ def validate_config(raw: dict) -> list[str]:
         if trials is not None and (not isinstance(trials, int) or
                                    isinstance(trials, bool) or trials < 1):
             violations.append("config.attack.trials: must be an integer >= 1")
-        scopes = attack.get("scopes")
-        if scopes is not None and not (isinstance(scopes, list) and scopes and
-                                       all(s in CS2_SCOPES for s in scopes) and
-                                       len(set(scopes)) == len(scopes)):
-            violations.append("config.attack.scopes: must be a non-empty list of distinct "
-                              f"scope names from {', '.join(CS2_SCOPES)}, got {scopes!r}")
+        _check_names(attack, "scopes", CS2_SCOPES, "config.attack", violations)
+        _check_names(attack, "spoof_modes", SPOOF_MODES, "config.attack", violations)
+        period = attack.get("period_s")
+        if period is not None and not (isinstance(period, (int, float))
+                                       and not isinstance(period, bool)
+                                       and 0 < period < math.inf):
+            violations.append(f"config.attack.period_s: must be a positive number, got {period!r}")
         if scenario == "cs1":
             # against the merged list: a shorter one can strand the default index
             merged = {**DEFAULTS["cs1"]["attack"], **attack}

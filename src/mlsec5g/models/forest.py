@@ -9,20 +9,19 @@ distillation both ride on them).
 
 A fit sorts every column once. Its trees are independent: the first grows in
 the calling process, and when it shows the rest are worth a pool, they grow
-in forked worker processes (one per usable CPU) that hand back tree arrays.
-Trees are gathered and importances summed in tree order, so the forest has
-the same bits for any worker count.
+through `fork_map`, in forked worker processes (one per usable CPU) that hand
+back tree arrays. Trees are gathered and importances summed in tree order, so
+the forest has the same bits for any worker count.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..forkmap import fork_map
 from ..repro import _jsonable
 from .base import ModelSpec, TrainedModel, default_schema
 
@@ -33,7 +32,6 @@ _ORDER_BLOCK = 1 << 14  # sorted row ids expanded per pass: bounds the working s
 # the first tree's nodes times the trees left, from which forking workers pays
 # for their start and for shipping the trees back
 _FORK_MIN_NODES = 8000
-_workers = None  # worker processes when forking; None: the usable CPUs
 
 
 @dataclass
@@ -432,9 +430,12 @@ def train_forest(spec: ModelSpec, X, y, schema=None, sample_weight=None) -> Fore
                          mtry=mtry, rng=rng)
         return grower.grow(_tree_order(order, rows)), grower.importance
 
+    first = grow(0)
+    rest = range(1, n_trees)
+    spread = fork_map if first[0].feature.size * len(rest) >= _FORK_MIN_NODES else map
     trees = []
     importance = np.zeros(X.shape[1])
-    for tree, tree_importance in _grow_trees(grow, n_trees):  # tree order keeps the sum's bits
+    for tree, tree_importance in (first, *spread(grow, rest)):  # tree order keeps the sum's bits
         trees.append(tree)
         importance += tree_importance
 
@@ -460,74 +461,6 @@ def _tree_order(order: np.ndarray, rows: np.ndarray) -> np.ndarray:
         shift = first[order[lo:lo + step]] - np.cumsum(c, axis=1) + c
         out[lo:lo + step] = np.repeat(shift.ravel(), c.ravel()).reshape(c.shape) + np.arange(n)
     return out
-
-
-def _fork_workers(first_nodes: int, n_rest: int) -> int:
-    """Worker processes for the trees after the first; 0 grows them here."""
-    if first_nodes * n_rest < _FORK_MIN_NODES or threading.active_count() > 1:
-        return 0  # not worth the forks, or forking beside other threads could deadlock
-    if _workers is not None:
-        return min(_workers, n_rest)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return min(cpus, n_rest) if cpus > 1 else 0
-
-
-def _grow_in_worker(grow, trees, send) -> None:
-    """A forked worker: send (True, grow(t)) for each tree t in turn, or
-    (False, exception) once one fails."""
-    try:
-        for t in trees:
-            send.send((True, grow(t)))
-    except BaseException as exc:
-        send.send((False, exc))
-    finally:
-        send.close()
-
-
-def _grow_trees(grow, n_trees: int) -> list:
-    """grow(t) for every tree t, in tree order.
-
-    Tree 0 grows here, and its size decides whether the rest grow in forked
-    workers. Worker k takes every workers-th tree from tree k + 1 on. It
-    inherits `grow`, with the fit's data, by the fork itself, and sends back
-    only tree arrays and importances, which this process reads in tree order.
-    Reading here rather than in a pool's helper threads keeps the caller's
-    memory peak down.
-    """
-    first = grow(0)
-    rest = range(1, n_trees)
-    workers = _fork_workers(first[0].feature.size, len(rest))
-    if not workers:
-        return [first, *map(grow, rest)]
-    import multiprocessing  # here, so that importing the package does not load it
-    ctx = multiprocessing.get_context("fork")
-    procs = []
-    try:
-        for k in range(workers):
-            recv, send = ctx.Pipe(duplex=False)
-            with send:  # closed here, the worker holds the only write end: its exit reads as EOF
-                proc = ctx.Process(target=_grow_in_worker, args=(grow, rest[k::workers], send),
-                                   daemon=True)
-                proc.start()
-            procs.append((proc, recv))
-        grown = [first]
-        for i, t in enumerate(rest):
-            try:
-                ok, result = procs[i % workers][1].recv()
-            except EOFError:
-                raise RuntimeError(f"forest worker exited before sending tree {t}") from None
-            if not ok:
-                raise result
-            grown.append(result)
-        return grown
-    except BaseException:
-        for proc, _ in procs:
-            proc.terminate()
-        raise
-    finally:
-        for proc, recv in procs:
-            recv.close()
-            proc.join()
 
 
 def distill_forest(teacher: ForestModel, X, student_spec: ModelSpec | None = None,

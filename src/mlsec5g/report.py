@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 from .attacks import DegradationCurve
 from .defenses import DefenseEvaluation
+from .forkmap import usable_cpus
 from .repro import _jsonable, atomic_write_text, canonical_json
 
 
@@ -167,13 +168,6 @@ def _blas_threads() -> int | None:
     return None
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on, as `nproc` counts them."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def write_report(report: ExperimentReport, out_dir: str) -> dict:
     """Write all artifacts atomically; returns {artifact: path}.
 
@@ -207,7 +201,7 @@ def write_report(report: ExperimentReport, out_dir: str) -> dict:
         "stage": report.stage,
         "timings_s": {k: float(v) for k, v in sorted(report.timings.items())},
         "blas_threads": _blas_threads(),
-        "nproc": _usable_cpus(),
+        "nproc": usable_cpus(),
     }) + "\n")
     paths["run_meta"] = meta_path
     return paths

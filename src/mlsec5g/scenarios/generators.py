@@ -203,22 +203,25 @@ def records_to_matrix(records, schema) -> np.ndarray:
 # cs3: channel-quality time series
 
 
+# series profile -> (step sigma, floor, ceiling, start)
+CQI_PROFILES = {
+    "static": (0.35, 0.0, 15.0, 10.0),
+    "driving": (1.0, 0.0, 15.0, 8.0),
+    "high": (0.35, 7.0, 15.0, 12.0),
+}
+
+
 def generate_cqi_series(seed: int = 0, length: int = 900,
                         profile: str = "static") -> dict:
     """Reflected random walk over the CQI range.
 
-    Profiles: "static" (slow drift around a fixed operating point),
-    "driving" (fast variation over the full range), "high" (slow drift
-    confined to the upper half of the range, floor 7).
+    Profiles (CQI_PROFILES): "static" (slow drift around a fixed operating
+    point), "driving" (fast variation over the full range), "high" (slow
+    drift confined to the upper half of the range, floor 7).
     """
-    profiles = {
-        "static": (0.35, 0.0, 15.0, 10.0),
-        "driving": (1.0, 0.0, 15.0, 8.0),
-        "high": (0.35, 7.0, 15.0, 12.0),
-    }
-    if profile not in profiles:
+    if profile not in CQI_PROFILES:
         raise ValueError(f"unknown series profile {profile!r}")
-    sigma, lo, hi, start = profiles[profile]
+    sigma, lo, hi, start = CQI_PROFILES[profile]
     rng = _seed_rng(seed, 0xC53)
     series = np.empty(length)
     x = start

@@ -15,6 +15,13 @@ each scored against the baseline).
 
 Stage depths: "generate" stops after data, "train" after the baseline,
 "attack" after degradation curves, "defend"/"report"/"all" run everything.
+
+cs3's channel profiles share nothing, so each profile's warm-up and online
+streams run through `fork_map`, in forked worker processes when there are
+CPUs to spare, and the report is built from their results in profile order:
+the same bits for any worker count. Its per-profile timings (`train[p]`,
+`attack[p]` or `control[p]`) are measured inside the workers and overlap, so
+they can sum to more than the wall time.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from ..defenses import adversarial_training, evaluate_defense, feature_removal
 from ..flows import (FEATURE_NAMES, LabelRule, aggregate_flows,
                      extract_feature_matrix, label_flows, pad_payloads,
                      poison_training_set)
+from ..forkmap import fork_map
 from ..models import ModelSpec, train
 from ..models.forest import distill_forest, train_forest
 from ..models.network import train_network
@@ -453,49 +461,58 @@ def _run_cs3(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
 
     spoof_modes = list(config.attack["spoof_modes"])
     period_s = float(config.attack["period_s"])
-    finals = {}
-    for profile, series in sorted(series_by_profile.items()):
+    # one clean stream shared by the no-spoof control and every spoof mode
+    modes = [None, *spoof_modes] if depth >= 2 else [None]
+    attack_key = "attack" if depth >= 2 else "control"
+
+    def run_profile(profile):
+        """One profile's warm-up and lockstep streams, with their timings."""
+        series = series_by_profile[profile]
         half = series.size // 2
         warmup, live = series[:half], series[half:]
-        with _timed(timings, f"train[{profile}]"):
+        profile_timings = {}
+        with _timed(profile_timings, f"train[{profile}]"):
             mspec = ModelSpec("recurrent", "regress", config.model,
                               seed=derive_seed(seed, "warmup", profile))
-            base = init_online(mspec, warmup)
-            meta, arrays = base.to_state()
+            meta, arrays = init_online(mspec, warmup).to_state()
 
-        def factory(meta=meta, arrays=arrays):
+        def factory():
             return OnlineRecurrentModel.from_state(meta, arrays)
 
-        # one clean stream shared by the no-spoof control and every spoof mode
-        modes = [None, *spoof_modes] if depth >= 2 else [None]
         seeds = [0] + [derive_seed(seed, "spoof", profile, mode) for mode in modes[1:]]
-        with _timed(timings, f"{'attack' if depth >= 2 else 'control'}[{profile}]"):
-            control, *attacked = run_online_attacks(factory, live, modes,
-                                                    period_s=period_s, seeds=seeds)
-            report.baseline[f"CRMSE[{profile}]"] = float(control.crmse_clean[-1])
-            report.extras[f"control_zero[{profile}]"] = bool(
-                np.all(control.differential == 0.0))
-            for mode, res in zip(spoof_modes, attacked):
-                finals[(profile, mode)] = float(res.differential[-1])
-                points = []
-                stride = max(1, res.t.size // 60)
-                idx = sorted(set(range(0, res.t.size, stride)) | {res.t.size - 1})
-                for i in idx:
-                    points.append(CurvePoint(
-                        x=float(res.t[i]),
-                        metric_mean=float(res.crmse_attacked[i]), metric_std=0.0,
-                        degradation_mean=float(res.differential[i]),
-                        degradation_std=0.0, n_trials=1,
-                        values=(float(res.crmse_attacked[i]),)))
-                report.curves.append(DegradationCurve(
-                    name=f"cs3/{profile}/{mode}", metric_name="CRMSE",
-                    orientation="lower_better", x_label="t_s",
-                    baseline=float(res.crmse_clean[-1]), points=points))
-                for i in idx:
-                    report.plot_series.append(
-                        ("cs3_differential", f"{profile}/{mode}",
-                         float(res.t[i]), float(res.differential[i]), 0.0))
-                report.extras[f"spoof_count[{profile}/{mode}]"] = len(res.spoof_steps)
+        with _timed(profile_timings, f"{attack_key}[{profile}]"):
+            results = run_online_attacks(factory, live, modes, period_s=period_s, seeds=seeds)
+        return results, profile_timings
+
+    finals = {}
+    profiles = sorted(series_by_profile)
+    for profile, ((control, *attacked), profile_timings) in zip(
+            profiles, fork_map(run_profile, profiles)):
+        timings.update(profile_timings)
+        report.baseline[f"CRMSE[{profile}]"] = float(control.crmse_clean[-1])
+        report.extras[f"control_zero[{profile}]"] = bool(
+            np.all(control.differential == 0.0))
+        for mode, res in zip(spoof_modes, attacked):
+            finals[(profile, mode)] = float(res.differential[-1])
+            points = []
+            stride = max(1, res.t.size // 60)
+            idx = sorted(set(range(0, res.t.size, stride)) | {res.t.size - 1})
+            for i in idx:
+                points.append(CurvePoint(
+                    x=float(res.t[i]),
+                    metric_mean=float(res.crmse_attacked[i]), metric_std=0.0,
+                    degradation_mean=float(res.differential[i]),
+                    degradation_std=0.0, n_trials=1,
+                    values=(float(res.crmse_attacked[i]),)))
+            report.curves.append(DegradationCurve(
+                name=f"cs3/{profile}/{mode}", metric_name="CRMSE",
+                orientation="lower_better", x_label="t_s",
+                baseline=float(res.crmse_clean[-1]), points=points))
+            for i in idx:
+                report.plot_series.append(
+                    ("cs3_differential", f"{profile}/{mode}",
+                     float(res.t[i]), float(res.differential[i]), 0.0))
+            report.extras[f"spoof_count[{profile}/{mode}]"] = len(res.spoof_steps)
     report.extras["final_differential"] = {
         f"{p}/{m}": v for (p, m), v in sorted(finals.items())}
     return report

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from mlsec5g.cli import build_parser, main, resolve
-from mlsec5g.config import (ConfigError, build_config, default_config,
+from mlsec5g.config import (STAGES, ConfigError, build_config, default_config,
                             validate_config)
 
 
@@ -39,6 +39,22 @@ class TestValidation:
         v = validate_config({"scenario": "cs2",
                              "data": {"synthetic": {"n": 5}, "path": "x.csv"}})
         assert any("mutually exclusive" in s for s in v)
+
+    def test_every_cs3_violation_reported_at_once(self):
+        v = validate_config({"scenario": "cs3",
+                             "data": {"synthetic": {"profiles": ["static", "walking"]}},
+                             "attack": {"spoof_modes": ["jitter", "jitter"],
+                                        "period_s": -1.0}})
+        assert [s.split(":")[0] for s in v] == ["config.data.synthetic.profiles",
+                                                "config.attack.spoof_modes",
+                                                "config.attack.period_s"]
+        assert "'walking'" in v[0] and "static, driving, high" in v[0]
+        assert "floor_zero, jitter" in v[1]
+
+    def test_stock_cs3_names_pass(self):
+        assert validate_config({"scenario": "cs3",
+                                "data": {"synthetic": {"profiles": ["high", "static"]}},
+                                "attack": {"spoof_modes": ["jitter"], "period_s": 30}}) == []
 
     def test_boolean_seed_is_not_an_integer(self):
         v = validate_config({"scenario": "cs2", "seed": True})
@@ -190,6 +206,31 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2
         assert f"{key}: must be" in err and "config.seed" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("profiles", ["static", "walking"]),
+        ("profiles", ["driving", "driving"]),
+        ("profiles", []),
+        ("spoof_modes", ["floor_zero", "blackout"]),
+        ("spoof_modes", ["floor_zero", "floor_zero"]),
+        ("spoof_modes", "jitter"),
+        ("period_s", 0),
+        ("period_s", -60.0),
+        ("period_s", "60"),
+    ])
+    def test_cs3_settings_are_checked_at_every_stage(self, tmp_path, capsys, key, value):
+        path = tmp_path / "cfg.json"
+        section = ({"data": {"synthetic": {key: value}}} if key == "profiles"
+                   else {"attack": {key: value}})
+        path.write_text(json.dumps({"scenario": "cs3", "seed": -1, **section}))
+        out = tmp_path / "r"
+        prefix = "config.data.synthetic" if key == "profiles" else "config.attack"
+        for stage in STAGES:
+            code = main([stage, "--config", str(path), "--out", str(out)])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert f"{prefix}.{key}: must be" in err and "config.seed" in err
         assert not out.exists()
 
     def test_missing_scenario_is_a_config_error(self, capsys):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from forest_oracle import reference_forest, reference_predict, reference_predict_proba
 
+from mlsec5g import forkmap
 from mlsec5g.models import ModelSpec, distill_forest, load_model, save_model, train_forest
 from mlsec5g.models import forest
 
@@ -164,7 +165,7 @@ def fork(monkeypatch):
     number of workers, capped at its trees after the first."""
     def force(workers):
         monkeypatch.setattr(forest, "_FORK_MIN_NODES", 0)
-        monkeypatch.setattr(forest, "_workers", workers)
+        monkeypatch.setattr(forkmap, "_workers", workers)
     return force
 
 
@@ -187,7 +188,7 @@ def test_forked_fits_match_reference(workers, fork, started, monkeypatch, tmp_pa
 
 
 def test_fit_below_the_node_threshold_starts_no_process(monkeypatch, started):
-    monkeypatch.setattr(forest, "_workers", 2)
+    monkeypatch.setattr(forkmap, "_workers", 2)
     X, y = _data("regress")
     spec = ModelSpec("forest", "regress", {"n_trees": 3}, seed=4)
     model = train_forest(spec, X, y)  # far below the stock threshold
@@ -239,6 +240,6 @@ def test_worker_that_dies_fails_the_fit(fork, monkeypatch, started):
     fork(2)
     _fail_in_workers(monkeypatch, lambda: os._exit(3))
     X, y = _data("regress")
-    with pytest.raises(RuntimeError, match="exited before sending tree 1"):
+    with pytest.raises(RuntimeError, match="exited before sending the result for 1$"):
         train_forest(ModelSpec("forest", "regress", {"n_trees": 4}, seed=4), X, y)
     assert len(started) == 2 and not any(p.is_alive() for p in started)
