@@ -14,6 +14,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import metrics as M
+from .forkmap import fork_map
 from .models.recurrent import OnlineRecurrentModel
 from .repro import derive_seed
 from .threat import degradation
@@ -98,20 +99,6 @@ class InferenceAttackResult:
     per_group: Mapping[object, DegradationCurve] = field(default_factory=dict)
 
 
-def _normalize_adversarial_sets(adversarial_sets):
-    """Accept (x, X_adv) or (x, [X_adv, ...]); return list of (x, [variants])."""
-    out = []
-    for x, variants in adversarial_sets:
-        if isinstance(variants, np.ndarray):
-            variants = [variants]
-        else:
-            variants = list(variants)
-        if not variants:
-            raise ValueError(f"sweep point {x!r} has no adversarial variants")
-        out.append((float(x), [np.asarray(v, dtype=float) for v in variants]))
-    return out
-
-
 def run_inference_attack(model, clean_eval, adversarial_sets, metric_name: str,
                          metric_fn: Callable | None = None,
                          orientation: str | None = None,
@@ -119,11 +106,15 @@ def run_inference_attack(model, clean_eval, adversarial_sets, metric_name: str,
                          x_label: str = "intensity") -> InferenceAttackResult:
     """Evaluate a trained model on clean rows and their perturbed twins.
 
-    clean_eval is (X, y); adversarial_sets maps each sweep value to one or
-    more row-aligned perturbed versions of X (several when the perturbation
-    is itself random and was re-drawn per trial). Degradation is signed so
-    positive always means the attacker hurt the defender. group_by, when
-    given, holds one group id per row and yields additional per-group curves.
+    clean_eval is (X, y); adversarial_sets yields (x, variants) per sweep
+    value, where variants is one row-aligned perturbed version of X (a
+    matrix) or any iterable of them (several when the perturbation is itself
+    random and was re-drawn per trial). Both may be generators: variants are
+    drawn one at a time, checked, predicted and dropped, and only their
+    predictions are kept, so a streamed sweep holds one perturbed copy at a
+    time. Degradation is signed so positive always means the attacker hurt
+    the defender. group_by, when given, holds one group id per row and yields
+    additional per-group curves.
     """
     X, y = clean_eval
     X = np.asarray(X, dtype=float)
@@ -131,38 +122,40 @@ def run_inference_attack(model, clean_eval, adversarial_sets, metric_name: str,
     if X.shape[0] != y.shape[0]:
         raise ValueError("clean rows and targets are not aligned")
     fn, orient = resolve_metric(metric_name, metric_fn, orientation)
-    sets = _normalize_adversarial_sets(adversarial_sets)
-    for x, variants in sets:
+    if group_by is not None:
+        group_by = np.asarray(group_by)
+        if group_by.shape[0] != X.shape[0]:
+            raise ValueError("group_by is not aligned with the rows")
+
+    pred_clean = model.predict(X)
+    sweep: list[tuple[float, list[np.ndarray]]] = []  # (x, one prediction per variant)
+    for x, variants in adversarial_sets:
+        x = float(x)
+        if isinstance(variants, np.ndarray):
+            variants = (variants,)
+        predictions = []
         for v in variants:
+            v = np.asarray(v, dtype=float)
             if v.shape != X.shape:
                 raise ValueError(
                     f"adversarial set at x={x} is not row-aligned with the clean twin "
                     f"({v.shape} vs {X.shape})")
-
-    pred_clean = model.predict(X)
-    predictions: dict[tuple[int, int], np.ndarray] = {}
-    for si, (x, variants) in enumerate(sets):
-        for vi, v in enumerate(variants):
-            predictions[(si, vi)] = model.predict(v)
+            predictions.append(model.predict(v))
+        if not predictions:
+            raise ValueError(f"sweep point {x!r} has no adversarial variants")
+        sweep.append((x, predictions))
 
     def curve_for(rows: np.ndarray, label: str) -> DegradationCurve:
         base = float(fn(y[rows], pred_clean[rows]))
-        raw = []
-        for si, (x, variants) in enumerate(sets):
-            values = [float(fn(y[rows], predictions[(si, vi)][rows]))
-                      for vi in range(len(variants))]
-            raw.append((x, values))
+        raw = [(x, [float(fn(y[rows], p[rows])) for p in predictions])
+               for x, predictions in sweep]
         return summarize_curve(label, metric_name, orient, x_label, base, raw)
 
-    all_rows = np.arange(X.shape[0])
-    aggregate = curve_for(all_rows, name)
+    aggregate = curve_for(np.arange(X.shape[0]), name)
     per_group: dict[object, DegradationCurve] = {}
     if group_by is not None:
-        groups = np.asarray(group_by)
-        if groups.shape[0] != X.shape[0]:
-            raise ValueError("group_by is not aligned with the rows")
-        for g in sorted(set(groups.tolist())):
-            rows = np.nonzero(groups == g)[0]
+        for g in sorted(set(group_by.tolist())):
+            rows = np.nonzero(group_by == g)[0]
             per_group[g] = curve_for(rows, f"{name}[{g}]")
     return InferenceAttackResult(aggregate, per_group)
 
@@ -181,6 +174,10 @@ def run_training_attack(trainer: Callable, T, V, ratios: Sequence[float],
     the trainer seed depends only on the trial index. Each trial's damage is
     measured against its own ratio-0 value, so the control's degradation is
     exactly zero; the curve's baseline is the mean of those values.
+
+    Each (trial, ratio) cell depends only on its own derived seeds, so the
+    cells run through `fork_map`, in forked workers where there are CPUs to
+    spare, and are gathered in cell order: the same bits for any worker count.
     """
     orient = orientation if orientation is not None else M.ORIENTATION.get(metric_name)
     if orient is None:
@@ -192,16 +189,16 @@ def run_training_attack(trainer: Callable, T, V, ratios: Sequence[float],
     if trials < 1:
         raise ValueError("trials must be >= 1")
 
+    def cell(tj):
+        t, j = tj
+        poisoned = T if ratios[j] == 0.0 else poison_fn(
+            T, adversarial_flows, ratios[j], derive_seed(seed, "poison", t, j))
+        return float(evaluator(trainer(poisoned, derive_seed(seed, "train", t)), V))
+
+    cells = [(t, j) for t in range(trials) for j in range(len(ratios))]
     values: list[list[float]] = [[] for _ in ratios]
-    for t in range(trials):
-        for j, ratio in enumerate(ratios):
-            if ratio == 0.0:
-                poisoned = T
-            else:
-                poisoned = poison_fn(T, adversarial_flows, ratio,
-                                     derive_seed(seed, "poison", t, j))
-            model = trainer(poisoned, derive_seed(seed, "train", t))
-            values[j].append(float(evaluator(model, V)))
+    for (_, j), value in zip(cells, fork_map(cell, cells)):
+        values[j].append(value)
     # ratios[0] is the 0.0 control, the baseline of its own trial
     return summarize_curve(name, metric_name, orient, "poison_ratio", values[0],
                            list(zip(ratios, values)))

@@ -245,6 +245,9 @@ def validate_config(raw: dict) -> list[str]:
                 violations.append("config.attack.pad_level_index: must be an integer "
                                   f"in [0, {len(mults)}), got {pad!r}")
 
+    if scenario == "cs3":
+        _check_cs3_horizon(data, attack, violations)
+
     defense = raw.get("defense", {})
     if not isinstance(defense, dict):
         violations.append("config.defense: must be an object")
@@ -260,6 +263,28 @@ def validate_config(raw: dict) -> list[str]:
                 violations.append(
                     "config.defense.adversarial_training.aug_fraction: must be in (0, 1]")
     return violations
+
+
+def _check_cs3_horizon(data, attack, violations: list) -> None:
+    """The live half of a synthetic series (the second half, where the spoofs
+    land) must span one spoof period, checked against the merged config."""
+    if not (isinstance(data, dict) and isinstance(attack, dict)) or "path" in data:
+        return
+    syn = data.get("synthetic", {})
+    if not isinstance(syn, dict):
+        return
+    length = {**DEFAULTS["cs3"]["data"]["synthetic"], **syn}["length"]
+    period = {**DEFAULTS["cs3"]["attack"], **attack}["period_s"]
+    if not (isinstance(length, int) and not isinstance(length, bool) and
+            isinstance(period, (int, float)) and not isinstance(period, bool) and
+            0 < period < math.inf):
+        return
+    live = length - length // 2
+    if live < round(period):
+        violations.append(
+            f"config.data.synthetic.length: the live half of a {length}-step series is "
+            f"{live} steps, shorter than one spoof period of {round(period)} steps "
+            f"(config.attack.period_s {period!r})")
 
 
 def _merge(base, override):

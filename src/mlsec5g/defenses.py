@@ -117,7 +117,9 @@ def evaluate_defense(baseline_model, hardened_model, V, adversarial_sets,
     re-runs the adversarial sweep against the hardened model. When the
     hardened model's schema contains none of an attack's affected columns,
     projected adversarial rows equal projected clean rows and the residual
-    degradation is exactly zero.
+    degradation is exactly zero. adversarial_sets takes what
+    run_inference_attack takes, generators included; each variant is
+    projected as the sweep reaches it.
     """
     X, y, schema = V
     X = np.asarray(X, dtype=float)
@@ -130,11 +132,12 @@ def evaluate_defense(baseline_model, hardened_model, V, adversarial_sets,
     report = tradeoff(p_base, p_hardened,
                       metric_name if metric_name in _METRIC_NAMES else "Acc")
 
-    projected = [
-        (x, [project_columns(np.asarray(v, dtype=float), schema, hardened_model.schema)
-             for v in (variants if isinstance(variants, (list, tuple)) else [variants])])
-        for x, variants in adversarial_sets
-    ]
+    def project(v):
+        return project_columns(v, schema, hardened_model.schema)
+
+    projected = ((x, project(variants) if isinstance(variants, np.ndarray)
+                  else map(project, variants))
+                 for x, variants in adversarial_sets)
     residual = run_inference_attack(
         hardened_model, (Xh, y), projected, metric_name, metric_fn=fn,
         orientation=orient, name=f"residual[{defense}]").aggregate

@@ -11,7 +11,9 @@ the item and the state at the fork, the results have the same bits for any
 worker count.
 
 Otherwise the items run here, one after another: forking beside other
-threads could deadlock, and nothing forks where `os.fork` is missing.
+threads could deadlock, and nothing forks where `os.fork` is missing. A
+worker never forks again: a `fork_map` it calls, say through a forest fit,
+runs its items in the worker itself.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import os
 import threading
 
-_workers = None  # worker processes when forking; None: the usable CPUs
+_workers = None  # worker processes when forking; None: the usable CPUs, 0: never fork
 
 
 def usable_cpus() -> int:
@@ -42,6 +44,8 @@ def _fork_workers(n_items: int) -> int:
 def _serve(fn, items, send) -> None:
     """A forked worker: send (True, fn(item)) for each item in turn, or
     (False, exception) once one fails."""
+    global _workers
+    _workers = 0  # a nested fork_map runs here: workers are daemons and may not fork
     try:
         for item in items:
             send.send((True, fn(item)))

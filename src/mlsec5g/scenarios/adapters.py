@@ -53,10 +53,6 @@ def _apply_rename(columns, rename):
     return [rename.get(c, c) for c in columns]
 
 
-def _float_row(row, columns):
-    return {c: float(row[c]) for c in columns}
-
-
 def ingest_real_dataset(scenario: str, path: str, fmt: dict | None = None) -> dict:
     """Parse a real dataset into the scenario's canonical dict.
 

@@ -21,7 +21,8 @@ streams run through `fork_map`, in forked worker processes when there are
 CPUs to spare, and the report is built from their results in profile order:
 the same bits for any worker count. Its per-profile timings (`train[p]`,
 `attack[p]` or `control[p]`) are measured inside the workers and overlap, so
-they can sum to more than the wall time.
+they can sum to more than the wall time. cs1's poisoning grid runs the same
+way, one (trial, ratio) retrain per item (see `run_training_attack`).
 """
 
 from __future__ import annotations
@@ -251,9 +252,8 @@ def _run_cs1(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
             if data_payloads else 0.0
         pad_seed = derive_seed(seed, "pad")
         bounds = [int(round(m * pay_std)) for m in multipliers]
-        adv_flows_by_level = []
         adversarial_sets = []
-        for m, bound in zip(multipliers, bounds):
+        for level, (m, bound) in enumerate(zip(multipliers, bounds)):
             padded = pad_payloads(packets, attackers, bound, pad_seed)
             n_padded = sum(1 for a, b in zip(packets, padded)
                            if a.payload_len != b.payload_len)
@@ -261,7 +261,8 @@ def _run_cs1(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
             if len(adv_flows) != len(flows):
                 raise RuntimeError("padding changed the flow count; twin pairing broken")
             X_adv = extract_feature_matrix(adv_flows, INTERNAL_PREFIXES)
-            adv_flows_by_level.append(adv_flows)
+            if level == attack_cfg["pad_level_index"]:
+                poison_twins = adv_flows  # the only padded flows the poisoning reuses
             adversarial_sets.append((m, X_adv[va]))
             report.provenance.append({"operation": "pad_payload", "bound_bytes": bound,
                                       "packets_padded": n_padded})
@@ -278,7 +279,6 @@ def _run_cs1(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
             _plot_rows(report, "cs1_inference", curve.name.split("cs1/", 1)[1], curve)
 
         T_flows = [flows[i] for i in tr]
-        poison_twins = adv_flows_by_level[attack_cfg["pad_level_index"]]
 
         def trainer(flow_list, train_seed):
             Xp = extract_feature_matrix(flow_list, INTERNAL_PREFIXES)
@@ -581,17 +581,17 @@ def _run_cs4(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
                                          x_label="multiplier").aggregate
         report.curves.append(top_curve)
 
-        rand_sets = []
-        for m in multipliers:
-            variants = []
+        def random_variants(m):
+            """One shifted copy per trial, drawn as the sweep reaches it."""
             for t in range(random_trials):
                 rng = np.random.default_rng(
                     [derive_seed(seed, "rand25", t) & 0x7FFFFFFFFFFFFFFF, 0x24])
                 cols = rng.choice(X.shape[1], size=top_k, replace=False)
-                variants.append(shifted(X[va], cols, m))
-            rand_sets.append((m, variants))
-        rand_curve = run_inference_attack(forest, (X[va], y[va]), rand_sets, "Acc",
-                                          name="cs4/random25",
+                yield shifted(X[va], cols, m)
+
+        rand_curve = run_inference_attack(forest, (X[va], y[va]),
+                                          ((m, random_variants(m)) for m in multipliers),
+                                          "Acc", name="cs4/random25",
                                           x_label="multiplier").aggregate
         report.curves.append(rand_curve)
 

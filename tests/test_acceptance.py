@@ -22,7 +22,7 @@ import pytest
 from flow_oracle import handwritten_packets, naive_aggregate, naive_features
 from test_models import central_difference, probe_network, rel_error
 
-from mlsec5g.attacks import run_online_attack, run_training_attack
+from mlsec5g.attacks import run_online_attack, run_online_attacks, run_training_attack
 from mlsec5g.config import build_config, default_config
 from mlsec5g.flows import (FEATURE_NAMES, aggregate_flows,
                            extract_feature_matrix, pad_payloads)
@@ -218,9 +218,11 @@ def test_criterion_07_ten_spoofed_reports_hurt_and_floor_zero_hurts_most():
             warmup)
         meta, arrays = base.to_state()
         factory = lambda: type(base).from_state(meta, arrays)
-        for mode in finals:
-            res = run_online_attack(factory, live, mode, period_s=60.0,
-                                    seed=derive_seed(s, "spoof", "high", mode))
+        modes = list(finals)
+        results = run_online_attacks(
+            factory, live, modes, period_s=60.0,
+            seeds=[derive_seed(s, "spoof", "high", mode) for mode in modes])
+        for mode, res in zip(modes, results):
             assert len(res.spoof_steps) == 10
             assert res.t[-1] == 600.0
             finals[mode].append(float(res.differential[-1]))

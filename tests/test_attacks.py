@@ -109,6 +109,46 @@ class TestInferenceAttack:
         with pytest.raises(ValueError, match="no adversarial variants"):
             run_inference_attack(ThresholdModel(), (X, y), [(1.0, [])], "Acc")
 
+    def shifted_variants(self, X):
+        out = []
+        for shift in (0.0, 0.5, 100.0):
+            v = X.copy()
+            v[:, 0] -= shift
+            out.append(v)
+        return out
+
+    def test_streamed_variants_match_a_list_and_are_drawn_once(self):
+        X, y = self.make_data()
+        groups = np.array([i % 3 for i in range(len(y))])
+        listed = [(x, self.shifted_variants(X)) for x in (0.5, 2.0)]
+        drawn = []
+
+        def stream(x):
+            for v in self.shifted_variants(X):
+                drawn.append(x)
+                yield v
+
+        streams = [(x, stream(x)) for x in (0.5, 2.0)]
+        want = run_inference_attack(ThresholdModel(), (X, y), listed, "Acc", group_by=groups)
+        got = run_inference_attack(ThresholdModel(), (X, y), iter(streams), "Acc",
+                                   group_by=groups)
+        assert got == want
+        assert [p.n_trials for p in got.aggregate.points] == [3, 3]
+        assert drawn == [0.5] * 3 + [2.0] * 3
+        assert all(next(variants, None) is None for _, variants in streams)
+
+    def test_misaligned_variant_mid_stream_rejected(self):
+        X, y = self.make_data()
+        stream = (v for v in (X.copy(), X[:-1], X.copy()))
+        with pytest.raises(ValueError, match=r"x=2\.0 is not row-aligned"):
+            run_inference_attack(ThresholdModel(), (X, y), [(1.0, X.copy()), (2.0, stream)],
+                                 "Acc")
+
+    def test_empty_variant_generator_rejected(self):
+        X, y = self.make_data()
+        with pytest.raises(ValueError, match="no adversarial variants"):
+            run_inference_attack(ThresholdModel(), (X, y), [(1.0, (v for v in []))], "Acc")
+
 
 class TestTrainingAttack:
     """Abstract poisoning harness on a toy estimator: the 'model' is the mean

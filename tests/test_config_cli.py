@@ -233,6 +233,25 @@ class TestCli:
             assert f"{prefix}.{key}: must be" in err and "config.seed" in err
         assert not out.exists()
 
+    def test_cs3_horizon_shorter_than_a_spoof_period_fails_before_generate(self, tmp_path,
+                                                                           capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenario": "cs3",
+                                    "data": {"synthetic": {"length": 100}}}))
+        out = tmp_path / "r"
+        code = main(["generate", "--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert ("config.data.synthetic.length: the live half of a 100-step series is "
+                "50 steps, shorter than one spoof period of 60 steps") in err
+        assert not out.exists()
+        # against the merged config: a longer period strands the stock length
+        assert [v.split(":")[0] for v in validate_config(
+            {"scenario": "cs3", "attack": {"period_s": 601}})] == [
+            "config.data.synthetic.length"]
+        assert validate_config({"scenario": "cs3",
+                                "data": {"synthetic": {"length": 119}}}) == []
+
     def test_missing_scenario_is_a_config_error(self, capsys):
         code = main(["all"])
         captured = capsys.readouterr()

@@ -164,6 +164,23 @@ class TestEvaluateDefense:
         assert ev.residual.points[0].degradation_mean > 0.0
         assert ev.residual.name == "residual[defense]"
 
+    def test_streamed_variants_give_the_listed_residual(self):
+        X, y = self.make_validation()
+        base = ColumnModel(("a", "b"), "a")
+        hardened = ColumnModel(("b", "a"), "a")
+        variants = []
+        for shift in (0.1, 0.3):
+            v = X.copy()
+            v[:, 0] -= shift
+            variants.append(v)
+        listed = evaluate_defense(base, hardened, (X, y, ("a", "b")),
+                                  [(1.0, variants), (2.0, variants[1])], "Acc")
+        streamed = evaluate_defense(base, hardened, (X, y, ("a", "b")),
+                                    iter([(1.0, iter(variants)), (2.0, variants[1])]), "Acc")
+        assert streamed == listed
+        assert [p.n_trials for p in streamed.residual.points] == [2, 1]
+        assert streamed.residual.points[0].degradation_mean > 0.0
+
     def test_unknown_metric_without_fn(self):
         X, y = self.make_validation()
         base = ColumnModel(("a", "b"), "a")

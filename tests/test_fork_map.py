@@ -1,6 +1,7 @@
-"""cs3's profiles through the ordered fork map: the same report and artifacts
-for any worker count, failures that reach the caller, and no process where
-forking is not safe or cannot pay."""
+"""cs3's profiles and cs1's poisoning grid through the ordered fork map: the
+same report and artifacts for any worker count, failures that reach the
+caller, no process where forking is not safe or cannot pay, and no worker
+that forks again."""
 
 import hashlib
 import multiprocessing.process
@@ -9,8 +10,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import test_attacks
+
 from mlsec5g import forkmap
 from mlsec5g.config import build_config
+from mlsec5g.models import forest
 from mlsec5g.report import report_to_dict, write_report
 from mlsec5g.repro import canonical_json
 from mlsec5g.scenarios import runner
@@ -133,3 +137,43 @@ def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
     assert forkmap.usable_cpus() == 3
     monkeypatch.setattr(forkmap.os, "cpu_count", lambda: None)
     assert forkmap.usable_cpus() == 1
+
+
+def test_a_worker_never_forks_again(monkeypatch, started):
+    def nested(i):
+        return forkmap.fork_map(lambda k: (i, k, os.getpid()), [1, 2, 3])
+
+    monkeypatch.setattr(forkmap, "_workers", 2)
+    got = forkmap.fork_map(nested, [1, 2])
+    # each nested map ran inside its own worker: no grandchild took an item
+    assert [[(i, k) for i, k, _ in rows] for rows in got] == [
+        [(i, k) for k in (1, 2, 3)] for i in (1, 2)]
+    assert [{pid for *_, pid in rows} for rows in got] == [{p.pid} for p in started]
+    assert os.getpid() not in {rows[0][2] for rows in got}
+
+
+def test_poisoning_cells_have_the_same_bits_for_any_worker_count(monkeypatch, started):
+    curves = []
+    for workers in (0, 2):
+        monkeypatch.setattr(forkmap, "_workers", workers)
+        curves.append(test_attacks.TestTrainingAttack().run())
+    assert len(started) == 2
+    assert curves[0] == curves[1]
+    assert len(set(curves[0].points[0].values)) == 3  # each trial its own control
+
+
+def test_cs1_poisoning_has_the_same_bits_for_any_worker_count(monkeypatch, started):
+    # every forest with a second tree would fork where it may: the baseline in
+    # this process does, the poisoning retrains inside workers must not
+    monkeypatch.setattr(forest, "_FORK_MIN_NODES", 0)
+    config = build_config({"scenario": "cs1", "seed": 3,
+                           "data": {"synthetic": {"n_hosts": 20, "sessions_per_host": 3}},
+                           "model": {"n_trees": 3}, "attack": {"trials": 2}})
+    views = []
+    for workers in (0, 2):
+        monkeypatch.setattr(forkmap, "_workers", workers)
+        views.append(canonical_json(report_to_dict(
+            run_case_study("cs1", config=config, stage="attack"))))
+    assert len(started) == 4  # two for the baseline's trees, two for the grid
+    assert views[0] == views[1]
+    assert not any(p.is_alive() for p in started)
