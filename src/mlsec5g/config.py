@@ -1,28 +1,27 @@
-"""Experiment configuration: JSON schema, validation, defaults, fingerprint.
+"""Experiment configuration: one typed table, defaults, fingerprint.
 
-Configs are plain JSON. Unknown keys are hard errors, not warnings: a typoed
-hyperparameter that silently falls back to a default would quietly change
-what an experiment measures. Validation collects every violation before
-failing so a config is fixed in one pass. The fingerprint hashes the fully
-merged effective config (defaults included) except out_dir, which says where
-the artifacts land, not what produced them: two runs share a fingerprint
-exactly when they ran the same experiment.
+Configs are plain JSON. _TABLE says, per scenario, section and key, what a
+value must be; a nested table is a subsection. Unknown keys are hard errors,
+not warnings: a typoed hyperparameter that silently falls back to a default
+would quietly change what an experiment measures. A few cross-key rules
+(_RULES) then read the config merged with DEFAULTS, each one whenever the
+keys it reads passed on their own, so validation collects every violation
+before failing and a config is fixed in one pass. The fingerprint hashes the
+fully merged effective config (defaults included) except out_dir, which says
+where the artifacts land, not what produced them: two runs share a
+fingerprint exactly when they ran the same experiment.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 from .attacks import SPOOF_MODES
+from .models.network import _ACTIVATIONS
 from .repro import fingerprint
-from .scenarios.generators import CQI_PROFILES, SCENARIOS
-
-FOREST_KEYS = ("n_trees", "max_depth", "min_samples_split",
-               "min_samples_leaf", "bootstrap", "max_features")
-NETWORK_KEYS = ("hidden", "activation", "epochs", "lr", "l2", "batch_size",
-                "bias", "output_bias", "standardize")
-RECURRENT_KEYS = ("window", "hidden_size", "epochs", "lr", "online_lr")
+from .scenarios.generators import CQI_PROFILES, N_SIGNAL_FEATURES, SCENARIOS
 
 STAGES = ("generate", "train", "attack", "defend", "report", "all")
 
@@ -30,49 +29,6 @@ MULTIPLIERS = [0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0]
 
 # the cs2 attacker scopes the runner knows how to perturb
 CS2_SCOPES = ("rsrp_replace", "pktrxbyt_shift", "pktrx_shift", "both_counters")
-
-# allowed keys, per scenario and section; None means "any key" (never used)
-_SCHEMA: dict[str, dict[str, tuple]] = {
-    "cs1": {
-        "data": ("n_hosts", "sessions_per_host", "sessions_per_attacker"),
-        "model": FOREST_KEYS,
-        "attack": ("multipliers", "ratios", "trials", "pad_level_index"),
-        "defense": ("distillation",),
-    },
-    "cs2": {
-        "data": ("n",),
-        "model": FOREST_KEYS,
-        "attack": ("multipliers", "scopes", "replace_levels"),
-        "defense": ("adversarial_training", "feature_removal"),
-    },
-    "cs3": {
-        "data": ("length", "profiles"),
-        "model": RECURRENT_KEYS,
-        "attack": ("spoof_modes", "period_s"),
-        "defense": (),
-    },
-    "cs4": {
-        "data": ("n_per_class",),
-        "model": ("forest", "network"),
-        "attack": ("multipliers", "top_k", "random_trials"),
-        "defense": (),
-    },
-    "cs5": {
-        "data": ("n_samples", "cell_size", "ues_per_cell", "min_gnb_distance"),
-        "model": NETWORK_KEYS,
-        "attack": ("attacker_ids", "step_count", "max_offset"),
-        "defense": (),
-    },
-    "cs6": {
-        "data": ("n",),
-        "model": FOREST_KEYS,
-        "attack": ("multipliers", "insider"),
-        "defense": ("adversarial_training", "feature_removal"),
-    },
-}
-
-_TOP_KEYS = ("scenario", "seed", "out_dir", "data", "model", "attack", "defense")
-_DATA_WRAPPER_KEYS = ("synthetic", "path", "format")
 
 DEFAULTS: dict[str, dict] = {
     "cs1": {
@@ -132,159 +88,200 @@ class ConfigError(ValueError):
                          "\n".join(f"  - {v}" for v in self.violations))
 
 
-def _check_keys(section: dict, allowed, path: str, violations: list) -> None:
-    for key in section:
-        if key not in allowed:
-            violations.append(f"{path}.{key}: unknown key "
-                              f"(allowed: {', '.join(sorted(allowed)) or 'none'})")
+# A row is (check, what the value must be); a dict of rows is a subsection.
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _check_names(section: dict, key: str, allowed: tuple, path: str, violations: list) -> None:
-    """section[key], when given, must be a non-empty list of distinct names from allowed."""
-    names = section.get(key)
-    if names is not None and not (isinstance(names, list) and names and
-                                  all(n in allowed for n in names) and
-                                  len(set(names)) == len(names)):
-        violations.append(f"{path}.{key}: must be a non-empty list of distinct names "
-                          f"from {', '.join(allowed)}, got {names!r}")
+def _int(lo: int, hi: int | None = None, null: bool = False):
+    what = f"an integer >= {lo}" if hi is None else f"an integer in [{lo}, {hi}]"
+    return (lambda v: (null and v is None) or
+            (type(v) is int and lo <= v and (hi is None or v <= hi)),
+            what + (" or null" if null else ""))
+
+
+def _number(test, what: str):
+    return lambda v: _is_number(v) and test(v), what
+
+
+def _names(allowed):
+    allowed = tuple(allowed)
+    return (lambda v: isinstance(v, list) and bool(v) and all(n in allowed for n in v)
+            and len(set(v)) == len(v),
+            f"a non-empty list of distinct names from {', '.join(allowed)}")
+
+
+class _Switch(dict):
+    """A subsection that may also be false, which switches it off."""
+
+
+_ANY = (lambda v: True, "anything")
+_COUNT = _int(1)
+_INDEX = _int(0)
+_BOOL = (lambda v: isinstance(v, bool), "true or false")
+_TEXT = (lambda v: isinstance(v, str) and v != "", "a non-empty string")
+_POSITIVE = _number(lambda v: 0 < v < math.inf, "a positive number")
+_NON_NEGATIVE = _number(lambda v: 0 <= v < math.inf, "a non-negative number")
+_MULTIPLIERS = (lambda v: isinstance(v, list) and bool(v) and
+                all(_POSITIVE[0](m) for m in v) and all(b > a for a, b in zip(v, v[1:])),
+                "a strictly increasing list of positive numbers")
+
+_FOREST = {
+    "n_trees": _COUNT, "max_depth": _int(1, null=True), "min_samples_split": _int(2),
+    "min_samples_leaf": _COUNT, "bootstrap": _BOOL,
+    "max_features": (lambda v: v in ("sqrt", "third", "all") or _COUNT[0](v) or
+                     (isinstance(v, float) and 0 < v <= 1),
+                     '"sqrt", "third", "all", an integer >= 1 or a fraction in (0, 1]'),
+}
+_NETWORK = {
+    "hidden": (lambda v: isinstance(v, list) and all(_COUNT[0](h) for h in v),
+               "a list of integers >= 1"),
+    "activation": (lambda v: v in _ACTIVATIONS, f"one of {', '.join(_ACTIVATIONS)}"),
+    "epochs": _COUNT, "lr": _POSITIVE, "l2": _NON_NEGATIVE,
+    "batch_size": _int(1, null=True), "bias": _BOOL, "output_bias": _BOOL,
+    "standardize": _BOOL,
+}
+_RECURRENT = {"window": _COUNT, "hidden_size": _COUNT, "epochs": _COUNT,
+              "lr": _POSITIVE, "online_lr": _POSITIVE}
+_DEFENSES = {"adversarial_training": _Switch(aug_fraction=_number(
+                 lambda v: 0 < v <= 1, "a number in (0, 1]")),
+             "feature_removal": _BOOL}
+
+
+def _scenario(data: dict, model: dict, attack: dict, defense: dict | None = None) -> dict:
+    return {"scenario": _ANY, "seed": _INDEX, "out_dir": _TEXT,
+            "data": {"synthetic": data, "path": _TEXT,
+                     "format": (lambda v: isinstance(v, dict), "an object")},
+            "model": model, "attack": attack, "defense": defense or {}}
+
+
+# n >= 10 leaves the 90/10 splits of cs2, cs5 and cs6 a validation row
+_TABLE = {
+    "cs1": _scenario(
+        {"n_hosts": _COUNT, "sessions_per_host": _COUNT, "sessions_per_attacker": _COUNT},
+        _FOREST,
+        {"multipliers": _MULTIPLIERS, "trials": _COUNT, "pad_level_index": _INDEX,
+         "ratios": (lambda v: isinstance(v, list) and
+                    all(_is_number(r) and 0 <= r <= 1 for r in v),
+                    "a list of numbers in [0, 1]")},
+        {"distillation": _BOOL}),
+    "cs2": _scenario(
+        {"n": _int(10)}, _FOREST,
+        {"multipliers": _MULTIPLIERS, "scopes": _names(CS2_SCOPES),
+         "replace_levels": _COUNT},
+        _DEFENSES),
+    "cs3": _scenario(
+        {"length": _COUNT, "profiles": _names(CQI_PROFILES)}, _RECURRENT,
+        {"spoof_modes": _names(SPOOF_MODES),
+         "period_s": _number(lambda v: v < math.inf and round(v) >= 1,
+                             "a number of seconds that rounds to at least 1")}),
+    "cs4": _scenario(
+        {"n_per_class": _COUNT}, {"forest": _FOREST, "network": _NETWORK},
+        {"multipliers": _MULTIPLIERS, "top_k": _int(1, N_SIGNAL_FEATURES),
+         "random_trials": _COUNT}),
+    "cs5": _scenario(
+        {"n_samples": _int(10), "cell_size": _POSITIVE, "ues_per_cell": _COUNT,
+         "min_gnb_distance": _NON_NEGATIVE},
+        _NETWORK,
+        {"step_count": _COUNT, "max_offset": _POSITIVE,
+         "attacker_ids": (lambda v: v == "closest" or (
+             isinstance(v, list) and bool(v) and all(_INDEX[0](a) for a in v)
+             and len(set(v)) == len(v)),
+             '"closest" or a non-empty list of distinct integers >= 0')}),
+    "cs6": _scenario(
+        {"n": _int(10)}, _FOREST, {"multipliers": _MULTIPLIERS, "insider": _BOOL},
+        _DEFENSES),
+}
+
+
+def _walk(value, rows, path: str, violations: list) -> None:
+    """Check value against its rows: a subsection, or one (check, what) row."""
+    if not isinstance(rows, dict):
+        if not rows[0](value):
+            violations.append(f"{path}: must be {rows[1]}, got {value!r}")
+    elif not isinstance(value, dict):
+        if not (value is False and isinstance(rows, _Switch)):
+            what = "false or an object" if isinstance(rows, _Switch) else "an object"
+            violations.append(f"{path}: must be {what}, got {value!r}")
+    else:
+        for key, sub in value.items():
+            if key in rows:
+                _walk(sub, rows[key], f"{path}.{key}", violations)
+            else:
+                violations.append(f"{path}.{key}: unknown key "
+                                  f"(allowed: {', '.join(sorted(rows)) or 'none'})")
+
+
+def _pad_in_range(pad, multipliers):
+    if pad >= len(multipliers):
+        return ("config.attack.pad_level_index: must be an integer "
+                f"in [0, {len(multipliers)}), got {pad!r}")
+
+
+def _live_covers_period(length, period):
+    live = length - length // 2  # the runner's series[half:], where the spoofs land
+    if live < round(period):
+        return (f"config.data.synthetic.length: the live half of a {length}-step series is "
+                f"{live} steps, shorter than one spoof period of {round(period)} steps "
+                f"(config.attack.period_s {period!r})")
+
+
+def _warmup_beats_window(length, window):
+    if length // 2 <= window:
+        return (f"config.data.synthetic.length: the warm-up half of a {length}-step "
+                f"series is {length // 2} steps, not longer than config.model.window "
+                f"{window}")
+
+
+def _placement_fits(distance, cell_size):
+    if distance >= cell_size / math.sqrt(2):
+        return ("config.data.synthetic.min_gnb_distance: must be below the half-diagonal "
+                f"cell_size / sqrt(2) = {cell_size / math.sqrt(2):.6g}, got {distance!r}")
+
+
+def _attackers_exist(ids, ues_per_cell):
+    if ids != "closest" and max(ids) >= 4 * ues_per_cell:
+        return ("config.attack.attacker_ids: must be below 4 * ues_per_cell = "
+                f"{4 * ues_per_cell}, got {ids!r}")
+
+
+# cross-key rules over the merged config: (the keys each one reads, the rule)
+_RULES = {
+    "cs1": [(("attack.pad_level_index", "attack.multipliers"), _pad_in_range)],
+    "cs3": [(("data.synthetic.length", "attack.period_s"), _live_covers_period),
+            (("data.synthetic.length", "model.window"), _warmup_beats_window)],
+    "cs5": [(("data.synthetic.min_gnb_distance", "data.synthetic.cell_size"),
+             _placement_fits),
+            (("attack.attacker_ids", "data.synthetic.ues_per_cell"), _attackers_exist)],
+}
 
 
 def validate_config(raw: dict) -> list[str]:
     """All violations in one list; empty means the config is acceptable."""
-    violations: list[str] = []
     if not isinstance(raw, dict):
         return ["top level must be a JSON object"]
-    _check_keys(raw, _TOP_KEYS, "config", violations)
-
+    violations: list[str] = []
     scenario = raw.get("scenario")
-    if scenario is None:
-        violations.append("config.scenario: required")
-        return violations
     if scenario not in SCENARIOS:
-        violations.append(
-            f"config.scenario: unknown scenario {scenario!r} (one of {', '.join(SCENARIOS)})")
-        return violations
-    schema = _SCHEMA[scenario]
-
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        violations.append(f"config.seed: must be a non-negative integer, got {seed!r}")
-    out_dir = raw.get("out_dir", "runs")
-    if not isinstance(out_dir, str) or not out_dir:
-        violations.append("config.out_dir: must be a non-empty string")
-
-    data = raw.get("data", {})
-    if not isinstance(data, dict):
-        violations.append("config.data: must be an object")
-    else:
-        _check_keys(data, _DATA_WRAPPER_KEYS, "config.data", violations)
-        if "synthetic" in data and "path" in data:
-            violations.append("config.data: synthetic and path are mutually exclusive")
-        syn = data.get("synthetic", {})
-        if not isinstance(syn, dict):
-            violations.append("config.data.synthetic: must be an object")
-        else:
-            _check_keys(syn, schema["data"], "config.data.synthetic", violations)
-            _check_names(syn, "profiles", tuple(CQI_PROFILES), "config.data.synthetic",
-                         violations)
-        if "path" in data and (not isinstance(data["path"], str) or not data["path"]):
-            violations.append("config.data.path: must be a non-empty string")
-
-    model = raw.get("model", {})
-    if not isinstance(model, dict):
-        violations.append("config.model: must be an object")
-    else:
-        _check_keys(model, schema["model"], "config.model", violations)
-        if scenario == "cs4":
-            for part, keys in (("forest", FOREST_KEYS), ("network", NETWORK_KEYS)):
-                sub = model.get(part, {})
-                if not isinstance(sub, dict):
-                    violations.append(f"config.model.{part}: must be an object")
-                else:
-                    _check_keys(sub, keys, f"config.model.{part}", violations)
-
-    attack = raw.get("attack", {})
-    if not isinstance(attack, dict):
-        violations.append("config.attack: must be an object")
-    else:
-        _check_keys(attack, schema["attack"], "config.attack", violations)
-        mults = attack.get("multipliers")
-        if mults is not None:
-            ok = (isinstance(mults, list) and mults and
-                  all(isinstance(m, (int, float)) and not isinstance(m, bool)
-                      and m > 0 for m in mults) and
-                  all(b > a for a, b in zip(mults, mults[1:])))
-            if not ok:
-                violations.append(
-                    "config.attack.multipliers: must be a strictly increasing "
-                    "list of positive numbers")
-        ratios = attack.get("ratios")
-        if ratios is not None:
-            ok = (isinstance(ratios, list) and
-                  all(isinstance(r, (int, float)) and not isinstance(r, bool)
-                      and 0.0 <= r <= 1.0 for r in ratios))
-            if not ok:
-                violations.append("config.attack.ratios: must be numbers in [0, 1]")
-        trials = attack.get("trials")
-        if trials is not None and (not isinstance(trials, int) or
-                                   isinstance(trials, bool) or trials < 1):
-            violations.append("config.attack.trials: must be an integer >= 1")
-        _check_names(attack, "scopes", CS2_SCOPES, "config.attack", violations)
-        _check_names(attack, "spoof_modes", SPOOF_MODES, "config.attack", violations)
-        period = attack.get("period_s")
-        if period is not None and not (isinstance(period, (int, float))
-                                       and not isinstance(period, bool)
-                                       and 0 < period < math.inf):
-            violations.append(f"config.attack.period_s: must be a positive number, got {period!r}")
-        if scenario == "cs1":
-            # against the merged list: a shorter one can strand the default index
-            merged = {**DEFAULTS["cs1"]["attack"], **attack}
-            pad, mults = merged["pad_level_index"], merged["multipliers"]
-            if isinstance(mults, list) and not (isinstance(pad, int) and not isinstance(pad, bool)
-                                                and 0 <= pad < len(mults)):
-                violations.append("config.attack.pad_level_index: must be an integer "
-                                  f"in [0, {len(mults)}), got {pad!r}")
-
-    if scenario == "cs3":
-        _check_cs3_horizon(data, attack, violations)
-
-    defense = raw.get("defense", {})
-    if not isinstance(defense, dict):
-        violations.append("config.defense: must be an object")
-    else:
-        _check_keys(defense, schema["defense"], "config.defense", violations)
-        at = defense.get("adversarial_training")
-        if isinstance(at, dict):
-            _check_keys(at, ("aug_fraction",), "config.defense.adversarial_training",
-                        violations)
-            frac = at.get("aug_fraction")
-            if frac is not None and not (isinstance(frac, (int, float))
-                                         and 0.0 < frac <= 1.0):
-                violations.append(
-                    "config.defense.adversarial_training.aug_fraction: must be in (0, 1]")
+        _walk(raw, dict.fromkeys(_TABLE["cs1"], _ANY), "config", violations)
+        return violations + ["config.scenario: required" if scenario is None else
+                             f"config.scenario: unknown scenario {scenario!r} "
+                             f"(one of {', '.join(SCENARIOS)})"]
+    _walk(raw, _TABLE[scenario], "config", violations)
+    data = raw.get("data")
+    if isinstance(data, dict) and "synthetic" in data and "path" in data:
+        violations.append("config.data: synthetic and path are mutually exclusive")
+    failed = {v.split(": ", 1)[0] for v in violations}
+    merged = _merged(raw)
+    for paths, rule in _RULES.get(scenario, ()):
+        try:
+            values = [reduce(dict.__getitem__, p.split("."), merged) for p in paths]
+        except (KeyError, TypeError):  # e.g. no synthetic block beside a real dataset
+            continue
+        if not failed & {f"config.{p}" for p in paths} and (violation := rule(*values)):
+            violations.append(violation)
     return violations
-
-
-def _check_cs3_horizon(data, attack, violations: list) -> None:
-    """The live half of a synthetic series (the second half, where the spoofs
-    land) must span one spoof period, checked against the merged config."""
-    if not (isinstance(data, dict) and isinstance(attack, dict)) or "path" in data:
-        return
-    syn = data.get("synthetic", {})
-    if not isinstance(syn, dict):
-        return
-    length = {**DEFAULTS["cs3"]["data"]["synthetic"], **syn}["length"]
-    period = {**DEFAULTS["cs3"]["attack"], **attack}["period_s"]
-    if not (isinstance(length, int) and not isinstance(length, bool) and
-            isinstance(period, (int, float)) and not isinstance(period, bool) and
-            0 < period < math.inf):
-        return
-    live = length - length // 2
-    if live < round(period):
-        violations.append(
-            f"config.data.synthetic.length: the live half of a {length}-step series is "
-            f"{live} steps, shorter than one spoof period of {round(period)} steps "
-            f"(config.attack.period_s {period!r})")
 
 
 def _merge(base, override):
@@ -294,6 +291,16 @@ def _merge(base, override):
             out[k] = _merge(base.get(k), v) if k in base else v
         return out
     return override
+
+
+def _merged(raw: dict) -> dict:
+    """raw's four sections over its scenario's DEFAULTS; an explicit real
+    dataset displaces the synthetic defaults."""
+    defaults = DEFAULTS[raw["scenario"]]
+    sections = {name: _merge(base, raw.get(name, {})) for name, base in defaults.items()}
+    if isinstance(sections["data"], dict) and "path" in sections["data"]:
+        sections["data"] = {k: v for k, v in sections["data"].items() if k != "synthetic"}
+    return sections
 
 
 @dataclass(frozen=True)
@@ -336,22 +343,10 @@ def build_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
     violations = validate_config(merged_raw)
     if violations:
         raise ConfigError(violations)
-    scenario = merged_raw["scenario"]
-    defaults = DEFAULTS[scenario]
-    data = _merge(defaults["data"], merged_raw.get("data", {}))
-    if "path" in data and "synthetic" in data:
-        # an explicit real dataset displaces the synthetic defaults
-        if "path" in merged_raw.get("data", {}):
-            data = {k: v for k, v in data.items() if k != "synthetic"}
-    return ExperimentConfig(
-        scenario=scenario,
-        seed=int(merged_raw.get("seed", 0)),
-        out_dir=str(merged_raw.get("out_dir", "runs")),
-        data=data,
-        model=_merge(defaults["model"], merged_raw.get("model", {})),
-        attack=_merge(defaults["attack"], merged_raw.get("attack", {})),
-        defense=_merge(defaults["defense"], merged_raw.get("defense", {})),
-    )
+    return ExperimentConfig(scenario=merged_raw["scenario"],
+                            seed=int(merged_raw.get("seed", 0)),
+                            out_dir=str(merged_raw.get("out_dir", "runs")),
+                            **_merged(merged_raw))
 
 
 def default_config(scenario: str, seed: int = 0, out_dir: str = "runs",

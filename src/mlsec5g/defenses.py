@@ -44,7 +44,7 @@ def adversarial_training(trainer: Callable, records: Sequence[dict], y,
     nothing, so an empty or all-empty spec list degenerates to a plain
     baseline retrain under the same seed. trainer(X, y, schema, seed) -> model.
     """
-    if not 0.0 < aug_fraction <= 1.0:
+    if isinstance(aug_fraction, bool) or not 0.0 < aug_fraction <= 1.0:
         raise ValueError(f"aug_fraction must be in (0, 1], got {aug_fraction}")
     records = list(records)
     y = np.asarray(y)

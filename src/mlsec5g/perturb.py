@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-MODES = ("additive_std", "replace_random", "spoof_fixed", "translate_position", "pad_payload")
+MODES = ("additive_std", "replace_random")
 
 
 @dataclass(frozen=True)
@@ -176,14 +176,11 @@ class PerturbationSpec:
 
     intensity_levels is the sweep axis; its meaning depends on the mode:
 
-    additive_std:       multiplier of the per-field population std
-    replace_random:     index of an independent seeded draw (magnitude-free)
-    spoof_fixed:        the fixed value reported instead of the truth
-    translate_position: radial offset in meters away from params["anchor"]
-    pad_payload:        upper bound of the uniform per-record pad
+    additive_std:   multiplier of the per-field population std
+    replace_random: index of an independent seeded draw (magnitude-free)
 
-    params carries mode-specific extras: donor_pool and linked (replace_random),
-    anchor (translate_position), count (replace_random record budget).
+    params carries the replace_random extras: donor_pool, linked and count
+    (the record budget).
     An empty intensity_levels list is permitted at construction so defense
     code can express a degenerate no-op schedule, but apply_rsp refuses it.
     """
@@ -210,11 +207,6 @@ class PerturbationSpec:
         levels = self.intensity_levels
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise ValueError("intensity levels must be strictly increasing")
-        if self.mode == "translate_position":
-            if len(self.target_fields) != 2:
-                raise ValueError("translate_position needs exactly two target fields (x, y)")
-            if "anchor" not in self.params:
-                raise ValueError("translate_position needs params['anchor']")
         if self.mode == "replace_random":
             if len(self.target_fields) != 1:
                 raise ValueError("replace_random takes exactly one target field; "
@@ -423,7 +415,6 @@ def apply_rsp(records: Sequence[Mapping], spec: PerturbationSpec, level_index: i
             deltas[fname] = level_value * population_std(records, fname)
     donor_pool = spec.params.get("donor_pool", ())
     linked = dict(spec.params.get("linked", {}))
-    anchor = spec.params.get("anchor")
     replace_budget = spec.params.get("count")
     if spec.mode == "replace_random" and replace_budget is not None:
         # trim the selected set to the record budget, uniformly
@@ -448,12 +439,7 @@ def apply_rsp(records: Sequence[Mapping], spec: PerturbationSpec, level_index: i
                 if d != 0.0:
                     new[fname] = original[fname] + d
                     changed.add(fname)
-        elif spec.mode == "spoof_fixed":
-            for fname in spec.target_fields:
-                if original[fname] != level_value:
-                    new[fname] = level_value
-                    changed.add(fname)
-        elif spec.mode == "replace_random":
+        else:  # replace_random
             rng = _record_rng(derive_stream(seed, level_index), i)
             j = int(rng.integers(0, len(donor_pool)))
             for fname, pool in [(spec.target_fields[0], donor_pool)] + \
@@ -461,30 +447,6 @@ def apply_rsp(records: Sequence[Mapping], spec: PerturbationSpec, level_index: i
                 if new[fname] != pool[j]:
                     new[fname] = pool[j]
                     changed.add(fname)
-        elif spec.mode == "translate_position":
-            if level_value != 0.0:
-                xf, yf = spec.target_fields
-                dx = original[xf] - anchor[0]
-                dy = original[yf] - anchor[1]
-                norm = math.hypot(dx, dy)
-                if norm == 0.0:
-                    raise ValueError(
-                        f"record {i} sits exactly on the anchor; direction undefined")
-                new[xf] = original[xf] + level_value * dx / norm
-                new[yf] = original[yf] + level_value * dy / norm
-                changed.update((xf, yf))
-        elif spec.mode == "pad_payload":
-            bound = int(level_value)
-            if bound < 0:
-                raise ValueError("pad bound must be non-negative")
-            if bound > 0:
-                rng = _record_rng(seed, i)
-                for fname in spec.target_fields:
-                    # scale one uniform draw so the pad is monotone in the bound
-                    pad = int(rng.random() * (bound + 1))
-                    if pad > 0:
-                        new[fname] = original[fname] + pad
-                        changed.add(fname)
 
         if changed:
             spec.derived.propagate(original, new, changed)

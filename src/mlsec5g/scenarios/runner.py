@@ -172,16 +172,14 @@ def _defend(report, config, data, tr, va, baseline, task, spec, removed,
             baseline, model, (X[va], y[va], schema), adv_sets, "Acc",
             metric_fn=metric_fn, defense=defense))
 
-    at_cfg = config.defense.get("adversarial_training")
+    at_cfg = config.defense["adversarial_training"]  # false or an object
     if at_cfg:
-        frac = float(at_cfg.get("aug_fraction", 0.05)) \
-            if isinstance(at_cfg, dict) else 0.05
         scored(adversarial_training(
             trainer, [records[i] for i in tr], y[tr], [spec],
             lambda recs: records_to_matrix(recs, schema), schema,
-            derive_seed(seed, "advtrain"), aug_fraction=frac),
+            derive_seed(seed, "advtrain"), aug_fraction=float(at_cfg["aug_fraction"])),
             "adversarial_training")
-    if config.defense.get("feature_removal"):
+    if config.defense["feature_removal"]:
         scored(feature_removal(trainer, X[tr], y[tr], schema, removed,
                                derive_seed(seed, "removal")),
                "feature_removal")
@@ -439,8 +437,6 @@ def _run_cs3(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
     seed = config.seed
     timings = report.timings
 
-    syn = dict(config.data.get("synthetic", {}))
-    profiles = list(syn.pop("profiles", ["static", "driving"]))
     series_by_profile = {}
     with _timed(timings, "data"):
         if "path" in config.data:
@@ -448,14 +444,15 @@ def _run_cs3(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
             series_by_profile[data.get("profile", "real")] = \
                 np.asarray(data["series"], dtype=float)
         else:
-            for profile in profiles:
+            syn = dict(config.data["synthetic"])
+            for profile in syn.pop("profiles"):
                 data = G.generate_cqi_series(seed=derive_seed(seed, "data", profile),
                                              profile=profile, **syn)
                 series_by_profile[profile] = data["series"]
     report.extras["profiles"] = sorted(series_by_profile)
     report.extras["extractor_fingerprint"] = fingerprint(
         {"extractor": "sliding_window",
-         "window": int(config.model.get("window", 30))})
+         "window": int(config.model["window"])})
     if depth < 1:
         return report
 
@@ -619,7 +616,7 @@ def _run_cs4(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
 def _resolve_attackers(setting, topo) -> list[int]:
     """attacker_ids: explicit indices, or "closest" for the terminal with the
     most room to lie (nearest its own station, so the outward ray is longest)."""
-    if setting == "closest" or setting == ["closest"]:
+    if setting == "closest":
         d = np.linalg.norm(
             topo.ue_positions - topo.gnb_positions[topo.serving], axis=1)
         return [int(np.argmin(d))]
@@ -799,7 +796,7 @@ def _run_cs6(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
         report.extras["outsider_rows"] = int(len(va))
 
         insider_spec = None
-        if config.attack.get("insider", True):
+        if config.attack["insider"]:
             insider_spec = PerturbationSpec(
                 "insider_qos", insider_fields, "additive_std",
                 tuple(config.attack["multipliers"]),

@@ -89,7 +89,7 @@ class TestAdversarialTraining:
 
     def test_aug_fraction_bounds(self):
         records, y, featurize = self.make_records()
-        for bad in (0.0, 1.5, -0.1):
+        for bad in (0.0, 1.5, -0.1, True):
             with pytest.raises(ValueError, match="aug_fraction"):
                 adversarial_training(capture_trainer([]), records, y, [],
                                      featurize, ("a", "b"), seed=0,

@@ -127,13 +127,6 @@ class TestSpecValidation:
             PerturbationSpec("s", ("x",), "replace_random", (1.0,),
                              params={"donor_pool": [1, 2], "linked": {"y": [1]}})
 
-    def test_translate_needs_two_fields_and_anchor(self):
-        with pytest.raises(ValueError, match="two target fields"):
-            PerturbationSpec("s", ("x",), "translate_position", (1.0,),
-                             params={"anchor": (0, 0)})
-        with pytest.raises(ValueError, match="anchor"):
-            PerturbationSpec("s", ("x", "y"), "translate_position", (1.0,))
-
     def test_bind_rejects_unknown_targets(self):
         spec = PerturbationSpec("s", ("zz",), "additive_std", (1.0,))
         with pytest.raises(ValueError, match="unknown fields"):
@@ -203,9 +196,10 @@ class TestApplyRsp:
 
     def test_reject_constraint_drops_but_reconciles(self):
         recs = [{"x": -0.5}, {"x": 5.0}]
-        # negative shift to force one record below zero
-        spec = PerturbationSpec("s", ("x",), "spoof_fixed", (-1.0, 3.0),
-                                constraints=(ConstraintRule("x", lo=0.0),))
+        # a negative donor value forces every record below zero
+        spec = PerturbationSpec("s", ("x",), "replace_random", (1.0, 2.0),
+                                constraints=(ConstraintRule("x", lo=0.0),),
+                                params={"donor_pool": [-1.0]})
         out, log = apply_rsp(recs, spec, 0, seed=0)
         assert len(out) + log.n_rejected == log.counts()["input"]
         assert log.n_rejected == 2
@@ -249,35 +243,6 @@ class TestApplyRsp:
         assert changed == 5  # ceil(0.25 * 20)
         assert log.counts()["perturbed"] == 5
 
-    def test_pad_is_monotone_in_the_bound(self):
-        recs = [{"payload": 100.0} for _ in range(50)]
-        spec = PerturbationSpec("pad", ("payload",), "pad_payload", (10.0, 60.0, 400.0))
-        outs = [apply_rsp(recs, spec, i, seed=7)[0] for i in range(3)]
-        for small, big in zip(outs, outs[1:]):
-            for a, b in zip(small, big):
-                assert b["payload"] >= a["payload"]
-
-    def test_translate_moves_radially_by_the_level(self):
-        recs = [{"x": 3.0, "y": 4.0}]
-        spec = PerturbationSpec("mv", ("x", "y"), "translate_position", (10.0,),
-                                params={"anchor": (0.0, 0.0)})
-        out, _ = apply_rsp(recs, spec, 0, seed=0)
-        # unit vector (0.6, 0.8) scaled by 10
-        assert out[0]["x"] == pytest.approx(9.0)
-        assert out[0]["y"] == pytest.approx(12.0)
-
-    def test_translate_rejects_record_on_the_anchor(self):
-        spec = PerturbationSpec("mv", ("x", "y"), "translate_position", (10.0,),
-                                params={"anchor": (1.0, 2.0)})
-        with pytest.raises(ValueError, match="anchor"):
-            apply_rsp([{"x": 1.0, "y": 2.0}], spec, 0, seed=0)
-
-    def test_spoof_fixed_reports_the_level_value(self):
-        recs = [{"cqi": 12.0}, {"cqi": 3.0}]
-        spec = PerturbationSpec("sp", ("cqi",), "spoof_fixed", (0.0, 15.0))
-        out, _ = apply_rsp(recs, spec, 0, seed=0)
-        assert [r["cqi"] for r in out] == [0.0, 0.0]
-
     def test_same_inputs_same_outputs(self):
         recs = records_fixture(25)
         pool = list(np.linspace(-5, 5, 31))
@@ -300,7 +265,8 @@ class TestApplyRsp:
 
     def test_provenance_csv_has_header_and_rows(self):
         recs = [{"x": 1.0}]
-        spec = PerturbationSpec("s", ("x",), "spoof_fixed", (9.0,))
+        spec = PerturbationSpec("s", ("x",), "replace_random", (1.0,),
+                                params={"donor_pool": [9.0]})
         _, log = apply_rsp(recs, spec, 0, seed=0)
         text = log.to_csv_text()
         lines = text.strip().split("\n")

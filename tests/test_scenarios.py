@@ -177,6 +177,12 @@ class TestMimoGeometry:
         with pytest.raises(ValueError, match="budget"):
             grid_topology(power_budget=0.0)
 
+    def test_unreachable_station_distance_raises_before_drawing(self):
+        # no point of a 250 m cell lies 200 m from its center: rejection would never end
+        with pytest.raises(ValueError, match="half-diagonal"):
+            grid_topology(cell_size=250.0, min_gnb_distance=200.0)
+        assert grid_topology(cell_size=250.0, min_gnb_distance=170.0, seed=1).n_ues == 20
+
 
 def write_csv(path, columns, rows):
     with open(path, "w", newline="") as fh:
