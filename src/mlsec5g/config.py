@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .attacks import SPOOF_MODES
-from .models.network import _ACTIVATIONS
 from .repro import fingerprint
 from .scenarios.generators import CQI_PROFILES, N_SIGNAL_FEATURES, SCENARIOS
 
@@ -137,13 +136,9 @@ _FOREST = {
 _NETWORK = {
     "hidden": (lambda v: isinstance(v, list) and all(_COUNT[0](h) for h in v),
                "a list of integers >= 1"),
-    "activation": (lambda v: v in _ACTIVATIONS, f"one of {', '.join(_ACTIVATIONS)}"),
-    "epochs": _COUNT, "lr": _POSITIVE, "l2": _NON_NEGATIVE,
-    "batch_size": _int(1, null=True), "bias": _BOOL, "output_bias": _BOOL,
-    "standardize": _BOOL,
+    "epochs": _COUNT, "lr": _POSITIVE,
 }
-_RECURRENT = {"window": _COUNT, "hidden_size": _COUNT, "epochs": _COUNT,
-              "lr": _POSITIVE, "online_lr": _POSITIVE}
+_RECURRENT = {"window": _COUNT, "hidden_size": _COUNT, "epochs": _COUNT, "lr": _POSITIVE}
 _DEFENSES = {"adversarial_training": _Switch(aug_fraction=_number(
                  lambda v: 0 < v <= 1, "a number in (0, 1]")),
              "feature_removal": _BOOL}
@@ -235,9 +230,9 @@ def _warmup_beats_window(length, window):
 
 
 def _placement_fits(distance, cell_size):
-    if distance >= cell_size / math.sqrt(2):
-        return ("config.data.synthetic.min_gnb_distance: must be below the half-diagonal "
-                f"cell_size / sqrt(2) = {cell_size / math.sqrt(2):.6g}, got {distance!r}")
+    if distance >= cell_size / 2:
+        return ("config.data.synthetic.min_gnb_distance: must be below the inscribed radius "
+                f"cell_size / 2 = {cell_size / 2:.6g}, got {distance!r}")
 
 
 def _attackers_exist(ids, ues_per_cell):

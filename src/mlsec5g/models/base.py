@@ -26,6 +26,14 @@ _VALID = {
     "recurrent": ("regress",),
 }
 
+# the hyperparameters each kind reads; a spec refuses any other name
+_HYPERPARAMETERS = {
+    "forest": ("n_trees", "max_depth", "min_samples_split", "min_samples_leaf",
+               "bootstrap", "max_features"),
+    "feedforward": ("hidden", "epochs", "lr"),
+    "recurrent": ("window", "hidden_size", "epochs", "lr"),
+}
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -45,12 +53,11 @@ class ModelSpec:
         if self.task not in _VALID[self.kind]:
             raise ValueError(f"kind {self.kind!r} does not support task {self.task!r}")
         hp = self.hyperparameters
-        # a batch_size of None means full batch
-        counts = [key for key in ("n_trees", "epochs", "hidden_size", "window") if key in hp]
-        if hp.get("batch_size") is not None:
-            counts.append("batch_size")
-        errors = [f"hyperparameter {key} must be >= 1, got {hp[key]}"
-                  for key in counts if int(hp[key]) < 1]
+        unknown = sorted(set(hp) - set(_HYPERPARAMETERS[self.kind]))
+        errors = [f"kind {self.kind!r} does not read hyperparameters {unknown}"] if unknown else []
+        errors += [f"hyperparameter {key} must be >= 1, got {hp[key]}"
+                   for key in ("n_trees", "epochs", "hidden_size", "window")
+                   if key in hp and int(hp[key]) < 1]
         if any(int(h) < 1 for h in hp.get("hidden", ())):
             errors.append(f"hyperparameter hidden widths must be >= 1, got {hp['hidden']}")
         if errors:

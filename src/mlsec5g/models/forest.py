@@ -463,15 +463,15 @@ def _tree_order(order: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def distill_forest(teacher: ForestModel, X, student_spec: ModelSpec | None = None,
-                   seed: int | None = None) -> ForestModel:
+def distill_forest(teacher: ForestModel, X, seed: int | None = None) -> ForestModel:
     """Soft-label knowledge distillation for classification forests.
 
     The teacher's class probability vectors become per-class sample weights:
     each row is expanded into one row per class weighted by the teacher's
     probability for that class, and a fresh forest is trained on the expansion.
     Hardened models trained this way inherit the teacher's smoothed decision
-    surface instead of the raw labels' sharp one.
+    surface instead of the raw labels' sharp one. The student takes the
+    teacher's hyperparameters, and its seed unless seed is given.
     """
     if teacher.task != "classify":
         raise ValueError("distillation is defined for classification forests")
@@ -483,11 +483,7 @@ def distill_forest(teacher: ForestModel, X, student_spec: ModelSpec | None = Non
     ye = np.tile(teacher.classes_, n)
     we = proba.ravel()
     keep = we > 1e-9
-    if student_spec is None:
-        student_spec = ModelSpec("forest", "classify", dict(teacher.spec.hyperparameters),
-                                 teacher.spec.seed if seed is None else int(seed))
-    elif seed is not None:
-        student_spec = ModelSpec(student_spec.kind, student_spec.task,
-                                 dict(student_spec.hyperparameters), int(seed))
+    student_spec = ModelSpec("forest", "classify", dict(teacher.spec.hyperparameters),
+                             teacher.spec.seed if seed is None else int(seed))
     return train_forest(student_spec, Xe[keep], ye[keep], schema=teacher.schema,
                         sample_weight=we[keep])

@@ -7,13 +7,14 @@ frozen at fit time. The full parameter vector is exposed flat so the analytic
 backward pass can be audited against central differences: the public
 `loss_grad` is that audited entry point.
 
-`train_network` standardizes and encodes its data once, then runs every batch
+Hidden layers are tanh, every layer has a bias, and training is full-batch.
+`train_network` standardizes and encodes its data once, then runs every epoch
 through the private `_loss_grad` on the prepared arrays. Layer outputs,
-deltas and the gradient go into a workspace of preallocated buffers, one per
-batch row count, that lives only for the length of the fit and never becomes
-part of the model. The buffered path runs the same floating-point operations
-in the same order as the plain form that allocates every result afresh, so
-the trained weights are bit-identical to it.
+deltas and the gradient go into one workspace of preallocated buffers that
+lives only for the length of the fit and never becomes part of the model.
+The buffered path runs the same floating-point operations in the same order
+as the plain form that allocates every result afresh, so the trained weights
+are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -22,16 +23,6 @@ import numpy as np
 
 from ..repro import _jsonable
 from .base import ModelSpec, TrainedModel, default_schema
-
-_ACTIVATIONS = ("tanh", "relu", "identity")
-
-
-def _activate(name: str, z: np.ndarray) -> None:
-    """Apply the hidden activation in place."""
-    if name == "tanh":
-        np.tanh(z, out=z)
-    elif name == "relu":
-        np.maximum(z, 0.0, out=z)
 
 
 def _softmax(z: np.ndarray, out=None) -> np.ndarray:
@@ -47,12 +38,12 @@ def _softplus(z: np.ndarray) -> np.ndarray:
 
 
 class _Workspace:
-    """Buffers for one batch row count: each layer's output, delta and
-    scratch, and the flat gradient with per-layer views into it."""
+    """Buffers for one row count: each layer's output, delta and scratch,
+    and the flat gradient with per-layer views into it."""
 
     def __init__(self, model: "FeedforwardModel", rows: int):
         widths = [W.shape[1] for W in model.weights]
-        self.out = [np.empty((rows, w)) for w in widths]      # z, then the activation in place
+        self.out = [np.empty((rows, w)) for w in widths]      # z, then tanh in place
         self.delta = [np.empty((rows, w)) for w in widths]
         self.scratch = [np.empty((rows, w)) for w in widths]
         self.exp = np.empty((rows, widths[-1]))               # exp(-|z|) of the softplus head
@@ -62,22 +53,18 @@ class _Workspace:
         for W, b in zip(model.weights, model.biases):
             self.grad_W.append(self.grad[pos:pos + W.size].reshape(W.shape))
             pos += W.size
-            if b is None:
-                self.grad_b.append(None)
-            else:
-                self.grad_b.append(self.grad[pos:pos + b.size])
-                pos += b.size
+            self.grad_b.append(self.grad[pos:pos + b.size])
+            pos += b.size
 
 
 class FeedforwardModel(TrainedModel):
     kind = "feedforward"
 
     def __init__(self, spec: ModelSpec, schema, fingerprint, weights, biases,
-                 activation, classes, x_mean, x_std, out_dim):
+                 classes, x_mean, x_std, out_dim):
         super().__init__(spec, schema, fingerprint)
         self.weights = weights            # list of (in, out) arrays
-        self.biases = biases              # list of (out,) arrays or None
-        self.activation = activation
+        self.biases = biases              # list of (out,) arrays
         self.classes_ = classes           # None unless classifying
         self.x_mean = x_mean
         self.x_std = x_std
@@ -90,15 +77,14 @@ class FeedforwardModel(TrainedModel):
 
     def _forward(self, Xs: np.ndarray, ws: _Workspace | None = None) -> np.ndarray:
         """Output-layer pre-activation; with a workspace, every layer's output
-        lands in ws.out (hidden layers after their activation)."""
+        lands in ws.out (hidden layers after their tanh)."""
         a = Xs
         last = len(self.weights) - 1
         for i, (W, b) in enumerate(zip(self.weights, self.biases)):
             z = np.matmul(a, W, out=None if ws is None else ws.out[i])
-            if b is not None:
-                np.add(z, b, out=z)
+            np.add(z, b, out=z)
             if i < last:
-                _activate(self.activation, z)
+                np.tanh(z, out=z)
             a = z
         return a
 
@@ -127,12 +113,8 @@ class FeedforwardModel(TrainedModel):
     # -- loss and analytic gradient ----------------------------------------
 
     def flat_params(self) -> np.ndarray:
-        chunks = []
-        for W, b in zip(self.weights, self.biases):
-            chunks.append(W.ravel())
-            if b is not None:
-                chunks.append(b.ravel())
-        return np.concatenate(chunks)
+        return np.concatenate([p.ravel() for W, b in zip(self.weights, self.biases)
+                               for p in (W, b)])
 
     def set_flat_params(self, theta: np.ndarray) -> None:
         theta = np.asarray(theta, dtype=float)
@@ -142,17 +124,13 @@ class FeedforwardModel(TrainedModel):
                 f"{theta.size} for {self.n_params()} parameters")
         pos = 0
         for i, (W, b) in enumerate(zip(self.weights, self.biases)):
-            n = W.size
-            self.weights[i] = theta[pos:pos + n].reshape(W.shape).copy()
-            pos += n
-            if b is not None:
-                m = b.size
-                self.biases[i] = theta[pos:pos + m].copy()
-                pos += m
+            self.weights[i] = theta[pos:pos + W.size].reshape(W.shape).copy()
+            pos += W.size
+            self.biases[i] = theta[pos:pos + b.size].copy()
+            pos += b.size
 
     def n_params(self) -> int:
-        return sum(W.size for W in self.weights) + \
-            sum(b.size for b in self.biases if b is not None)
+        return sum(W.size + b.size for W, b in zip(self.weights, self.biases))
 
     def _encode_targets(self, y):
         if self.task == "classify":
@@ -172,18 +150,18 @@ class FeedforwardModel(TrainedModel):
             raise ValueError(f"target width {t.shape[1]} does not match output {self.out_dim}")
         return t
 
-    def loss(self, X, y, l2: float = 0.0) -> float:
-        return self.loss_grad(X, y, l2)[0]
+    def loss(self, X, y) -> float:
+        return self.loss_grad(X, y)[0]
 
-    def loss_grad(self, X, y, l2: float = 0.0):
-        """Mean loss over rows plus L2 on weights; gradient as a flat vector."""
+    def loss_grad(self, X, y):
+        """Mean loss over rows; gradient as a flat vector."""
         X = self._check_width(np.asarray(X, dtype=float))
         Xs = self._standardize(X)
-        return self._loss_grad(Xs, self._encode_targets(y), l2,
+        return self._loss_grad(Xs, self._encode_targets(y),
                                _Workspace(self, Xs.shape[0]), with_loss=True)
 
-    def _loss_grad(self, Xs: np.ndarray, targets: np.ndarray, l2: float,
-                   ws: _Workspace, with_loss: bool):
+    def _loss_grad(self, Xs: np.ndarray, targets: np.ndarray, ws: _Workspace,
+                   with_loss: bool):
         """loss_grad on standardized inputs and encoded targets. The gradient
         is ws.grad; the loss is None unless with_loss."""
         n = Xs.shape[0]
@@ -224,34 +202,20 @@ class FeedforwardModel(TrainedModel):
         for i in range(len(self.weights) - 1, -1, -1):
             a_prev = Xs if i == 0 else ws.out[i - 1]
             np.matmul(a_prev.T, delta, out=ws.grad_W[i])
-            if self.biases[i] is not None:
-                np.sum(delta, axis=0, out=ws.grad_b[i])
+            np.sum(delta, axis=0, out=ws.grad_b[i])
             if i > 0:
                 delta = np.matmul(delta, self.weights[i].T, out=ws.delta[i - 1])
-                if self.activation == "tanh":
-                    g = np.multiply(a_prev, a_prev, out=ws.scratch[i - 1])
-                    delta *= np.subtract(1.0, g, out=g)
-                elif self.activation == "relu":
-                    # relu(z) > 0 exactly where z > 0
-                    delta *= np.greater(a_prev, 0.0, out=ws.scratch[i - 1])
-
-        if l2 > 0.0:
-            for i, W in enumerate(self.weights):
-                if with_loss:
-                    loss += 0.5 * l2 * float(np.sum(W * W))
-                ws.grad_W[i] += l2 * W
+                g = np.multiply(a_prev, a_prev, out=ws.scratch[i - 1])
+                delta *= np.subtract(1.0, g, out=g)
         return loss, ws.grad
 
     # -- persistence --------------------------------------------------------
 
     def to_state(self):
         arrays = {"x_mean": self.x_mean, "x_std": self.x_std}
-        bias_mask = []
         for i, (W, b) in enumerate(zip(self.weights, self.biases)):
             arrays[f"W{i}"] = W
-            bias_mask.append(b is not None)
-            if b is not None:
-                arrays[f"b{i}"] = b
+            arrays[f"b{i}"] = b
         if self.classes_ is not None:
             arrays["classes"] = np.asarray(self.classes_, dtype=str)
         meta = {
@@ -260,9 +224,7 @@ class FeedforwardModel(TrainedModel):
             "fingerprint": self.fingerprint,
             "seed": int(self.spec.seed),
             "hyperparameters": {k: _jsonable(v) for k, v in self.spec.hyperparameters.items()},
-            "activation": self.activation,
             "n_layers": len(self.weights),
-            "bias_mask": bias_mask,
             "out_dim": self.out_dim,
         }
         return meta, arrays
@@ -271,12 +233,10 @@ class FeedforwardModel(TrainedModel):
     def from_state(cls, meta, arrays):
         spec = ModelSpec("feedforward", meta["task"], meta["hyperparameters"], meta["seed"])
         weights = [arrays[f"W{i}"] for i in range(meta["n_layers"])]
-        biases = [arrays[f"b{i}"] if has else None
-                  for i, has in enumerate(meta["bias_mask"])]
+        biases = [arrays[f"b{i}"] for i in range(meta["n_layers"])]
         classes = arrays.get("classes")
         return cls(spec, meta["schema"], meta["fingerprint"], weights, biases,
-                   meta["activation"], classes, arrays["x_mean"], arrays["x_std"],
-                   meta["out_dim"])
+                   classes, arrays["x_mean"], arrays["x_std"], meta["out_dim"])
 
 
 def build_network(spec: ModelSpec, in_dim: int, out_dim: int, schema, classes,
@@ -284,11 +244,6 @@ def build_network(spec: ModelSpec, in_dim: int, out_dim: int, schema, classes,
     """Seeded Glorot-uniform initialization of the layer stack."""
     hp = spec.hyperparameters
     hidden = tuple(int(h) for h in hp.get("hidden", (32,)))
-    activation = hp.get("activation", "tanh")
-    if activation not in _ACTIVATIONS:
-        raise ValueError(f"unknown activation {activation!r}")
-    use_bias = bool(hp.get("bias", True))
-    output_bias = bool(hp.get("output_bias", use_bias))
     rng = np.random.default_rng([int(spec.seed) & 0x7FFFFFFFFFFFFFFF, 0x9E7])
     dims = (in_dim,) + hidden + (out_dim,)
     weights, biases = [], []
@@ -296,15 +251,13 @@ def build_network(spec: ModelSpec, in_dim: int, out_dim: int, schema, classes,
         fan_in, fan_out = dims[i], dims[i + 1]
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-        last = i == len(dims) - 2
-        has_bias = output_bias if last else use_bias
-        biases.append(np.zeros(fan_out) if has_bias else None)
-    return FeedforwardModel(spec, schema, fingerprint, weights, biases, activation,
+        biases.append(np.zeros(fan_out))
+    return FeedforwardModel(spec, schema, fingerprint, weights, biases,
                             classes, x_mean, x_std, out_dim)
 
 
 def train_network(spec: ModelSpec, X, y, schema=None) -> FeedforwardModel:
-    """Train per spec with Adam; full batch unless batch_size is given."""
+    """Train per spec with full-batch Adam."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError(f"X must be a non-empty 2-d matrix, got shape {X.shape}")
@@ -326,57 +279,33 @@ def train_network(spec: ModelSpec, X, y, schema=None) -> FeedforwardModel:
             raise ValueError("vector_regress targets must be 2-d")
         out_dim = y2.shape[1]
 
-    if bool(hp.get("standardize", True)):
-        x_mean = X.mean(axis=0)
-        x_std = np.maximum(X.std(axis=0), 1e-8)
-    else:
-        x_mean = np.zeros(X.shape[1])
-        x_std = np.ones(X.shape[1])
+    x_mean = X.mean(axis=0)
+    x_std = np.maximum(X.std(axis=0), 1e-8)
 
     fp = spec.fingerprint_with(X, np.asarray(y))
     model = build_network(spec, X.shape[1], out_dim, schema, classes, x_mean, x_std, fp)
 
     epochs = int(hp.get("epochs", 200))
     lr = float(hp.get("lr", 0.01))
-    l2 = float(hp.get("l2", 0.0))
-    batch_size = hp.get("batch_size")
 
     n = X.shape[0]
     Xs = model._standardize(X)
     targets = model._encode_targets(y)
     if targets.shape[0] != n:
         raise ValueError(f"{targets.shape[0]} target rows for {n} input rows")
-    # standardizing and encoding work row by row, so a permutation of the
-    # prepared arrays equals the preparation of the permuted data
-    full_batch = batch_size is None or int(batch_size) >= n
-    bs = n if full_batch else int(batch_size)
-    workspaces = {}
+    ws = _Workspace(model, n)
 
     theta = model.flat_params()
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    step = 0
-    shuffle_rng = np.random.default_rng([int(spec.seed) & 0x7FFFFFFFFFFFFFFF, 0x5F1E])
-
-    for _ in range(epochs):
-        if full_batch:
-            Xe, te = Xs, targets
-        else:
-            order = shuffle_rng.permutation(n)
-            Xe, te = Xs[order], targets[order]
-        for start in range(0, n, bs):
-            Xb, tb = Xe[start:start + bs], te[start:start + bs]
-            ws = workspaces.get(Xb.shape[0])
-            if ws is None:
-                ws = workspaces[Xb.shape[0]] = _Workspace(model, Xb.shape[0])
-            model.set_flat_params(theta)
-            _, grad = model._loss_grad(Xb, tb, l2, ws, with_loss=False)
-            step += 1
-            m = beta1 * m + (1 - beta1) * grad
-            v = beta2 * v + (1 - beta2) * grad * grad
-            mhat = m / (1 - beta1 ** step)
-            vhat = v / (1 - beta2 ** step)
-            theta = theta - lr * mhat / (np.sqrt(vhat) + eps)
+    for step in range(1, epochs + 1):
+        model.set_flat_params(theta)
+        _, grad = model._loss_grad(Xs, targets, ws, with_loss=False)
+        m = beta1 * m + (1 - beta1) * grad
+        v = beta2 * v + (1 - beta2) * grad * grad
+        mhat = m / (1 - beta1 ** step)
+        vhat = v / (1 - beta2 ** step)
+        theta = theta - lr * mhat / (np.sqrt(vhat) + eps)
     model.set_flat_params(theta)
     return model

@@ -47,8 +47,7 @@ class OnlineRecurrentModel(TrainedModel):
         self.sd = sd
         self.window = window
         self.history = list(history)
-        hp = spec.hyperparameters
-        self.online_lr = float(hp.get("online_lr", hp.get("lr", 0.02)))
+        self.lr = float(spec.hyperparameters.get("lr", 0.02))
         if adam_state is None:
             theta = self._flat(params)
             adam_state = {"m": np.zeros_like(theta), "v": np.zeros_like(theta), "t": 0}
@@ -153,7 +152,7 @@ class OnlineRecurrentModel(TrainedModel):
             "hidden size": [m.params["Uz"].shape[-1] for m in models],
             "mu": [m.mu for m in models],
             "sd": [m.sd for m in models],
-            "online_lr": [m.online_lr for m in models],
+            "lr": [m.lr for m in models],
             "adam t": [m.adam["t"] for m in models],
             "history length": [len(m.history[-m.window:]) for m in models],
         }
@@ -212,7 +211,7 @@ class OnlineRecurrentModel(TrainedModel):
             raise ValueError(f"expected one observation per stream, got shape {obs.shape}")
         grad = self._backward(self._window_forward(), self._normalize(obs[..., None, None]))
         self._window_pass = None
-        self._adam_step(grad, self.online_lr)
+        self._adam_step(grad, self.lr)
         self.history.append(obs.tolist())
         if len(self.history) > self.window:
             self.history = self.history[-self.window:]
@@ -272,7 +271,6 @@ def init_online(spec: ModelSpec, warmup_series) -> OnlineRecurrentModel:
             f"got {series.size} samples")
     hidden = int(hp.get("hidden_size", 12))
     epochs = int(hp.get("epochs", 150))
-    lr = float(hp.get("lr", 0.02))
 
     mu = float(series.mean())
     sd = float(series.std())
@@ -301,6 +299,6 @@ def init_online(spec: ModelSpec, warmup_series) -> OnlineRecurrentModel:
     Xn = model._normalize(Xw)
     tn = model._normalize(targets)
     for _ in range(epochs):
-        model._adam_step(model._backward(model._forward(Xn, cache=True), tn), lr)
+        model._adam_step(model._backward(model._forward(Xn, cache=True), tn), model.lr)
     return model
 

@@ -17,9 +17,8 @@ provenance log, so record counts reconcile exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -30,36 +29,25 @@ MODES = ("additive_std", "replace_random")
 class ConstraintRule:
     """Physical bound on one field.
 
-    Numeric bounds use a closed interval [lo, hi] (either side may be None).
-    Categorical domains list the admissible values. action is what happens on
-    violation: "clamp" pulls the value back to the nearest bound, "reject"
-    drops the record. Clamping a categorical domain is meaningless and is
-    refused at construction.
+    The bounds are a closed interval [lo, hi] (either side may be None).
+    action is what happens on violation: "clamp" pulls the value back to the
+    nearest bound, "reject" drops the record.
     """
 
     field: str
     lo: float | None = None
     hi: float | None = None
-    domain: frozenset | None = None
     action: str = "reject"
 
     def __post_init__(self):
         if self.action not in ("clamp", "reject"):
             raise ValueError(f"constraint action must be clamp or reject, got {self.action!r}")
-        if self.domain is not None:
-            object.__setattr__(self, "domain", frozenset(self.domain))
-            if self.lo is not None or self.hi is not None:
-                raise ValueError("constraint cannot mix interval bounds with a categorical domain")
-            if self.action == "clamp":
-                raise ValueError("categorical constraints cannot clamp; use action=reject")
-        elif self.lo is None and self.hi is None:
+        if self.lo is None and self.hi is None:
             raise ValueError(f"constraint on {self.field!r} has no bounds")
         if self.lo is not None and self.hi is not None and self.lo > self.hi:
             raise ValueError(f"constraint on {self.field!r} has lo > hi")
 
     def violated(self, value) -> bool:
-        if self.domain is not None:
-            return value not in self.domain
         if self.lo is not None and value < self.lo:
             return True
         if self.hi is not None and value > self.hi:
@@ -78,27 +66,25 @@ class ConstraintRule:
 class DerivedField:
     """A field recomputed when its source changes.
 
-    rule is either the name of a built-in rule or a callable
-    (old_record, new_record, source_field) -> new value. Built-ins:
-
-    inverse_scale: new = old * old_source / new_source. Models quantities
-    averaged over a fixed window, e.g. a mean inter-arrival time when the
-    packet count changes. Zero old or new source leaves the value unchanged.
+    The one rule is inverse_scale: new = old * old_source / new_source. It
+    models quantities averaged over a fixed window, e.g. a mean inter-arrival
+    time when the packet count changes. Zero old or new source leaves the
+    value unchanged.
     """
 
     name: str
-    rule: str | Callable = "inverse_scale"
+    rule: str = "inverse_scale"
+
+    def __post_init__(self):
+        if self.rule != "inverse_scale":
+            raise ValueError(f"unknown derived-field rule {self.rule!r}")
 
     def recompute(self, old_record: Mapping, new_record: Mapping, source: str):
-        if callable(self.rule):
-            return self.rule(old_record, new_record, source)
-        if self.rule == "inverse_scale":
-            old_src = old_record[source]
-            new_src = new_record[source]
-            if old_src == 0 or new_src == 0:
-                return old_record[self.name]
-            return new_record[self.name] * old_src / new_src
-        raise ValueError(f"unknown derived-field rule {self.rule!r}")
+        old_src = old_record[source]
+        new_src = new_record[source]
+        if old_src == 0 or new_src == 0:
+            return old_record[self.name]
+        return new_record[self.name] * old_src / new_src
 
 
 @dataclass(frozen=True)
@@ -179,8 +165,8 @@ class PerturbationSpec:
     additive_std:   multiplier of the per-field population std
     replace_random: index of an independent seeded draw (magnitude-free)
 
-    params carries the replace_random extras: donor_pool, linked and count
-    (the record budget).
+    params carries the replace_random extras, donor_pool and linked, and
+    nothing else.
     An empty intensity_levels list is permitted at construction so defense
     code can express a degenerate no-op schedule, but apply_rsp refuses it.
     """
@@ -200,6 +186,10 @@ class PerturbationSpec:
         object.__setattr__(self, "params", dict(self.params))
         if self.mode not in MODES:
             raise ValueError(f"unknown perturbation mode {self.mode!r}; expected one of {MODES}")
+        unknown = sorted(set(self.params) - {"donor_pool", "linked"})
+        if unknown:
+            raise ValueError(f"unknown perturbation params {unknown}; "
+                             "expected donor_pool and linked")
         if not self.target_fields:
             raise ValueError("perturbation needs at least one target field")
         if len(set(self.target_fields)) != len(self.target_fields):
@@ -376,12 +366,11 @@ def derive_stream(seed: int, level_index: int) -> int:
 
 
 def apply_rsp(records: Sequence[Mapping], spec: PerturbationSpec, level_index: int,
-              seed: int, fraction: float = 1.0,
-              allowed_fields: Sequence[str] | None = None
+              seed: int, allowed_fields: Sequence[str] | None = None
               ) -> tuple[list[dict], ProvenanceLog]:
-    """Apply one perturbation level to recorded data.
+    """Apply one perturbation level to every record.
 
-    Deterministic for equal (records, spec, level_index, seed, fraction).
+    Deterministic for equal (records, spec, level_index, seed).
     Only target fields and their derived closure ever differ from the input;
     records violating a reject constraint are excluded from the output but
     logged, so len(records) == len(output) + rejected. A perturbation whose
@@ -393,20 +382,10 @@ def apply_rsp(records: Sequence[Mapping], spec: PerturbationSpec, level_index: i
     if not 0 <= level_index < len(spec.intensity_levels):
         raise ValueError(
             f"level_index {level_index} out of range for {len(spec.intensity_levels)} levels")
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"fraction must be in [0, 1], got {fraction}")
     if records:
         spec.bind(records[0].keys(), allowed_fields)
     level_value = spec.intensity_levels[level_index]
     log = ProvenanceLog(spec.name, level_index, level_value, n_input=len(records))
-
-    n = len(records)
-    if fraction >= 1.0:
-        selected = set(range(n))
-    else:
-        k = math.ceil(fraction * n)
-        rng = np.random.default_rng([int(seed) & 0x7FFFFFFFFFFFFFFF, 0xF4AC])
-        selected = set(int(i) for i in rng.choice(n, size=k, replace=False)) if k else set()
 
     # mode-wide precomputation
     deltas: dict[str, float] = {}
@@ -415,22 +394,9 @@ def apply_rsp(records: Sequence[Mapping], spec: PerturbationSpec, level_index: i
             deltas[fname] = level_value * population_std(records, fname)
     donor_pool = spec.params.get("donor_pool", ())
     linked = dict(spec.params.get("linked", {}))
-    replace_budget = spec.params.get("count")
-    if spec.mode == "replace_random" and replace_budget is not None:
-        # trim the selected set to the record budget, uniformly
-        budget = int(replace_budget)
-        if budget < 0:
-            raise ValueError("replace_random count must be non-negative")
-        if budget < len(selected):
-            rng = np.random.default_rng([int(seed) & 0x7FFFFFFFFFFFFFFF, 0xC0DE])
-            pick = rng.choice(sorted(selected), size=budget, replace=False) if budget else []
-            selected = set(int(i) for i in np.atleast_1d(pick)) if budget else set()
 
     output: list[dict] = []
     for i, original in enumerate(records):
-        if i not in selected:
-            output.append(dict(original))
-            continue
         new = dict(original)
         changed: set[str] = set()
         if spec.mode == "additive_std":

@@ -85,10 +85,12 @@ def grid_topology(cell_size: float = 250.0, ues_per_cell: int = 5, seed: int = 0
     """
     if cell_size <= 0 or ues_per_cell < 1:
         raise ValueError("cell_size must be positive and ues_per_cell >= 1")
-    if min_gnb_distance >= cell_size / np.sqrt(2.0):
-        # no point of the cell lies that far from its center: rejection never ends
+    if min_gnb_distance >= cell_size / 2.0:
+        # past the inscribed radius the acceptable corners shrink towards
+        # nothing and rejection slows without bound; below it at least
+        # 1 - pi/4 (21%) of the cell stays acceptable
         raise ValueError(f"min_gnb_distance {min_gnb_distance} must be below the "
-                         f"half-diagonal {cell_size / np.sqrt(2.0):.6g} of a "
+                         f"inscribed radius {cell_size / 2.0:.6g} of a "
                          f"{cell_size} m cell")
     rng = np.random.default_rng([int(seed) & 0x7FFFFFFFFFFFFFFF, 0x707])
     cells = []

@@ -346,6 +346,15 @@ BAD_VALUES = [
     ("cs6", {"model": {"max_features": 0}}, "config.model.max_features"),
     ("cs4", {"model": {"network": [64]}}, "config.model.network"),
     ("cs2", {"defense": {"adversarial_training": True}}, "config.defense.adversarial_training"),
+    # past the inscribed radius of a 250 m cell placement slows without bound
+    ("cs5", {"data": {"synthetic": {"min_gnb_distance": 150}}},
+     "config.data.synthetic.min_gnb_distance"),
+    # settings the models no longer have are unknown keys, like l2 and activation above
+    ("cs5", {"model": {"bias": False}}, "config.model.bias"),
+    ("cs5", {"model": {"output_bias": False}}, "config.model.output_bias"),
+    ("cs5", {"model": {"batch_size": 64}}, "config.model.batch_size"),
+    ("cs4", {"model": {"network": {"standardize": False}}}, "config.model.network.standardize"),
+    ("cs3", {"model": {"online_lr": 0.01}}, "config.model.online_lr"),
 ]
 
 
@@ -398,11 +407,7 @@ def _forest(rng):
 
 def _network(rng):
     return {"hidden": [int(h) for h in rng.integers(1, 8, size=int(rng.integers(3)))],
-            "activation": _pick(rng, ["tanh", "relu", "identity"]),
-            "epochs": int(rng.integers(1, 6)), "lr": float(rng.uniform(1e-3, 0.1)),
-            "l2": _pick(rng, [0.0, 1e-3]), "batch_size": _pick(rng, [None, 4, 64]),
-            "bias": bool(rng.integers(2)), "output_bias": bool(rng.integers(2)),
-            "standardize": bool(rng.integers(2))}
+            "epochs": int(rng.integers(1, 6)), "lr": float(rng.uniform(1e-3, 0.1))}
 
 
 def _multipliers(rng):
@@ -440,8 +445,7 @@ def _reduced_config(scenario, rng):
         return {"data": {"synthetic": {"length": length,
                                        "profiles": _subset(rng, CQI_PROFILES)}},
                 "model": {"window": window, "hidden_size": int(rng.integers(1, 4)),
-                          "epochs": int(rng.integers(1, 4)), "lr": float(rng.uniform(1e-3, 0.1)),
-                          "online_lr": float(rng.uniform(1e-3, 0.1))},
+                          "epochs": int(rng.integers(1, 4)), "lr": float(rng.uniform(1e-3, 0.1))},
                 "attack": {"spoof_modes": _subset(rng, SPOOF_MODES), "period_s": period}}
     if scenario == "cs4":
         return {"data": {"synthetic": {"n_per_class": int(rng.integers(2, 6))}},
@@ -464,7 +468,8 @@ def test_valid_reduced_configs_run_through_every_stage():
     """No drawn config that passes the table fails at run time, with one
     exception the table cannot see: on a validation split of a few rows the
     hardened cs2 or cs6 model can score 0 on clean data, and threat.tradeoff
-    refuses a ratio over zero (seed 2017 draws two such cs2 runs)."""
+    refuses a ratio over zero (seed 2017 draws no such run; cs2 at seed 346
+    with 49 rows is one)."""
     rng = np.random.default_rng(2017)
     refused = []
     for i in range(48):

@@ -74,7 +74,7 @@ def assert_same_state(got, want):
 def test_warmup_matches_reference(window, hidden):
     model, ref = _warmed(window, hidden)
     assert_same_state(model, ref)
-    assert (model.mu, model.sd, model.online_lr) == (ref.mu, ref.sd, ref.online_lr)
+    assert (model.mu, model.sd, model.lr) == (ref.mu, ref.sd, ref.online_lr)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -208,9 +208,9 @@ def test_replicas_that_disagree_are_refused_with_every_field_listed():
     model, _ = _warmed(5, 6)
     other = init_online(ModelSpec("recurrent", "regress",
                                   {"window": 16, "hidden_size": 1, "epochs": 4,
-                                   "online_lr": 0.01}, seed=1), _cqi(30, 1))
+                                   "lr": 0.01}, seed=1), _cqi(30, 1))
     assert _refused_fields([model.to_state(), other.to_state()]) == [
-        "window", "hidden size", "mu", "sd", "online_lr", "adam t", "history length"]
+        "window", "hidden size", "mu", "sd", "lr", "adam t", "history length"]
     stepped = OnlineRecurrentModel.from_state(*model.to_state())
     stepped.step(3.0)  # params, moments and history may differ; the step count may not
     assert _refused_fields([model.to_state(), stepped.to_state()]) == ["adam t"]

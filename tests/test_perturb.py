@@ -23,19 +23,6 @@ class TestConstraintRule:
         assert r.violated(11.0) and r.clamped(11.0) == 10.0
         assert not r.violated(5.0)
 
-    def test_domain_membership(self):
-        r = ConstraintRule("proto", domain={"TCP", "UDP"})
-        assert r.violated("ICMP")
-        assert not r.violated("TCP")
-
-    def test_domain_cannot_clamp(self):
-        with pytest.raises(ValueError):
-            ConstraintRule("proto", domain={"TCP"}, action="clamp")
-
-    def test_domain_cannot_mix_with_bounds(self):
-        with pytest.raises(ValueError):
-            ConstraintRule("x", lo=0.0, domain={"a"})
-
     def test_boundless_rule_rejected(self):
         with pytest.raises(ValueError):
             ConstraintRule("x")
@@ -82,18 +69,12 @@ class TestDependencyGraph:
         new = {"n": 5.0, "aiat": 2.0}
         assert d.recompute(old, new, "n") == 2.0
 
-    def test_callable_rule(self):
-        d = DerivedField("twice", rule=lambda old, new, src: new[src] * 2)
-        assert d.recompute({"x": 1, "twice": 0}, {"x": 4, "twice": 0}, "x") == 8
-
     def test_chain_propagation(self):
-        g = DependencyGraph({
-            "a": (DerivedField("b", rule=lambda o, n, s: n[s] + 1),),
-            "b": (DerivedField("c", rule=lambda o, n, s: n[s] + 1),),
-        })
-        new = {"a": 10, "b": 0, "c": 0}
-        touched = g.propagate({"a": 0, "b": 0, "c": 0}, new, {"a"})
-        assert new == {"a": 10, "b": 11, "c": 12}
+        g = DependencyGraph({"a": (DerivedField("b"),), "b": (DerivedField("c"),)})
+        new = {"a": 4.0, "b": 4.0, "c": 8.0}
+        touched = g.propagate({"a": 2.0, "b": 4.0, "c": 8.0}, new, {"a"})
+        # b scales by 2/4, then c by b's old 4 over its new 2
+        assert new == {"a": 4.0, "b": 2.0, "c": 16.0}
         assert touched == {"b", "c"}
 
     def test_cycle_is_rejected(self):
@@ -121,6 +102,20 @@ class TestSpecValidation:
     def test_replace_random_needs_donors(self):
         with pytest.raises(ValueError, match="donor_pool"):
             PerturbationSpec("s", ("x",), "replace_random", (1.0,))
+
+    def test_params_other_than_donors_and_links_are_refused(self):
+        with pytest.raises(ValueError, match=r"unknown perturbation params \['count'\]"):
+            PerturbationSpec("s", ("x",), "replace_random", (1.0,),
+                             params={"donor_pool": [1.0], "count": 3})
+
+    def test_removed_selectors_are_refused(self):
+        with pytest.raises(TypeError, match="fraction"):
+            apply_rsp([{"x": 1.0}], PerturbationSpec("s", ("x",), "additive_std", (1.0,)),
+                      0, seed=0, fraction=0.5)
+        with pytest.raises(TypeError, match="domain"):
+            ConstraintRule("proto", domain={"TCP"})
+        with pytest.raises(ValueError, match="derived-field rule"):
+            DerivedField("twice", rule=lambda old, new, src: new[src] * 2)
 
     def test_replace_random_linked_must_align(self):
         with pytest.raises(ValueError, match="not aligned"):
@@ -235,21 +230,13 @@ class TestApplyRsp:
         b, _ = apply_rsp(recs, spec, 1, seed=11)
         assert [r["pktRx"] for r in a] != [r["pktRx"] for r in b]
 
-    def test_fraction_limits_the_blast_radius(self):
-        recs = records_fixture(20)
-        spec = PerturbationSpec("s", ("RSRP",), "additive_std", (3.0,))
-        out, log = apply_rsp(recs, spec, 0, seed=5, fraction=0.25)
-        changed = sum(1 for b, a in zip(recs, out) if a["RSRP"] != b["RSRP"])
-        assert changed == 5  # ceil(0.25 * 20)
-        assert log.counts()["perturbed"] == 5
-
     def test_same_inputs_same_outputs(self):
         recs = records_fixture(25)
         pool = list(np.linspace(-5, 5, 31))
         spec = PerturbationSpec("rep", ("RSRP",), "replace_random", (1.0,),
                                 params={"donor_pool": pool})
-        a, loga = apply_rsp(recs, spec, 0, seed=21, fraction=0.6)
-        b, logb = apply_rsp(recs, spec, 0, seed=21, fraction=0.6)
+        a, loga = apply_rsp(recs, spec, 0, seed=21)
+        b, logb = apply_rsp(recs, spec, 0, seed=21)
         assert a == b
         assert loga.to_rows() == logb.to_rows()
 
@@ -272,24 +259,3 @@ class TestApplyRsp:
         lines = text.strip().split("\n")
         assert lines[0] == "record,field,old,new,level,verdict"
         assert len(lines) == 2
-
-
-def budget_spec(donors, count):
-    """replace_random on RSRP with a record budget of count."""
-    return PerturbationSpec("rep", ("RSRP",), "replace_random", (1.0,),
-                            params={"donor_pool": donors, "count": count})
-
-
-def test_replace_random_helper_count_zero_is_identity():
-    recs = records_fixture(10)
-    out, log = apply_rsp(recs, budget_spec([0.0], 0), 0, seed=1)
-    assert out == [dict(r) for r in recs]
-    assert log.entries == []
-
-
-def test_replace_random_helper_respects_count():
-    recs = records_fixture(10)
-    out, log = apply_rsp(recs, budget_spec([999.0], 4), 0, seed=1)
-    changed = sum(1 for b, a in zip(recs, out) if a["RSRP"] != b["RSRP"])
-    assert changed == 4
-    assert len(log.entries) == 4

@@ -179,9 +179,12 @@ class TestMimoGeometry:
 
     def test_unreachable_station_distance_raises_before_drawing(self):
         # no point of a 250 m cell lies 200 m from its center: rejection would never end
-        with pytest.raises(ValueError, match="half-diagonal"):
+        with pytest.raises(ValueError, match="inscribed radius"):
             grid_topology(cell_size=250.0, min_gnb_distance=200.0)
-        assert grid_topology(cell_size=250.0, min_gnb_distance=170.0, seed=1).n_ues == 20
+        # past 125 m only the corners are left, and rejection slows without bound
+        with pytest.raises(ValueError, match="inscribed radius"):
+            grid_topology(cell_size=250.0, min_gnb_distance=125.0)
+        assert grid_topology(cell_size=250.0, min_gnb_distance=120.0, seed=1).n_ues == 20
 
 
 def write_csv(path, columns, rows):
