@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .attacks import DegradationCurve
 from .defenses import DefenseEvaluation
-from .forkmap import usable_cpus
+from .forkmap import blas_threads, usable_cpus
 from .repro import _jsonable, atomic_write_text, canonical_json
 
 
@@ -145,29 +145,6 @@ def emit_plot_data(report: ExperimentReport, out_dir: str) -> list[str]:
     return written
 
 
-def _blas_threads() -> int | None:
-    """Thread count of the OpenBLAS that numpy loaded, asked of the library;
-    None where no OpenBLAS shows in /proc/self/maps."""
-    import ctypes
-    try:
-        with open("/proc/self/maps") as fh:
-            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    except OSError:
-        return None
-    for path in libs:
-        try:
-            lib = ctypes.CDLL(path)  # the loaded library, not a second copy
-        except OSError:
-            continue
-        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                       "openblas_get_num_threads"):
-            fn = getattr(lib, symbol, None)
-            if fn is not None:
-                fn.argtypes, fn.restype = [], ctypes.c_int
-                return int(fn())
-    return None
-
-
 def write_report(report: ExperimentReport, out_dir: str) -> dict:
     """Write all artifacts atomically; returns {artifact: path}.
 
@@ -200,7 +177,7 @@ def write_report(report: ExperimentReport, out_dir: str) -> dict:
         "seed": int(report.seed),
         "stage": report.stage,
         "timings_s": {k: float(v) for k, v in sorted(report.timings.items())},
-        "blas_threads": _blas_threads(),
+        "blas_threads": blas_threads(),
         "nproc": usable_cpus(),
     }) + "\n")
     paths["run_meta"] = meta_path

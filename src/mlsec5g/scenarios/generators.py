@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..flows import PacketRecord
-from .mimo import MimoTopology, grid_topology, ground_truth_power
+from .mimo import grid_topology, ground_truth_power, place_terminals
 
 SCENARIOS = ("cs1", "cs2", "cs3", "cs4", "cs5", "cs6")
 
@@ -300,22 +300,10 @@ def generate_placements(seed: int = 0, n_samples: int = 400,
                          seed=seed, min_gnb_distance=min_gnb_distance)
     rng = _seed_rng(seed, 0xC55)
     n_ues = topo.n_ues
-    X = np.empty((n_samples, 2 * n_ues))
-    Y = np.empty((n_samples, n_ues))
-    for i in range(n_samples):
-        pos = np.empty((n_ues, 2))
-        for k in range(n_ues):
-            c = topo.serving[k]
-            xmin, ymin, xmax, ymax = topo.cell_bounds[c]
-            gx, gy = topo.gnb_positions[c]
-            while True:
-                x = float(rng.uniform(xmin, xmax))
-                y = float(rng.uniform(ymin, ymax))
-                if np.hypot(x - gx, y - gy) >= min_gnb_distance:
-                    break
-            pos[k] = (x, y)
-        X[i] = pos.ravel()
-        Y[i] = ground_truth_power(topo, pos)
+    positions = place_terminals(rng, np.tile(topo.serving, n_samples), topo.cell_bounds,
+                                topo.gnb_positions, min_gnb_distance)
+    X = positions.reshape(n_samples, 2 * n_ues)
+    Y = ground_truth_power(topo, positions.reshape(n_samples, n_ues, 2))
     schema = tuple(f"ue{k}_{axis}" for k in range(n_ues) for axis in ("x", "y"))
     return {"X": X, "Y": Y, "schema": schema, "topology": topo}
 

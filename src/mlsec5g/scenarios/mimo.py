@@ -16,6 +16,7 @@ import numpy as np
 
 PATHLOSS_EXPONENT = 3.7
 BUDGET_TOLERANCE = 1e-9
+_PLACE_BLOCK = 256  # (x, y) pairs drawn at once by place_terminals
 
 
 @dataclass(frozen=True)
@@ -100,21 +101,44 @@ def grid_topology(cell_size: float = 250.0, ues_per_cell: int = 5, seed: int = 0
             xmin, ymin = col * cell_size, row * cell_size
             cells.append((xmin, ymin, xmin + cell_size, ymin + cell_size))
             gnbs.append((xmin + cell_size / 2.0, ymin + cell_size / 2.0))
-    positions = []
-    serving = []
-    for c, (xmin, ymin, xmax, ymax) in enumerate(cells):
-        gx, gy = gnbs[c]
-        placed = 0
-        while placed < ues_per_cell:
-            x = float(rng.uniform(xmin, xmax))
-            y = float(rng.uniform(ymin, ymax))
-            if np.hypot(x - gx, y - gy) >= min_gnb_distance:
-                positions.append((x, y))
-                serving.append(c)
-                placed += 1
-    return MimoTopology(np.asarray(gnbs), tuple(cells), np.asarray(positions),
-                        np.asarray(serving), power_budget=power_budget,
-                        pathloss_exponent=pathloss_exponent)
+    serving = np.repeat(np.arange(len(cells)), ues_per_cell)
+    positions = place_terminals(rng, serving, cells, gnbs, min_gnb_distance)
+    return MimoTopology(np.asarray(gnbs), tuple(cells), positions, serving,
+                        power_budget=power_budget, pathloss_exponent=pathloss_exponent)
+
+
+def place_terminals(rng: np.random.Generator, cells, bounds, gnbs,
+                    min_gnb_distance: float) -> np.ndarray:
+    """One position per entry of `cells`, uniform in that cell's rectangle
+    but at least min_gnb_distance from its station, by rejection.
+
+    The result is that of the scalar loop which, terminal by terminal, draws
+    x = rng.uniform(xmin, xmax), then y = rng.uniform(ymin, ymax), until the
+    pair is far enough from the station. Here the (x, y) uniforms come in
+    blocks of pairs, scaled as rng.uniform scales them (lo + (hi - lo) * u);
+    each pair is tested against every cell, and a walk in stream order hands
+    each terminal the first pair after its predecessor's that its own cell
+    accepts. rng is left past the last block, not the last pair used.
+    """
+    cells = np.asarray(cells, dtype=int)
+    bounds = np.asarray(bounds, dtype=float)
+    lo, span = bounds[:, None, :2], bounds[:, None, 2:] - bounds[:, None, :2]
+    gnbs = np.asarray(gnbs, dtype=float)[:, None, :]
+    positions = np.empty((cells.size, 2))
+    block, done = _PLACE_BLOCK, 0
+    while done < cells.size:
+        xy = lo + span * rng.random((block, 2))                  # (cell, pair, xy)
+        accepted = np.hypot(*np.moveaxis(xy - gnbs, -1, 0)) >= min_gnb_distance
+        pair = 0
+        while pair < block and done < cells.size:
+            take = np.arange(pair, pair + min(block - pair, cells.size - done))
+            want = cells[done:done + take.size]
+            hits = accepted[want, take]
+            run = take.size if hits.all() else int(np.argmin(hits))
+            positions[done:done + run] = xy[want[:run], take[:run]]
+            done += run
+            pair += run + (run < take.size)  # past a pair this terminal's cell rejects
+    return positions
 
 
 def _check_budgets(topology: MimoTopology, powers: np.ndarray) -> None:
@@ -133,20 +157,21 @@ def ground_truth_power(topology: MimoTopology, positions=None) -> np.ndarray:
     """Distance-compensating policy: p_k proportional to d_kk^alpha per cell.
 
     The budget is spent exactly, so a terminal that moves outward strictly
-    gains allocated power at its cellmates' expense.
+    gains allocated power at its cellmates' expense. positions may stack
+    placements on leading axes, (..., n_ues, 2); the powers are (..., n_ues).
     """
     positions = topology.ue_positions if positions is None else np.asarray(positions, dtype=float)
-    if positions.shape != topology.ue_positions.shape:
+    if positions.shape[-2:] != topology.ue_positions.shape:
         raise ValueError("positions shape mismatch")
     alpha = topology.pathloss_exponent
-    powers = np.empty(topology.n_ues)
+    powers = np.empty(positions.shape[:-1])
     for c in range(topology.n_cells):
         members = topology.cell_members(c)
-        d = np.hypot(*(positions[members] - topology.gnb_positions[c]).T)
+        d = np.hypot(*np.moveaxis(positions[..., members, :] - topology.gnb_positions[c], -1, 0))
         if np.any(d <= 0):
             raise ValueError(f"terminal at zero distance from station {c}")
         share = d ** alpha
-        powers[members] = topology.power_budget * share / share.sum()
+        powers[..., members] = topology.power_budget * share / share.sum(axis=-1, keepdims=True)
     return powers
 
 

@@ -30,13 +30,13 @@ class ReferenceOnlineModel:
     """One stream's parameters, Adam state and reported window."""
 
     def __init__(self, params: dict, mu: float, sd: float, window: int,
-                 history, online_lr: float, adam_state: dict | None = None):
+                 history, lr: float, adam_state: dict | None = None):
         self.params = params
         self.mu = mu
         self.sd = sd
         self.window = window
         self.history = list(history)
-        self.online_lr = online_lr
+        self.lr = lr
         if adam_state is None:
             theta = self._flat(params)
             adam_state = {"m": np.zeros_like(theta), "v": np.zeros_like(theta), "t": 0}
@@ -50,8 +50,7 @@ class ReferenceOnlineModel:
         adam = {"m": np.array(arrays["adam_m"], dtype=float),
                 "v": np.array(arrays["adam_v"], dtype=float), "t": meta["adam_t"]}
         return cls(params, meta["mu"], meta["sd"], meta["window"],
-                   list(arrays["history"]),
-                   float(hp.get("online_lr", hp.get("lr", 0.02))), adam)
+                   list(arrays["history"]), float(hp.get("lr", 0.02)), adam)
 
     @staticmethod
     def _flat(params: dict) -> np.ndarray:
@@ -144,7 +143,7 @@ class ReferenceOnlineModel:
         window = np.asarray(self.history[-self.window:], dtype=float).reshape(1, -1)
         target = np.array([[obs]], dtype=float)
         _, grad = self._loss_grad(self._normalize(window), self._normalize(target))
-        self._adam_step(grad, self.online_lr)
+        self._adam_step(grad, self.lr)
         self.history.append(obs)
         if len(self.history) > self.window:
             self.history = self.history[-self.window:]
@@ -182,8 +181,7 @@ def reference_warmup(spec, warmup_series) -> ReferenceOnlineModel:
     params["Wy"] = rng.uniform(-scale_y, scale_y, size=(hidden, 1))
     params["by"] = np.zeros(1)
 
-    model = ReferenceOnlineModel(params, mu, sd, window, list(series[-window:]),
-                                 float(hp.get("online_lr", lr)))
+    model = ReferenceOnlineModel(params, mu, sd, window, list(series[-window:]), lr)
     n_pairs = series.size - window
     Xw = np.lib.stride_tricks.sliding_window_view(series, window)[:n_pairs]
     targets = series[window:].reshape(-1, 1)

@@ -1,12 +1,18 @@
 """The network trainer, which prepares its data once and computes into reused
 buffers, and the public loss-and-gradient match the reference network and
-training loop bit for bit."""
+training loop bit for bit, in one process and with its epochs split across a
+forked helper."""
+
+import multiprocessing
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from network_oracle import reference_network
 
-from mlsec5g.models import FeedforwardModel, ModelSpec, train_network
+from mlsec5g import forkmap
+from mlsec5g.models import FeedforwardModel, ModelSpec, network, train_network
 
 TASKS = ["classify", "regress", "vector_regress"]
 
@@ -121,3 +127,150 @@ def test_network_hooks_are_defined_on_the_class():
     # the benchmark's tracer patches these by name
     for name in ("loss_grad", "predict", "predict_proba"):
         assert name in FeedforwardModel.__dict__
+
+
+# -- epochs split across a forked helper ---------------------------------------
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The processes started while the test runs."""
+    processes = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def counted(self):
+        processes.append(self)
+        start(self)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted)
+    return processes
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """Every fit splits its epochs with a forked helper where it may fork,
+    even on one usable CPU or beside a threaded BLAS."""
+    monkeypatch.setattr(network, "_SPLIT_MIN_EPOCH", 0)
+    monkeypatch.setattr(network, "_SPLIT_MIN_FIT", 0)
+    monkeypatch.setattr(forkmap, "_workers", 1)
+    monkeypatch.setattr(forkmap, "blas_threads", lambda: 1)
+
+
+def _one_process(monkeypatch, spec, X, y):
+    with monkeypatch.context() as m:
+        m.setattr(forkmap, "_workers", 0)
+        return train_network(spec, X, y)
+
+
+@pytest.mark.parametrize("task", TASKS)
+@pytest.mark.parametrize("hidden", [[], [5], [6, 4]], ids=["0", "1", "2"])
+@pytest.mark.parametrize("n", [1, 2, 7, 31])
+def test_split_epochs_match_one_process_and_reference(task, hidden, n, split, started,
+                                                      monkeypatch):
+    X, y = _data(task, n=n)
+    spec = ModelSpec("feedforward", task, {"hidden": hidden, "epochs": 12, "lr": 0.05},
+                     seed=3)
+    model = train_network(spec, X, y)
+    # a one-row half may take BLAS's matrix-vector path, whose bits can differ
+    # from that row of the whole matmul: then the fit stays in one process
+    assert len(started) == 1 or n == 2 and started == []
+    assert not any(p.is_alive() for p in started)
+    assert_matches_reference(model, spec, X, y)
+    assert _same(model.flat_params(), _one_process(monkeypatch, spec, X, y).flat_params())
+
+
+def test_split_cs5_shape_matches_one_process(split, started, monkeypatch):
+    rng = np.random.default_rng(5)
+    X = rng.uniform(0.0, 500.0, (2701, 40))
+    Y = rng.uniform(0.0, 1.0, (2701, 20))
+    spec = ModelSpec("feedforward", "vector_regress",
+                     {"hidden": [64], "epochs": 5, "lr": 0.01}, seed=7)
+    model = train_network(spec, X, Y)
+    assert len(started) == 1
+    assert _same(model.flat_params(), _one_process(monkeypatch, spec, X, Y).flat_params())
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_split_on_one_shared_cpu_keeps_the_bits(split, started):
+    # the helper inherits the caller's one CPU: each handoff waits for the
+    # other side to be scheduled, so a round that read stale memory would show
+    X, y = _data("vector_regress", n=31)
+    spec = ModelSpec("feedforward", "vector_regress", {"hidden": [6, 4], "epochs": 300},
+                     seed=3)
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        model = train_network(spec, X, y)
+    finally:
+        os.sched_setaffinity(0, cpus)
+    assert len(started) == 1
+    assert_matches_reference(model, spec, X, y)
+
+
+def test_a_split_that_moves_a_bit_trains_in_one_process(split, started, monkeypatch):
+    rows_of = FeedforwardModel._rows
+
+    def nudged(self, Xs, targets, ws, rows, with_loss=False):
+        loss = rows_of(self, Xs, targets, ws, rows, with_loss)
+        if rows != slice(None):  # one ulp off in the last row of either half
+            ws.delta[0][rows][-1:] = np.nextafter(ws.delta[0][rows][-1:], np.inf)
+        return loss
+
+    monkeypatch.setattr(FeedforwardModel, "_rows", nudged)
+    X, y = _data("vector_regress", n=31)
+    spec = ModelSpec("feedforward", "vector_regress", {"hidden": [5], "epochs": 12}, seed=3)
+    model = train_network(spec, X, y)
+    assert started == []
+    assert_matches_reference(model, spec, X, y)
+
+
+@pytest.mark.parametrize("failure", ["raises", "exits"])
+def test_a_helper_that_fails_fails_the_fit_and_is_reaped(failure, split, started,
+                                                         monkeypatch):
+    caller, reduce = os.getpid(), FeedforwardModel._reduce
+
+    def fail_in_helper(self, *args):
+        if os.getpid() != caller:
+            if failure == "raises":  # a message longer than a pipe holds
+                raise ValueError("reduction in the helper" + "!" * 100_000)
+            os._exit(3)
+        return reduce(self, *args)
+
+    monkeypatch.setattr(FeedforwardModel, "_reduce", fail_in_helper)
+    X, y = _data("classify", n=31)
+    spec = ModelSpec("feedforward", "classify", {"hidden": [5], "epochs": 12}, seed=3)
+    error, match = ((ValueError, "reduction in the helper") if failure == "raises"
+                    else (RuntimeError, "helper exited with code 3"))
+    with pytest.raises(error, match=match):
+        train_network(spec, X, y)
+    assert len(started) == 1 and not started[0].is_alive()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("threads", [2, None])  # None: no OpenBLAS to ask
+def test_no_split_unless_the_blas_runs_one_thread(threads, split, started, monkeypatch):
+    monkeypatch.setattr(forkmap, "blas_threads", lambda: threads)
+    X, y = _data("regress", n=31)
+    spec = ModelSpec("feedforward", "regress", {"hidden": [5], "epochs": 12}, seed=3)
+    model = train_network(spec, X, y)
+    assert started == []
+    assert_matches_reference(model, spec, X, y)
+
+
+def test_no_split_inside_a_fork_map_worker_or_beside_a_thread(split, started, monkeypatch):
+    X, y = _data("regress", n=31)
+    spec = ModelSpec("feedforward", "regress", {"hidden": [5], "epochs": 12}, seed=3)
+    want = train_network(spec, X, y).flat_params()
+    assert len(started) == 1
+
+    def refuse(self, fn):
+        raise AssertionError("a helper was forked")
+
+    monkeypatch.setattr(forkmap.Lockstep, "__init__", refuse)
+    fit = lambda _: train_network(spec, X, y).flat_params()  # noqa: E731
+    got = forkmap.fork_map(fit, [0, 1])  # one worker runs both fits
+    assert len(started) == 2
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        got.append(pool.submit(fit, 2).result())
+    assert len(started) == 2
+    assert all(_same(params, want) for params in got)

@@ -74,7 +74,7 @@ def assert_same_state(got, want):
 def test_warmup_matches_reference(window, hidden):
     model, ref = _warmed(window, hidden)
     assert_same_state(model, ref)
-    assert (model.mu, model.sd, model.lr) == (ref.mu, ref.sd, ref.online_lr)
+    assert (model.mu, model.sd, model.lr) == (ref.mu, ref.sd, ref.lr)
 
 
 @pytest.mark.parametrize("mode", MODES)

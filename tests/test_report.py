@@ -122,8 +122,8 @@ def test_importing_the_package_pins_blas_unless_the_caller_chose(chosen):
     if chosen is not None:
         env["OPENBLAS_NUM_THREADS"] = chosen
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(mlsec5g.__file__))
-    code = ("import os, mlsec5g; from mlsec5g.report import _blas_threads; "
-            "print(os.environ['OPENBLAS_NUM_THREADS'], _blas_threads())")
+    code = ("import os, mlsec5g; from mlsec5g.forkmap import blas_threads; "
+            "print(os.environ['OPENBLAS_NUM_THREADS'], blas_threads())")
     variable, threads = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                                        capture_output=True, text=True).stdout.split()
     assert variable == (chosen or "1")

@@ -19,9 +19,42 @@ from mlsec5g.scenarios.generators import (ATTACKER_IPS, CQI_FEATURES,
                                           generate_subscriptions,
                                           generate_traffic, records_to_matrix,
                                           slice_label)
+from mlsec5g.scenarios import mimo
 from mlsec5g.scenarios.mimo import (MimoTopology, grid_topology,
                                     ground_truth_power, normalize_powers,
                                     spectral_efficiency)
+
+
+def loop_placements(seed, n_samples, cell_size=250.0, ues_per_cell=5, min_gnb_distance=20.0):
+    """The scalar rejection loop the block sampler replaces: two rng.uniform
+    draws per try, one terminal at a time, and the policy one placement at a
+    time."""
+    def place(rng, cells):
+        positions = []
+        for xmin, ymin, xmax, ymax in cells:
+            gx, gy = xmin + cell_size / 2.0, ymin + cell_size / 2.0
+            while True:
+                x = float(rng.uniform(xmin, xmax))
+                y = float(rng.uniform(ymin, ymax))
+                if np.hypot(x - gx, y - gy) >= min_gnb_distance:
+                    positions.append((x, y))
+                    break
+        return np.array(positions)
+
+    grid = [(col * cell_size, row * cell_size, col * cell_size + cell_size,
+             row * cell_size + cell_size) for row in range(2) for col in range(2)]
+    cells = [cell for cell in grid for _ in range(ues_per_cell)]
+    topo_rng = np.random.default_rng([int(seed) & 0x7FFFFFFFFFFFFFFF, 0x707])
+    topo = grid_topology(cell_size=cell_size, ues_per_cell=ues_per_cell, seed=seed,
+                         min_gnb_distance=min_gnb_distance)
+    assert place(topo_rng, cells).tobytes() == topo.ue_positions.tobytes()
+    rng = np.random.default_rng([int(seed) & 0x7FFFFFFFFFFFFFFF, 0xC55])
+    X, Y = [], []
+    for _ in range(n_samples):
+        pos = place(rng, cells)
+        X.append(pos.ravel())
+        Y.append(ground_truth_power(topo, pos))
+    return np.array(X), np.array(Y)
 
 
 class TestGenerators:
@@ -82,6 +115,17 @@ class TestGenerators:
         for i in range(6):
             pos = data["X"][i].reshape(topo.n_ues, 2)
             assert data["Y"][i] == pytest.approx(ground_truth_power(topo, pos))
+
+    @pytest.mark.parametrize("seed, n_samples, min_gnb_distance, block", [
+        (0, 300, 20.0, 256), (7, 300, 20.0, 256), (7, 60, 124.9, 256),
+        (3, 40, 20.0, 7), (5, 20, 110.0, 1), (9, 30, 0.0, 3)])
+    def test_block_placements_are_the_scalar_loop_bit_for_bit(
+            self, seed, n_samples, min_gnb_distance, block, monkeypatch):
+        monkeypatch.setattr(mimo, "_PLACE_BLOCK", block)
+        data = generate_placements(seed=seed, n_samples=n_samples,
+                                   min_gnb_distance=min_gnb_distance)
+        X, Y = loop_placements(seed, n_samples, min_gnb_distance=min_gnb_distance)
+        assert data["X"].tobytes() == X.tobytes() and data["Y"].tobytes() == Y.tobytes()
 
     def test_subscriptions_follow_the_assignment_rule(self):
         data = generate_subscriptions(seed=6, n=200)
