@@ -6,7 +6,6 @@ A test case takes `n_trees` as a defaulted argument, which pytest leaves
 alone, so the forked test can run every case again with more trees.
 """
 
-import multiprocessing.process
 import os
 from concurrent.futures import ThreadPoolExecutor
 from itertools import product
@@ -143,20 +142,6 @@ def test_empty_batch_predicts_empty():
 
 
 # -- trees grown in forked workers -------------------------------------------
-
-
-@pytest.fixture
-def started(monkeypatch):
-    """The processes started while the test runs."""
-    processes = []
-    start = multiprocessing.process.BaseProcess.start
-
-    def counted(self):
-        processes.append(self)
-        start(self)
-
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted)
-    return processes
 
 
 @pytest.fixture

@@ -4,7 +4,6 @@ caller, no process where forking is not safe or cannot pay, and no worker
 that forks again."""
 
 import hashlib
-import multiprocessing.process
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -37,20 +36,6 @@ def _digest(report, out_dir) -> str:
         if path.name != "run_meta.json":
             h.update(str(path.relative_to(out_dir)).encode() + b"\0" + path.read_bytes())
     return h.hexdigest()
-
-
-@pytest.fixture
-def started(monkeypatch):
-    """The processes started while the test runs."""
-    processes = []
-    start = multiprocessing.process.BaseProcess.start
-
-    def counted(self):
-        processes.append(self)
-        start(self)
-
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted)
-    return processes
 
 
 @pytest.mark.parametrize("stage", ["train", "all"])

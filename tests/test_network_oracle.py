@@ -133,20 +133,6 @@ def test_network_hooks_are_defined_on_the_class():
 
 
 @pytest.fixture
-def started(monkeypatch):
-    """The processes started while the test runs."""
-    processes = []
-    start = multiprocessing.process.BaseProcess.start
-
-    def counted(self):
-        processes.append(self)
-        start(self)
-
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted)
-    return processes
-
-
-@pytest.fixture
 def split(monkeypatch):
     """Every fit splits its epochs with a forked helper where it may fork,
     even on one usable CPU or beside a threaded BLAS."""
