@@ -101,14 +101,6 @@ class TrainedModel:
         raise NotImplementedError
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic function: 1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z))
-    below, both from one exp(-|z|), which cannot overflow. Since that lies in
-    [0, 1], the numerator is max(exp(-|z|), z >= 0); a NaN passes through."""
-    e = np.exp(-np.abs(z))
-    return np.maximum(e, z >= 0) / (1.0 + e)
-
-
 def default_schema(width: int) -> tuple[str, ...]:
     return tuple(f"f{i}" for i in range(width))
 

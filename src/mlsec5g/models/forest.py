@@ -351,9 +351,6 @@ class FeatureImportance:
         if len(self.names) != self.scores.size:
             raise ValueError("names and scores are not aligned")
 
-    def as_dict(self) -> dict:
-        return {n: float(s) for n, s in zip(self.names, self.scores)}
-
     def ranked(self) -> list[str]:
         # descending score, name breaks ties so the ranking is total
         order = sorted(range(len(self.names)), key=lambda i: (-self.scores[i], self.names[i]))

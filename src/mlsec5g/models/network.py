@@ -231,7 +231,7 @@ class FeedforwardModel(TrainedModel):
         else:
             if self.task == "vector_regress":
                 # softplus and its derivative, the sigmoid, from one exp(-|z|),
-                # by the same ops as _softplus and base.sigmoid
+                # by the same formulas as _softplus and the recurrent model's _sigmoid
                 e = np.abs(z_out, out=ws.exp[rows])
                 np.negative(e, out=e)
                 np.exp(e, out=e)

@@ -19,6 +19,22 @@ every other operation is elementwise or sums over one stream's batch rows,
 and the streams share nothing but the step count. `_unstack` writes each
 stream back into its own model.
 
+Every pass runs on a workspace of buffers with time on the first axis
+(`_Workspace`), kept for the model's latest input shape: the warm-up's
+epochs share one, as do a stream's steps. `init_online` drops the warm-up's,
+and copies and pickles start without one. Each step runs the ops of a
+step-by-step pass on the same operands, with the same kernel per stacked
+matmul item, so the bits are the same. The z and r gates share one stacked
+`h @ [Uz, Ur]`, one pair of adds and one sigmoid; `x @ W` of every step is
+one batched K=1 matmul, which sums from +0.0 (a bare `x * W` gives -0.0).
+In the backward only dh stays in the time loop: the factors of forward
+values (1 - z, 1 - r, c - h, 1 - c*c) come first for every step, each delta
+overwrites its factor, and every step's W, U and b gradients come after,
+summed from zero latest step first. Each reduced axis stays where the
+step-by-step pass has it: at hidden size 1 a bias row sum runs along its
+block's innermost axis, which numpy sums pairwise, so a layout with rows
+before time, or a time sum over one (T, 1) column, changes the bits there.
+
 State is owned by its streams; nothing here is shared or thread-safe, and a
 replay of the same stream reproduces predictions bit-for-bit.
 """
@@ -30,9 +46,49 @@ import math
 import numpy as np
 
 from ..repro import _jsonable
-from .base import ModelSpec, TrainedModel, sigmoid
+from .base import ModelSpec, TrainedModel
 
 _PARAM_ORDER = ("Wz", "Uz", "bz", "Wr", "Ur", "br", "Wh", "Uh", "bh", "Wy", "by")
+
+
+def _sigmoid(a: np.ndarray, mask: np.ndarray, e: np.ndarray) -> None:
+    """Logistic function in place, with scratch mask (bool) and e of a's
+    shape: 1/(1+exp(-a)) for a >= 0 and exp(a)/(1+exp(a)) below, both from
+    one exp(-|a|), which cannot overflow. Since that lies in [0, 1], the
+    numerator is max(exp(-|a|), a >= 0); a NaN passes through."""
+    np.greater_equal(a, 0.0, out=mask)
+    np.exp(np.copysign(a, -1.0, out=e), out=e)
+    np.add(1.0, e, out=a)
+    np.maximum(e, mask, out=e)
+    np.divide(e, a, out=a)
+
+
+class _Workspace:
+    """The buffers of one pass over inputs of shape (..., B, T): time first,
+    then gate, then the state's (..., B, H). `xw` holds x @ [Wz, Wr, Wh]
+    for the forward; the backward overwrites it with the factors 1 - z,
+    1 - r and c - h, then each of those with its gate's delta, and `c` with
+    1 - c*c. The per-step views are made once."""
+
+    def __init__(self, shape: tuple, H: int):
+        *lead, B, T = self.shape = shape
+        state = (*lead, B, H)
+        self.X = np.empty(shape)
+        # x_t as the column slice X[..., t:t+1], for every t at once
+        self.x = np.moveaxis(np.lib.stride_tricks.sliding_window_view(self.X, 1, axis=-1), -2, 0)
+        self.xw = np.empty((T, 3, *state))
+        self.zr = np.empty((T, 2, *state))
+        self.c = np.empty((T, *state))
+        self.rh = np.empty((T, *state))  # r * h_prev
+        self.hs = np.zeros((T + 1, *state))  # h before each step, then the last h
+        # per-step gradients of each gate's W, U and b, latest step first
+        self.g = np.empty((T, *lead, 3, H + H * H + H))
+        self.mask = np.empty((2, *state), dtype=bool)
+        self.pair = np.empty((2, *state))
+        self.dh, self.dc, self.drh = (np.empty(state) for _ in range(3))
+        # per step: h, h_new, [z, r], z, r, c, r * h, x @ [Wz, Wr], x @ Wz, x @ Wr, x @ Wh
+        self.steps = list(zip(self.hs[:-1], self.hs[1:], self.zr, *zip(*self.zr), self.c,
+                              self.rh, self.xw[:, :2], *zip(*self.xw)))
 
 
 class OnlineRecurrentModel(TrainedModel):
@@ -52,7 +108,12 @@ class OnlineRecurrentModel(TrainedModel):
             theta = self._flat(params)
             adam_state = {"m": np.zeros_like(theta), "v": np.zeros_like(theta), "t": 0}
         self.adam = adam_state
-        self._window_pass = None  # forward over the current window, built on first use
+        self._ws = None  # the workspace of the latest pass
+        self._window_pass = None  # the workspace holding the pass over the current window
+
+    def __getstate__(self):
+        # a copy or a pickle starts without workspaces: their step views would not survive
+        return {**self.__dict__, "_ws": None, "_window_pass": None}
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -74,57 +135,85 @@ class OnlineRecurrentModel(TrainedModel):
 
     # -- forward / backward --------------------------------------------------
 
-    def _forward(self, Xn: np.ndarray, cache: bool = False):
-        """Xn: (..., B, T) normalized inputs -> predictions (..., B, 1), optional caches."""
+    def _forward(self, Xn: np.ndarray) -> _Workspace:
+        """Run the pass over normalized inputs Xn (..., B, T) in the workspace
+        for their shape, which then holds it; the prediction (..., B, 1) is
+        its `pred`."""
         p = self.params
-        h = np.zeros(Xn.shape[:-1] + (p["Uz"].shape[-1],))
-        bz, br, bh = (p[k][..., None, :] for k in ("bz", "br", "bh"))
-        caches = []
-        for t in range(Xn.shape[-1]):
-            x = Xn[..., t:t + 1]
-            z = sigmoid(x @ p["Wz"] + h @ p["Uz"] + bz)
-            r = sigmoid(x @ p["Wr"] + h @ p["Ur"] + br)
-            c = np.tanh(x @ p["Wh"] + (r * h) @ p["Uh"] + bh)
-            h_new = (1.0 - z) * h + z * c
-            if cache:
-                caches.append((x, h, z, r, c))
-            h = h_new
-        pred = h @ p["Wy"] + p["by"][..., None, :]
-        return (pred, h, caches) if cache else (pred, h, None)
+        ws = self._ws
+        if ws is None or ws.shape != Xn.shape:
+            ws = self._ws = _Workspace(Xn.shape, p["Uz"].shape[-1])
+        if ws is self._window_pass:
+            self._window_pass = None
+        np.copyto(ws.X, Xn)
+        np.matmul(ws.x[:, None], np.stack([p["Wz"], p["Wr"], p["Wh"]]), out=ws.xw)
+        ws.Uzr = Uzr = np.stack([p["Uz"], p["Ur"]])
+        bzr = np.broadcast_to(np.stack([p["bz"], p["br"]])[..., None, :], ws.pair.shape).copy()
+        bh = np.broadcast_to(p["bh"][..., None, :], ws.dh.shape).copy()
+        Uh, dh = p["Uh"], ws.dh
+        for h, h_new, zr, z, r, c, rh, xzr, _, _, xh in ws.steps:
+            np.matmul(h, Uzr, out=zr)  # z and r: x @ W + h @ U + b
+            zr += xzr
+            zr += bzr
+            _sigmoid(zr, ws.mask, ws.pair)
+            np.multiply(r, h, out=rh)
+            np.matmul(rh, Uh, out=c)  # c: tanh(x @ Wh + (r * h) @ Uh + bh)
+            c += xh
+            c += bh
+            np.tanh(c, out=c)
+            np.multiply(z, c, out=h_new)  # h_new: (1 - z) * h + z * c
+            np.subtract(1.0, z, out=dh)
+            dh *= h
+            h_new += dh
+        ws.pred = ws.hs[-1] @ p["Wy"] + p["by"][..., None, :]
+        return ws
 
-    def _backward(self, fwd, target_n: np.ndarray) -> np.ndarray:
-        """Flat gradient of the MSE of a cached forward pass, backprop through
-        the full window; each stream's batch rows make its own mean."""
+    def _backward(self, ws: _Workspace, target_n: np.ndarray) -> np.ndarray:
+        """Flat gradient of the MSE of the pass in ws, backprop through the
+        full window; each stream's batch rows make its own mean. The pass is
+        spent: its buffers end up holding the backward's values."""
         p = self.params
-        pred, h_last, caches = fwd
-        grads = {k: np.zeros_like(p[k]) for k in _PARAM_ORDER}
-        dpred = 2.0 * (pred - target_n) / pred.shape[-2]
-        grads["Wy"] = h_last.swapaxes(-1, -2) @ dpred
-        grads["by"] = dpred.sum(axis=-2)
-        dh = dpred @ p["Wy"].swapaxes(-1, -2)
-        UzT, UrT, UhT = (p[k].swapaxes(-1, -2) for k in ("Uz", "Ur", "Uh"))
-        for x, h_prev, z, r, c in reversed(caches):
-            xT, h_prevT = x.swapaxes(-1, -2), h_prev.swapaxes(-1, -2)
-            dz = dh * (c - h_prev)
-            dc = dh * z
-            dh_prev = dh * (1.0 - z)
-            dc_pre = dc * (1.0 - c * c)
-            grads["Wh"] += xT @ dc_pre
-            grads["Uh"] += (r * h_prev).swapaxes(-1, -2) @ dc_pre
-            grads["bh"] += dc_pre.sum(axis=-2)
-            drh = dc_pre @ UhT
-            dr = drh * h_prev
-            dh_prev = dh_prev + drh * r
-            dr_pre = dr * r * (1.0 - r)
-            dz_pre = dz * z * (1.0 - z)
-            grads["Wr"] += xT @ dr_pre
-            grads["Ur"] += h_prevT @ dr_pre
-            grads["br"] += dr_pre.sum(axis=-2)
-            grads["Wz"] += xT @ dz_pre
-            grads["Uz"] += h_prevT @ dz_pre
-            grads["bz"] += dz_pre.sum(axis=-2)
-            dh = dh_prev + dr_pre @ UrT + dz_pre @ UzT
-        return self._flat(grads)
+        H = p["Uz"].shape[-1]
+        dpred = 2.0 * (ws.pred - target_n) / ws.pred.shape[-2]
+        grad = np.empty(dpred.shape[:-2] + (3 * (H + H * H + H) + H + 1,))
+        grad[..., -H - 1:-1] = (ws.hs[-1].swapaxes(-1, -2) @ dpred)[..., 0]
+        grad[..., -1:] = dpred.sum(axis=-2)
+        dh, dc, drh, pair = ws.dh, ws.dc, ws.drh, ws.pair
+        np.matmul(dpred, p["Wy"].swapaxes(-1, -2), out=dh)
+        # the factors that depend on forward values only, for every step at once
+        np.subtract(1.0, ws.zr, out=ws.xw[:, :2])  # 1 - z, 1 - r
+        np.subtract(ws.c, ws.hs[:-1], out=ws.xw[:, 2])  # c - h_prev
+        np.multiply(ws.c, ws.c, out=ws.c)
+        np.subtract(1.0, ws.c, out=ws.c)  # 1 - c*c
+        UhT, UzrT = p["Uh"].swapaxes(-1, -2), ws.Uzr.swapaxes(-1, -2)
+        # only dh recurs; each gate's delta overwrites its factor in xw
+        for h, _, zr, z, r, fc, _, dzr, omz, _, dc_pre in reversed(ws.steps):
+            np.multiply(dh, dc_pre, out=pair[0])  # dz = dh * (c - h_prev)
+            np.multiply(dh, z, out=dc)
+            np.multiply(dh, omz, out=dh)  # dh_prev = dh * (1 - z)
+            np.multiply(dc, fc, out=dc_pre)
+            np.matmul(dc_pre, UhT, out=drh)
+            np.multiply(drh, h, out=pair[1])  # dr
+            drh *= r
+            dh += drh
+            pair *= zr
+            np.multiply(pair, dzr, out=dzr)  # dz_pre, dr_pre
+            np.matmul(dzr, UzrT, out=pair)
+            dh += pair[1]  # dh_prev + dr_pre @ UrT + dz_pre @ UzT
+            dh += pair[0]
+        # every step's W, U and b gradients, latest step first, then summed from zero
+        # in that order, as a step-by-step backward adds them
+        g = np.moveaxis(ws.g[::-1], -2, 1)
+        W, U, b = g[..., None, :H], g[..., H:H + H * H], g[..., H + H * H:]
+        U = np.reshape(U, U.shape[:-1] + (H, H), copy=False)
+        d = ws.xw
+        np.matmul(ws.x.swapaxes(-1, -2)[:, None], d, out=W)
+        np.matmul(ws.hs[:-1].swapaxes(-1, -2)[:, None], d[:, :2], out=U[:, :2])
+        np.matmul(ws.rh.swapaxes(-1, -2), d[:, 2], out=U[:, 2])
+        np.sum(d, axis=-2, out=b)
+        np.add.reduce(ws.g, axis=0, initial=0.0,
+                      out=np.reshape(grad[..., :-H - 1], ws.g.shape[1:], copy=False))
+        return grad
 
     def _adam_step(self, grad: np.ndarray, lr: float) -> None:
         beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -183,15 +272,16 @@ class OnlineRecurrentModel(TrainedModel):
         return (np.asarray(values, dtype=float) - self.mu) / self.sd
 
     def _window_forward(self):
-        """The cached forward pass over the current window under the current params."""
+        """The workspace holding the forward pass over the current window under
+        the current params, run on first use."""
         if self._window_pass is None:
             # history holds one report per step: a float, or a list of S for a stack
             window = np.asarray(self.history[-self.window:], dtype=float).T[..., None, :]
-            self._window_pass = self._forward(self._normalize(window), cache=True)
+            self._window_pass = self._forward(self._normalize(window))
         return self._window_pass
 
     def _next_value(self):
-        pred = self._window_forward()[0][..., 0, 0] * self.sd + self.mu
+        pred = self._window_forward().pred[..., 0, 0] * self.sd + self.mu
         return pred if pred.ndim else float(pred)
 
     def predict_next(self):
@@ -218,9 +308,11 @@ class OnlineRecurrentModel(TrainedModel):
         return self._next_value()
 
     def predict(self, X):
-        """Batch next-step predictions for rows of window-length inputs."""
+        """Batch next-step predictions for rows of window-length inputs. The
+        batch's workspace, which grows with its rows, is not kept."""
         X = self._check_width(np.asarray(X, dtype=float))
-        pred, _, _ = self._forward(self._normalize(X))
+        pred = self._forward(self._normalize(X)).pred
+        self._ws = None
         return pred[:, 0] * self.sd + self.mu
 
     # -- persistence -------------------------------------------------------------
@@ -299,6 +391,7 @@ def init_online(spec: ModelSpec, warmup_series) -> OnlineRecurrentModel:
     Xn = model._normalize(Xw)
     tn = model._normalize(targets)
     for _ in range(epochs):
-        model._adam_step(model._backward(model._forward(Xn, cache=True), tn), model.lr)
+        model._adam_step(model._backward(model._forward(Xn), tn), model.lr)
+    model._ws = None  # the warm-up's workspace goes; the stream's is window-sized
     return model
 

@@ -65,16 +65,20 @@ def curve_to_dict(curve: DegradationCurve) -> dict:
 
 
 def defense_to_dict(ev: DefenseEvaluation) -> dict:
-    return {
+    t = ev.tradeoff
+    out = {
         "defense": ev.defense,
-        "metric": ev.tradeoff.metric_name,
-        "p_base": _num(ev.tradeoff.p_base),
-        "p_hardened": _num(ev.tradeoff.p_hardened),
-        "tradeoff": _num(ev.tradeoff.tradeoff),
+        "metric": t.metric_name,
+        "p_base": _num(t.p_base),
+        "p_hardened": _num(t.p_hardened),
+        "tradeoff": None if t.tradeoff is None else _num(t.tradeoff),
         "baseline_clean": _num(ev.baseline_clean),
         "hardened_clean": _num(ev.hardened_clean),
         "residual": curve_to_dict(ev.residual),
     }
+    if t.tradeoff is None:  # an undefined ratio says why, beside its null
+        out["tradeoff_reason"] = t.reason
+    return out
 
 
 def report_to_dict(report: ExperimentReport) -> dict:
@@ -93,9 +97,9 @@ def report_to_dict(report: ExperimentReport) -> dict:
     }
 
 
-def _fmt(x: float) -> str:
-    # repr keeps full precision and is stable across runs
-    return repr(float(x))
+def _fmt(x: float | None) -> str:
+    # repr keeps full precision and is stable across runs; None is an empty cell
+    return "" if x is None else repr(float(x))
 
 
 def curves_csv_text(report: ExperimentReport) -> str:

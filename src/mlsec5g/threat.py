@@ -129,22 +129,30 @@ class TradeoffReport:
     A ratio of 1 means the defense is free; above 1 the hardened model gave
     up clean performance (for higher-better metrics). The ratio is reported
     as-is for error metrics too; orientation lives with the metric name.
+    A hardened performance of 0 leaves the ratio undefined: `tradeoff` is
+    None and `reason` says why.
     """
 
     metric_name: str
     p_base: float
     p_hardened: float
-    tradeoff: float
+    tradeoff: float | None
+    reason: str | None = None
 
 
 def tradeoff(p_base: float, p_hardened: float, metric_name: str = "Acc") -> TradeoffReport:
-    """Build a TradeoffReport; errors on non-positive hardened performance."""
+    """Build a TradeoffReport; a hardened performance of 0 gives a null ratio
+    with its reason, a negative one is an error."""
     if metric_name not in _METRIC_NAMES:
         raise ValueError(f"unknown metric_name {metric_name!r}; expected one of {_METRIC_NAMES}")
     p_base = float(p_base)
     p_hardened = float(p_hardened)
-    if p_hardened <= 0.0:
-        raise ValueError(f"hardened performance must be positive, got {p_hardened}")
+    if p_hardened < 0.0:
+        raise ValueError(f"hardened performance must be non-negative, got {p_hardened}")
+    if p_hardened == 0.0:
+        return TradeoffReport(metric_name, p_base, p_hardened, None,
+                              f"hardened {metric_name} is 0 on clean data, so "
+                              "base over hardened is undefined")
     return TradeoffReport(metric_name, p_base, p_hardened, p_base / p_hardened)
 
 

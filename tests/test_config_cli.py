@@ -465,27 +465,43 @@ def _reduced_config(scenario, rng):
 
 
 def test_valid_reduced_configs_run_through_every_stage():
-    """No drawn config that passes the table fails at run time, with one
-    exception the table cannot see: on a validation split of a few rows the
-    hardened cs2 or cs6 model can score 0 on clean data, and threat.tradeoff
-    refuses a ratio over zero (seed 2017 draws no such run; cs2 at seed 346
-    with 49 rows is one)."""
-    rng = np.random.default_rng(2017)
-    refused = []
-    for i in range(48):
+    """No drawn config that passes the table fails at run time. On a
+    validation split of a few rows a hardened model can score 0 on clean
+    data; its tradeoff is then null with a reason, not an error (this seed
+    draws 13 such defenses, in cs1, cs2 and cs6)."""
+    rng = np.random.default_rng(7)
+    undefined = []
+    for i in range(300):
         scenario = f"cs{i % 6 + 1}"
         raw = {"scenario": scenario, "seed": int(rng.integers(1000)),
                **_reduced_config(scenario, rng)}
         assert validate_config(raw) == [], raw
-        try:
-            run_case_study(scenario, build_config(raw), stage="all")
-        except ValueError as exc:
-            if not str(exc).startswith("hardened performance must be positive"):
-                raise
-            refused.append(scenario)
-    assert set(refused) <= {"cs2", "cs6"} and len(refused) <= 2
+        report = run_case_study(scenario, build_config(raw), stage="all")
+        undefined += [(scenario, d.tradeoff.reason) for d in report.defenses
+                      if d.tradeoff.tradeoff is None]
+    assert undefined
+    assert all("is 0 on clean data" in reason for _, reason in undefined)
 
 
+def test_a_hardened_model_that_scores_zero_exits_zero_with_a_null_tradeoff(tmp_path):
+    raw = {"scenario": "cs2", "seed": 346, "data": {"synthetic": {"n": 49}},
+           "model": {"n_trees": 3, "max_depth": 1, "min_samples_split": 3,
+                     "min_samples_leaf": 1, "bootstrap": False, "max_features": "third"},
+           "attack": {"multipliers": [0.1, 1.0, 2.0],
+                      "scopes": ["pktrx_shift", "pktrxbyt_shift"], "replace_levels": 3},
+           "defense": {"adversarial_training": {"aug_fraction": 0.7498753691312113},
+                       "feature_removal": True}}
+    path = tmp_path / "cs2.json"
+    path.write_text(json.dumps(raw))
+    assert main(["all", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    defenses = json.loads((tmp_path / "out" / "cs2" / "report.json").read_text())["defenses"]
+    null = [d for d in defenses if d["tradeoff"] is None]
+    assert [d["defense"] for d in null] == ["adversarial_training"]
+    assert null[0]["p_hardened"] == 0.0 and "undefined" in null[0]["tradeoff_reason"]
+    assert all("tradeoff_reason" not in d for d in defenses if d["tradeoff"] is not None)
+    rows = (tmp_path / "out" / "cs2" / "defenses.csv").read_text().splitlines()
+    assert rows[0].endswith(",tradeoff")
+    assert [row.split(",")[-1] for row in rows[1:]] == ["", "0.0"]
 
 
 def readme_commands() -> list[str]:

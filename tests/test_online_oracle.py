@@ -4,6 +4,7 @@ shares one clean stream across spoof modes, match the reference model and
 per-mode attack run bit for bit."""
 
 import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from mlsec5g.attacks import run_online_attack, run_online_attacks
 from mlsec5g.models import ModelSpec, OnlineRecurrentModel, init_online, load_model, save_model
 
 SHAPES = [(1, 1), (1, 6), (5, 1), (5, 6), (16, 1), (16, 6)]  # (window, hidden)
+STOCK_ROWS = [270, 570]  # cs3's warm-up rows at half and at full series length
 MODES = [None, "floor_zero", "jitter"]
 PERIOD_S, DT = 7.5, 2.0  # a spoof every round(3.75) = 4 steps
 
@@ -143,11 +145,33 @@ def test_repeated_predict_next_and_batch_predict_leave_the_stream_alone():
     assert_same_state(stream, ref)
 
 
-def _seeded(window, hidden, seed, warmup):
+def _seeded(window, hidden, seed, warmup, epochs=6, lr=0.03):
     spec = ModelSpec("recurrent", "regress",
-                     {"window": window, "hidden_size": hidden, "epochs": 6, "lr": 0.03},
+                     {"window": window, "hidden_size": hidden, "epochs": epochs, "lr": lr},
                      seed=seed)
     return init_online(spec, warmup)
+
+
+def _mirrored(rows):
+    """A warm-up of 30 + rows reports whose mean is exactly 8, so every
+    report of 8 normalizes to an exact zero input."""
+    half = _cqi((30 + rows) // 2, rows)
+    return np.concatenate([half, 16.0 - half])
+
+
+def assert_stack_steps_like_the_reference(states, reports):
+    models = [OnlineRecurrentModel.from_state(*state) for state in states]
+    refs = [ReferenceOnlineModel.from_state(*state) for state in states]
+    stack = OnlineRecurrentModel._stack(models)
+    for row in reports:
+        got = stack.predict_next()
+        assert got.shape == (len(states),)
+        assert _bits(got) == _bits([ref.predict_next() for ref in refs])
+        want = [ref.step(v) for ref, v in zip(refs, row)]
+        assert _bits(stack.step(row)) == _bits(want)
+    stack._unstack(models)
+    for model, ref in zip(models, refs):
+        assert_same_state(model, ref)
 
 
 @pytest.mark.parametrize("streams", [1, 2, 4])
@@ -157,19 +181,101 @@ def test_stack_steps_every_stream_like_the_reference(window, hidden, streams):
     stacked axis with the bits of stepping each alone."""
     warmup = _cqi(window + 20, 0)
     states = [_seeded(window, hidden, seed, warmup).to_state() for seed in range(streams)]
-    models = [OnlineRecurrentModel.from_state(*state) for state in states]
-    refs = [ReferenceOnlineModel.from_state(*state) for state in states]
-    stack = OnlineRecurrentModel._stack(models)
-    feeds = np.stack([_cqi(12, 30 + j) for j in range(streams)], axis=1)
-    for reports in feeds:
-        got = stack.predict_next()
-        assert got.shape == (streams,)
-        assert _bits(got) == _bits([ref.predict_next() for ref in refs])
-        want = [ref.step(v) for ref, v in zip(refs, reports)]
-        assert _bits(stack.step(reports)) == _bits(want)
-    stack._unstack(models)
-    for model, ref in zip(models, refs):
-        assert_same_state(model, ref)
+    assert_stack_steps_like_the_reference(
+        states, np.stack([_cqi(12, 30 + j) for j in range(streams)], axis=1))
+
+
+@pytest.mark.parametrize("rows", STOCK_ROWS)
+def test_stock_shape_warmup_matches_reference(rows):
+    """cs3's window and hidden size, warmed on as many rows as stock cs3 and
+    `online-cqi`, with exact zero inputs among them."""
+    warmup = _mirrored(rows)
+    spec = ModelSpec("recurrent", "regress",
+                     {"window": 30, "hidden_size": 12, "epochs": 2, "lr": 0.02}, seed=rows)
+    model, ref = init_online(spec, warmup), reference_warmup(spec, warmup)
+    assert_same_state(model, ref)
+    assert model._ws is None  # the warm-up's buffers are not kept
+    Xn = model._normalize(np.lib.stride_tricks.sliding_window_view(warmup, 30)[:rows])
+    assert np.count_nonzero(Xn == 0.0) > 100
+    # the input projections keep the K=1 matmul's +0.0 where x * W alone gives -0.0
+    ws = model._forward(Xn)
+    for t in range(30):
+        for k, gate in enumerate("zrh"):
+            assert _bits(ws.xw[t, k]) == _bits(Xn[:, t:t + 1] @ model.params["W" + gate])
+
+
+@pytest.mark.parametrize("rows", STOCK_ROWS)
+def test_stock_shape_stack_steps_like_the_reference(rows):
+    """cs3's three streams (the no-spoof twin and two spoof modes) at its
+    window and hidden size."""
+    warmup = _mirrored(rows)
+    states = [_seeded(30, 12, seed, warmup, epochs=2, lr=0.02).to_state() for seed in range(3)]
+    reports = np.stack([_cqi(10, 40 + j) for j in range(3)], axis=1)
+    reports[::4, 1] = 0.0  # floor_zero's spoof, and exact zero inputs after normalizing
+    reports[2::5] = 8.0
+    assert_stack_steps_like_the_reference(states, reports)
+
+
+def test_batch_predict_between_predict_next_and_step_leaves_the_stream_alone():
+    """predict() may run on the window pass's own input shape (one row of a
+    single stream) between predict_next() and the step that reuses it."""
+    model, _ = _warmed(16, 6)
+    factory, ref_factory, _, _ = _factories(model)
+    stream, ref = factory(), ref_factory()
+    rows = np.lib.stride_tricks.sliding_window_view(_cqi(40, 5), 16)
+    for i, v in enumerate(_cqi(9, 8)):
+        assert stream.predict_next() == ref.predict_next()
+        X = rows[i:i + 1 + i % 3]  # one row, the window's shape, then two and three
+        assert _bits(stream.predict(X)) == _bits(ref.predict(X))
+        assert stream.step(v) == ref.step(v)
+    assert_same_state(stream, ref)
+
+
+def test_copies_and_pickles_mid_stream_step_like_the_reference():
+    model, _ = _warmed(5, 6)
+    factory, ref_factory, _, _ = _factories(model)
+    stream, ref = factory(), ref_factory()
+    feed = _cqi(14, 3)
+    for v in feed[:6]:
+        stream.predict_next()
+        stream.step(v)
+        ref.step(v)
+    stream.predict_next()  # leaves a window pass in the workspace
+    copies = [copy.deepcopy(stream), pickle.loads(pickle.dumps(stream))]
+    for v in feed[6:]:
+        want = ref.step(v)
+        assert [m.step(v) for m in (stream, *copies)] == [want] * 3
+    for m in (stream, *copies):
+        assert_same_state(m, ref)
+
+
+def test_factory_replicas_stepping_different_reports_stay_apart():
+    model, _ = _warmed(16, 6, seed=3)
+    factory, ref_factory, _, _ = _factories(model)
+    streams = [factory(), factory()]
+    refs = [ref_factory(), ref_factory()]
+    feeds = [_cqi(10, 11), _cqi(10, 12)]
+    for i in range(10):
+        for stream, ref, feed in zip(streams, refs, feeds):  # interleaved
+            assert stream.predict_next() == ref.predict_next()
+            assert stream.step(feed[i]) == ref.step(feed[i])
+    for stream, ref in zip(streams, refs):
+        assert_same_state(stream, ref)
+
+
+def test_no_workspace_array_reaches_the_saved_state():
+    model, _ = _warmed(5, 6)
+    stream = OnlineRecurrentModel.from_state(*model.to_state())
+    for v in _cqi(4, 6):
+        stream.step(v)
+    stream.predict(np.ones((3, 5)))
+    assert stream._ws is None  # a batch's workspace is not kept
+    stream.predict_next()
+    buffers = [a for a in vars(stream._window_pass).values() if isinstance(a, np.ndarray)]
+    assert len(buffers) > 10
+    _, arrays = stream.to_state()
+    for name, array in arrays.items():
+        assert not any(np.shares_memory(array, b) for b in buffers), name
 
 
 def test_factory_models_keep_stepping_alone_after_a_lockstep_run():

@@ -69,6 +69,19 @@ class TestSerialization:
         assert len(defenses) == 2
         assert defenses[1].split(",")[2] == "drop"
 
+    def test_an_undefined_tradeoff_is_null_with_its_reason(self):
+        rep = make_report()
+        residual = rep.defenses[0].residual
+        rep.defenses.append(DefenseEvaluation("zeroed", tradeoff(0.95, 0.0, "Acc"),
+                                              residual, 0.95, 0.0))
+        kept, null = report_to_dict(rep)["defenses"]
+        assert "tradeoff_reason" not in kept
+        assert null["tradeoff"] is None
+        assert null["tradeoff_reason"] == tradeoff(0.95, 0.0, "Acc").reason
+        assert '"tradeoff":null,"tradeoff_reason":"hardened Acc is 0' in canonical_json(null)
+        header, _, row = defenses_csv_text(rep).splitlines()
+        assert len(row.split(",")) == len(header.split(",")) and row.endswith(",0.0,")
+
 
 class TestArtifacts:
     def test_write_report_layout(self, tmp_path):

@@ -103,11 +103,16 @@ class TestTradeoff:
     def test_hardened_gain_gives_tradeoff_below_one(self):
         assert tradeoff(0.8, 0.9).tradeoff < 1.0
 
-    def test_nonpositive_hardened_performance_rejected(self):
-        with pytest.raises(ValueError):
-            tradeoff(0.9, 0.0)
-        with pytest.raises(ValueError):
+    def test_negative_hardened_performance_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
             tradeoff(0.9, -0.2)
+
+    def test_zero_hardened_performance_is_an_undefined_tradeoff(self):
+        for p_base in (0.9, 0.0):
+            t = tradeoff(p_base, 0.0, metric_name="F1")
+            assert t.tradeoff is None and (t.p_base, t.p_hardened) == (p_base, 0.0)
+            assert t.reason == "hardened F1 is 0 on clean data, so base over hardened is undefined"
+        assert tradeoff(0.9, 0.6).reason is None
 
     def test_unknown_metric_name_rejected(self):
         with pytest.raises(ValueError):
