@@ -61,12 +61,6 @@ class DegradationCurve:
     baseline: float
     points: tuple[CurvePoint, ...]
 
-    def xs(self) -> list[float]:
-        return [p.x for p in self.points]
-
-    def degradations(self) -> list[float]:
-        return [p.degradation_mean for p in self.points]
-
 
 def summarize_curve(name, metric_name, orientation, x_label, baseline,
                     raw_points) -> DegradationCurve:

@@ -18,7 +18,7 @@ import io
 import ipaddress
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -77,19 +77,7 @@ class PacketRecord:
             raise ValueError("tcp_flags must be empty for non-TCP packets")
 
 
-def format_packet(p: PacketRecord) -> str:
-    flags = "+".join(sorted(p.tcp_flags)) if p.tcp_flags else "-"
-    return (f"{p.timestamp!r},{p.src_ip},{p.src_port},{p.dst_ip},{p.dst_port},"
-            f"{p.protocol},{flags},{p.payload_len},{p.tos}")
-
-
 PACKET_HEADER = "timestamp,src_ip,src_port,dst_ip,dst_port,protocol,flags,payload_len,tos"
-
-
-def packets_to_text(packets: Iterable[PacketRecord]) -> str:
-    lines = [PACKET_HEADER]
-    lines.extend(format_packet(p) for p in packets)
-    return "\n".join(lines) + "\n"
 
 
 def parse_packets(text: str) -> list[PacketRecord]:

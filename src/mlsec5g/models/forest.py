@@ -7,11 +7,12 @@ from the model seed, so retraining on identical data reproduces the forest
 exactly. Sample weights are first-class (bootstrap duplication and soft-label
 distillation both ride on them).
 
-A fit sorts every column once. Its trees are independent: the first grows in
-the calling process, and when it shows the rest are worth a pool, they grow
-through `fork_map`, in forked worker processes (one per usable CPU) that hand
-back tree arrays. Trees are gathered and importances summed in tree order, so
-the forest has the same bits for any worker count.
+A fit sorts every column once. Its trees are independent: when its rows
+times trees reach `_FORK_MIN_WORK`, every tree grows through `fork_map`, in
+forked worker processes (one per usable CPU) that hand back tree arrays, and
+a smaller fit grows them in the calling process. Trees are gathered and
+importances summed in tree order, so the forest has the same bits for any
+worker count.
 """
 
 from __future__ import annotations
@@ -29,9 +30,11 @@ _EPS_GAIN = 1e-12
 _SPLIT_BLOCK = 1 << 12  # sorted values scored per pass: bounds the working set
 _ROUTE_BLOCK = 1 << 12  # (tree, row) pairs routed together: bounds the working set
 _ORDER_BLOCK = 1 << 14  # sorted row ids expanded per pass: bounds the working set
-# the first tree's nodes times the trees left, from which forking workers pays
-# for their start and for shipping the trees back
-_FORK_MIN_NODES = 8000
+_SMALL_NODE = 64  # nodes of at most this many rows sort their candidates themselves
+_DRAW_BLOCK = 1 << 11  # feature ids drawn per pass: bounds the draws a small tree wastes
+# rows times trees from which growing the trees in forked workers pays for
+# their start and for shipping the trees back
+_FORK_MIN_WORK = 20000
 
 
 @dataclass
@@ -64,18 +67,31 @@ def _gini(class_w: np.ndarray) -> float:
     return float(1.0 - np.sum(p * p))
 
 
+def _draws(rng: np.random.Generator, p: int, mtry: int):
+    """Each node's candidate features: the stream of one
+    `rng.permutation(p)[:mtry]` per node, drawn for many nodes at a time."""
+    block = np.tile(np.arange(p), (max(1, _DRAW_BLOCK // p), 1))
+    while True:
+        yield from rng.permuted(block, axis=1)[:, :mtry]
+
+
 class _Grower:
     """Grows one tree; accumulates weighted impurity decreases per feature.
 
     `grow` takes the tree's sample presorted: a (p, n) matrix of row ids whose
     rows each hold the sample ordered by one feature, ties by row id (see
-    `_tree_order`). A node owns a column range of that matrix. Node rows stay in
-    ascending id order, so the stable boolean partition of the range at a
-    split hands each child exactly the order a stable argsort of the child's
-    own values would give, and nothing is sorted again. The split search
-    scores a block of candidate features at once, at their valid cuts only:
-    prefix sums run along one axis, which numpy accumulates sequentially, and
-    candidates are compared in the order the generator drew them.
+    `_tree_order`). A node of more than `_SMALL_NODE` rows owns a column range
+    of that matrix. Node rows stay in ascending id order, so the stable boolean
+    partition of the range at a split hands each child exactly the order a
+    stable argsort of the child's own values would give; a smaller node takes
+    that argsort of its candidates itself and keeps no range.
+
+    The split search scores a block of candidate features at once. Prefix sums
+    run along the sorted axis, which numpy accumulates sequentially.
+    Regression scores every cut, both sides in one buffer; classification
+    scores its valid cuts only. Cuts that may not be taken score +inf, and one
+    flat argmin picks the first candidate drawn, then the first cut, with the
+    lowest score. A candidate with a NaN score drops out.
     """
 
     def __init__(self, XT, y, w, *, classify: bool, n_classes: int, max_depth: int,
@@ -89,16 +105,15 @@ class _Grower:
         self.max_depth = max_depth
         self.min_split = min_split
         self.min_leaf = min_leaf
-        self.mtry = mtry
-        self.rng = rng
-        self.importance = np.zeros(p)
+        self.draws = _draws(rng, p, mtry)  # holds no reference back to the grower
+        self.importance = [0.0] * p
         if classify:
             self.onehot = np.zeros((n, n_classes))
             self.onehot[np.arange(n), y] = 1.0
             self.w_onehot = self.onehot * w[:, None]
         else:
-            self.wy = w * y
-            self.wyy = self.wy * y
+            wy = w * y
+            self.sums = np.stack([w, wy, wy * y])  # a side's weight, and weighted y and y**2
         self.in_left = np.zeros(n, dtype=bool)
         self.feature: list[int] = []
         self.threshold: list[float] = []
@@ -106,61 +121,66 @@ class _Grower:
         self.right: list[int] = []
         self.value: list = []  # class weight arrays, or means
 
-    def _new_node(self, rows) -> tuple[int, float, float]:
-        """Append a leaf holding rows; return its id, weight total and impurity."""
+    def _new_node(self, rows, depth: int):
+        """Append a leaf holding rows; return its id, its weight total and its
+        impurity, or None in place of the impurity where the leaf may not split."""
         w = self.w[rows]
         total = w.sum()
+        n = rows.size
+        splits = not (depth >= self.max_depth or n < self.min_split or n < 2 * self.min_leaf)
+        imp = 0.0  # what a leaf that may not split reads as
         if self.classify:
             value = w @ self.onehot[rows]
-            imp = _gini(value)
+            if splits:
+                imp = _gini(value)
         else:
             y = self.y[rows]
-            mean = float(np.dot(w, y) / total) if total > 0 else 0.0
-            imp = 0.0 if total <= 0 else float(np.dot(w, (y - mean) ** 2) / total)
-            value = mean
+            value = float(np.dot(w, y) / total) if total > 0 else 0.0
+            if splits and total > 0:
+                imp = float(np.dot(w, (y - value) ** 2) / total)
         node = len(self.feature)
         self.feature.append(-1)
         self.threshold.append(0.0)
         self.left.append(-1)
         self.right.append(-1)
         self.value.append(value)
-        return node, total, imp
-
-    def _splittable(self, n: int, imp: float, depth: int) -> bool:
-        return not (depth >= self.max_depth or n < self.min_split
-                    or n < 2 * self.min_leaf or imp <= _EPS_GAIN)
+        return node, total, (None if imp <= _EPS_GAIN else imp)
 
     def grow(self, order: np.ndarray) -> _Tree:
         rows = np.arange(self.XT.shape[1])
         stack = []
-        root = self._new_node(rows)
-        if self._splittable(rows.size, root[2], 0):
-            # each child inherits its order by partition, in place
-            stack.append((root, rows, order, 0))
-        while stack:
-            (node, total, imp), rows, order, depth = stack.pop()
-            split = self._best_split(order, imp)
-            if split is None:
-                continue
-            f, thr, gain = split
-            go_left = self.XT[f, rows] <= thr
-            self.importance[f] += total * gain
-            self.feature[node] = f
-            self.threshold[node] = thr
-            left_rows, right_rows = rows[go_left], rows[~go_left]
-            left = self._new_node(left_rows)
-            right = self._new_node(right_rows)
-            self.left[node] = left[0]
-            self.right[node] = right[0]
-            n_left = left_rows.size
-            grow_left = self._splittable(n_left, left[2], depth + 1)
-            grow_right = self._splittable(right_rows.size, right[2], depth + 1)
-            if grow_left or grow_right:
-                self._partition(order, rows, go_left, n_left)
-            if grow_right:
-                stack.append((right, right_rows, order[:, n_left:], depth + 1))
-            if grow_left:
-                stack.append((left, left_rows, order[:, :n_left], depth + 1))
+        root = self._new_node(rows, 0)
+        if root[2] is not None:
+            stack.append((root, rows, order if rows.size > _SMALL_NODE else None, 0))
+        # an overflowing score loses by rule, and cuts never taken are scored too
+        with np.errstate(over="ignore", invalid="ignore"):
+            while stack:
+                (node, total, imp), rows, order, depth = stack.pop()
+                split = self._best_split(rows, order, imp)
+                if split is None:
+                    continue
+                f, thr, gain = split
+                go_left = self.XT[f][rows] <= thr
+                self.importance[f] += float(total) * gain
+                self.feature[node] = f
+                self.threshold[node] = thr
+                left_rows, right_rows = rows[go_left], rows[~go_left]
+                left = self._new_node(left_rows, depth + 1)
+                right = self._new_node(right_rows, depth + 1)
+                self.left[node] = left[0]
+                self.right[node] = right[0]
+                n_left = left_rows.size
+                # a child that splits and is not small takes its part of the range
+                big_left = left[2] is not None and n_left > _SMALL_NODE
+                big_right = right[2] is not None and right_rows.size > _SMALL_NODE
+                if big_left or big_right:
+                    self._partition(order, rows, go_left, n_left)
+                if right[2] is not None:
+                    stack.append((right, right_rows, order[:, n_left:] if big_right else None,
+                                  depth + 1))
+                if left[2] is not None:
+                    stack.append((left, left_rows, order[:, :n_left] if big_left else None,
+                                  depth + 1))
         return _Tree(np.asarray(self.feature, dtype=np.int64),
                      np.asarray(self.threshold, dtype=float),
                      np.asarray(self.left, dtype=np.int64),
@@ -178,69 +198,83 @@ class _Grower:
         order[:, :n_left] = to_left.reshape(p, n_left)
         order[:, n_left:] = to_right.reshape(p, n - n_left)
 
-    def _best_split(self, order: np.ndarray, node_imp: float):
-        p, n = order.shape
-        feats = self.rng.permutation(p)[:self.mtry]
-        if self.min_leaf > 1:
-            pos = np.arange(1, n)  # rows left of each cut
-            fits = (pos >= self.min_leaf) & (n - pos >= self.min_leaf)
+    def _best_split(self, rows: np.ndarray, order, node_imp: float):
+        n = rows.size
+        feats = next(self.draws)
         best = None
         best_child = node_imp - _EPS_GAIN  # must strictly beat this
         step = max(1, _SPLIT_BLOCK // (n * self.K))
         for lo in range(0, feats.size, step):
             block = feats[lo:lo + step]
-            idx = order[block]  # node rows sorted by each candidate
-            vs = self.XT[block[:, None], idx]
+            if order is None:  # rows in id order: a stable sort breaks ties as the range does
+                vs = self.XT[block[:, None], rows]
+                idx = rows[vs.argsort(axis=1, kind="stable")]
+            else:
+                idx = order[block]
+            vs = self.XT[block[:, None], idx]  # each candidate's values, sorted
             valid = vs[:, 1:] > vs[:, :-1]
-            if self.min_leaf > 1:
-                valid &= fits
-            # valid cuts, candidate by candidate in draw order, cut by cut
-            r, c = np.nonzero(valid)
-            if r.size == 0:
-                continue
-            child = self._child_impurity(idx, r, c)
-            nan = np.isnan(child)
-            if nan.any():  # a candidate with a NaN score is out
-                child[np.isin(r, r[nan])] = np.inf
-            k = int(np.argmin(child))  # first candidate, then first cut, of the lowest
-            if child[k] < best_child:
-                best_child = float(child[k])
-                below, above = float(vs[r[k], c[k]]), float(vs[r[k], c[k] + 1])
+            if self.min_leaf > 1:  # each side keeps min_leaf rows
+                valid[:, :self.min_leaf - 1] = False
+                valid[:, n - self.min_leaf:] = False
+            score = self._gini_scores(idx, valid) if self.classify else self._var_scores(idx, valid)
+            k = int(score.argmin())  # first candidate, then first cut, of the lowest
+            if math.isnan(score.item(k)):  # argmin stops at a NaN: its candidate is out
+                score[np.isnan(score).any(axis=1)] = np.inf
+                k = int(score.argmin())
+            if score.item(k) < best_child:
+                best_child = score.item(k)
+                r, c = divmod(k, n - 1)
+                below, above = float(vs[r, c]), float(vs[r, c + 1])
                 thr = (below + above) / 2.0
                 # between adjacent doubles the midpoint rounds up to `above`,
                 # next to inf it is inf or NaN: every row would go left
                 if not thr < above:
                     thr = below
-                best = (int(block[r[k]]), thr)
+                best = (int(block[r]), thr)
         if best is None:
             return None
         return best[0], best[1], node_imp - best_child
 
-    def _child_impurity(self, idx, r, c) -> np.ndarray:
-        """Weighted child impurity of the cut after sorted position c of the
-        rows idx[r], for each (r, c) pair."""
-        if self.classify:
-            cw = np.cumsum(self.w_onehot[idx], axis=1)
-            tot = cw[:, -1]
-            total_w = tot.sum(axis=1)[r]
-            lc = cw[r, c]
-            lw = np.maximum(lc.sum(axis=1), 1e-300)
-            rw = np.maximum(total_w - lw, 1e-300)
-            rc = tot[r] - lc
-            gini_l = 1.0 - np.sum((lc / lw[:, None]) ** 2, axis=1)
-            gini_r = 1.0 - np.sum((rc / rw[:, None]) ** 2, axis=1)
-            return (lw * gini_l + rw * gini_r) / total_w
-        cw = np.cumsum(self.w[idx], axis=1)
-        cwy = np.cumsum(self.wy[idx], axis=1)
-        cwy2 = np.cumsum(self.wyy[idx], axis=1)
-        total_w, sy, sy2 = cw[r, -1], cwy[r, -1], cwy2[r, -1]
-        lw = np.maximum(cw[r, c], 1e-300)
+    def _var_scores(self, idx, valid) -> np.ndarray:
+        """Weighted child variance of every cut after each sorted position of
+        the rows idx; +inf where valid is false."""
+        acc = self.sums.take(idx, axis=1)
+        np.add.accumulate(acc, axis=-1, out=acc)
+        total = acc[:, :, -1:]
+        sides = np.empty((3, 2, *valid.shape))  # left and right of each cut
+        sides[:, 0] = acc[:, :, :-1]
+        np.maximum(sides[0, 0], 1e-300, out=sides[0, 0])
+        np.subtract(total, sides[:, 0], out=sides[:, 1])
+        np.maximum(sides[0, 1], 1e-300, out=sides[0, 1])
+        w = sides[0]
+        mean = sides[1] / w
+        var = sides[2] / w
+        var -= np.square(mean, out=mean)
+        np.maximum(var, 0.0, out=var)
+        var *= w
+        score = np.add(var[0], var[1], out=var[0])
+        score /= total[0]
+        score[~valid] = np.inf
+        return score
+
+    def _gini_scores(self, idx, valid) -> np.ndarray:
+        """Weighted child Gini impurity of every cut after each sorted
+        position of the rows idx, computed at valid cuts only; +inf elsewhere."""
+        score = np.full(valid.shape, np.inf)
+        r, c = np.nonzero(valid)
+        if r.size == 0:
+            return score
+        cw = np.cumsum(self.w_onehot[idx], axis=1)
+        tot = cw[:, -1]
+        total_w = tot.sum(axis=1)[r]
+        lc = cw[r, c]
+        lw = np.maximum(lc.sum(axis=1), 1e-300)
         rw = np.maximum(total_w - lw, 1e-300)
-        ly, ry = cwy[r, c], sy - cwy[r, c]
-        ly2, ry2 = cwy2[r, c], sy2 - cwy2[r, c]
-        var_l = np.maximum(ly2 / lw - (ly / lw) ** 2, 0.0)
-        var_r = np.maximum(ry2 / rw - (ry / rw) ** 2, 0.0)
-        return (lw * var_l + rw * var_r) / total_w
+        rc = tot[r] - lc
+        gini_l = 1.0 - np.sum((lc / lw[:, None]) ** 2, axis=1)
+        gini_r = 1.0 - np.sum((rc / rw[:, None]) ** 2, axis=1)
+        score[r, c] = (lw * gini_l + rw * gini_r) / total_w
+        return score
 
 
 class ForestModel(TrainedModel):
@@ -400,6 +434,9 @@ def train_forest(spec: ModelSpec, X, y, schema=None, sample_weight=None) -> Fore
     w = np.ones(X.shape[0]) if sample_weight is None else np.asarray(sample_weight, dtype=float)
     if w.shape != (X.shape[0],):
         raise ValueError("sample_weight must be one weight per row")
+    bad = np.count_nonzero(~np.isfinite(w))
+    if bad:
+        raise ValueError(f"sample weights must be finite, got {bad} non-finite")
     if np.any(w < 0):
         raise ValueError("sample weights must be non-negative")
 
@@ -425,14 +462,12 @@ def train_forest(spec: ModelSpec, X, y, schema=None, sample_weight=None) -> Fore
         grower = _Grower(XT[:, rows], target[rows], w[rows], classify=classify, n_classes=K,
                          max_depth=max_depth, min_split=min_split, min_leaf=min_leaf,
                          mtry=mtry, rng=rng)
-        return grower.grow(_tree_order(order, rows)), grower.importance
+        return grower.grow(_tree_order(order, rows)), np.array(grower.importance)
 
-    first = grow(0)
-    rest = range(1, n_trees)
-    spread = fork_map if first[0].feature.size * len(rest) >= _FORK_MIN_NODES else map
+    spread = fork_map if n * n_trees >= _FORK_MIN_WORK else map
     trees = []
     importance = np.zeros(X.shape[1])
-    for tree, tree_importance in (first, *spread(grow, rest)):  # tree order keeps the sum's bits
+    for tree, tree_importance in spread(grow, range(n_trees)):  # tree order keeps the sum's bits
         trees.append(tree)
         importance += tree_importance
 

@@ -280,19 +280,6 @@ class ProvenanceLog:
             "rejected": self.n_rejected,
         }
 
-    def to_rows(self) -> list[tuple]:
-        """(record id, field, old, new, level, verdict) per changed field."""
-        rows = []
-        for e in self.entries:
-            for fname, old, new in e.changes:
-                rows.append((e.record_index, fname, old, new, e.level_value, e.verdict.kind))
-        return rows
-
-    def to_csv_text(self) -> str:
-        lines = ["record,field,old,new,level,verdict"]
-        for rid, fname, old, new, level, verdict in self.to_rows():
-            lines.append(f"{rid},{fname},{old},{new},{level},{verdict}")
-        return "\n".join(lines) + "\n"
 
 
 def intensity_schedule(multipliers: Sequence[float], std_f: float) -> list[float]:

@@ -21,6 +21,7 @@ import pytest
 
 from flow_oracle import handwritten_packets, naive_aggregate, naive_features
 from test_models import central_difference, probe_network, rel_error
+from views import degradations, xs
 
 from mlsec5g.attacks import run_online_attack, run_online_attacks, run_training_attack
 from mlsec5g.config import build_config, default_config
@@ -258,9 +259,9 @@ def test_criterion_10_top_features_beat_random_features_from_mid_intensity():
         cfg = default_config("cs4", seed=s, model=model)
         report = run_case_study("cs4", config=cfg, stage="attack")
         curves = {c.name: c for c in report.curves}
-        top_by_seed.append(curves["cs4/top25"].degradations())
-        rand_by_seed.append(curves["cs4/random25"].degradations())
-        multipliers = curves["cs4/top25"].xs()
+        top_by_seed.append(degradations(curves["cs4/top25"]))
+        rand_by_seed.append(degradations(curves["cs4/random25"]))
+        multipliers = xs(curves["cs4/top25"])
     top_avg = np.mean(top_by_seed, axis=0)
     rand_avg = np.mean(rand_by_seed, axis=0)
     for i in range(2, len(multipliers)):

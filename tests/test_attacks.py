@@ -9,6 +9,7 @@ from mlsec5g.attacks import (resolve_metric, run_inference_attack, run_online_at
                              run_online_attacks, run_training_attack, spoof_positions,
                              spoof_value, summarize_curve)
 from mlsec5g.models import ModelSpec, init_online
+from views import degradations, xs
 
 
 class ThresholdModel:
@@ -39,8 +40,8 @@ class TestCurveMath:
     def test_axis_helpers(self):
         curve = summarize_curve("c", "Acc", "higher_better", "level", 1.0,
                                 [(0.1, [1.0]), (0.5, [0.9]), (2.0, [0.4])])
-        assert curve.xs() == [0.1, 0.5, 2.0]
-        assert curve.degradations() == pytest.approx([0.0, 0.1, 0.6])
+        assert xs(curve) == [0.1, 0.5, 2.0]
+        assert degradations(curve) == pytest.approx([0.0, 0.1, 0.6])
 
     def test_resolve_metric_falls_back_to_registry(self):
         fn, orient = resolve_metric("Acc")
@@ -178,7 +179,7 @@ class TestTrainingAttack:
 
     def test_ratio_zero_control_is_always_included(self):
         curve = self.run(ratios=(0.5,))
-        assert curve.xs() == [0.0, 0.5]
+        assert xs(curve) == [0.0, 0.5]
 
     def test_baseline_equals_the_ratio_zero_mean(self):
         curve = self.run()
@@ -186,7 +187,7 @@ class TestTrainingAttack:
 
     def test_more_poison_more_damage(self):
         curve = self.run()
-        degs = curve.degradations()
+        degs = degradations(curve)
         # the trials' ratio-0 values differ, and each trial is its own control
         assert len(set(curve.points[0].values)) == 3
         assert degs[0] == curve.points[0].degradation_std == 0.0

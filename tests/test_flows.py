@@ -6,8 +6,9 @@ import pytest
 from flow_oracle import handwritten_packets, naive_aggregate, naive_features
 from mlsec5g.flows import (FEATURE_NAMES, MAX_PAYLOAD, FlowRecord, LabelRule,
                            PacketRecord, aggregate_flows, extract_feature_matrix,
-                           flow_identity, label_flows, packets_to_text, pad_payloads,
+                           flow_identity, label_flows, pad_payloads,
                            parse_packets, poison_training_set, port_category)
+from views import packets_to_text
 
 PREFIXES = ("10.0.0.0/8", "172.16.0.0/12", "192.168.0.0/16")
 

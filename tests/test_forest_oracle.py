@@ -1,12 +1,15 @@
 """The presorted forest grower and the stacked predict match the reference
 per-node-argsort grower and per-tree predict bit for bit, with trees grown in
-the calling process or in forked workers.
+the calling process or in forked workers, and with the split search on the
+presorted order or on each small node's own sort.
 
 A test case takes `n_trees` as a defaulted argument, which pytest leaves
-alone, so the forked test can run every case again with more trees.
+alone, so the matrix of every case can run again with more trees.
 """
 
+import gc
 import os
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 
@@ -134,6 +137,64 @@ def test_saved_forest_predicts_like_reference(tmp_path, n_trees=3):
     assert_matches_reference(load_model(path), X, y)
 
 
+def _every_case(monkeypatch, tmp_path, n_trees):
+    """Every case above, at n_trees: 33 fits."""
+    for task, hp, weights in product(TASKS, HYPERPARAMETERS, WEIGHTS):
+        test_forest_matches_reference(task, hp, weights, n_trees=n_trees)
+    for n_classes in (2, 9):
+        test_classes_beyond_the_unrolled_sum_match_reference(n_classes, n_trees=n_trees)
+    test_distilled_student_matches_reference(n_trees=n_trees)  # two fits
+    for target in ("nan", "overflowing"):
+        test_non_finite_values_match_reference(target, n_trees=n_trees)
+    for task in TASKS:
+        test_small_work_blocks_match_reference(task, monkeypatch, n_trees=n_trees)
+    test_saved_forest_predicts_like_reference(tmp_path, n_trees=n_trees)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("small_node", [0, 100_000], ids=["presorted", "own-sort"])
+def test_both_split_paths_match_reference(small_node, monkeypatch, tmp_path):
+    # every node searches the presorted order, or every node sorts its own rows
+    monkeypatch.setattr(forest, "_SMALL_NODE", small_node)
+    _every_case(monkeypatch, tmp_path, n_trees=3)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 7, 16, 64, 257])
+def test_chunked_draws_follow_the_per_node_permutation(p):
+    for mtry in sorted({1, max(1, p // 3), p}):
+        draws = forest._draws(np.random.default_rng([5, p]), p, mtry)
+        rng = np.random.default_rng([5, p])
+        for _ in range(2 * max(1, forest._DRAW_BLOCK // p) + 3):  # across two refills
+            assert np.array_equal(next(draws), rng.permutation(p)[:mtry])
+
+
+def test_a_grown_tree_frees_its_grower_at_once():
+    # a reference cycle would hold each tree's working arrays until the
+    # cycle collector runs, and a fit's peak memory would grow with its trees
+    X, y = _data("regress")
+    grower = forest._Grower(X.T.copy(), y, np.ones(y.size), classify=False, n_classes=1,
+                            max_depth=3, min_split=2, min_leaf=1, mtry=2,
+                            rng=np.random.default_rng(0))
+    grower.grow(np.argsort(X.T, axis=1, kind="stable"))
+    alive = weakref.ref(grower)
+    gc.disable()
+    try:
+        del grower
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
+def test_non_finite_weights_are_refused(weight):
+    X, y = _data("regress", n=50)
+    w = np.ones(50)
+    w[[3, 17]] = weight
+    with pytest.raises(ValueError, match="must be finite, got 2 non-finite"):
+        train_forest(ModelSpec("forest", "regress", {"n_trees": 2}, seed=0), X, y,
+                     sample_weight=w)
+
+
 def test_empty_batch_predicts_empty():
     X, y = _data("classify")
     model = train_forest(ModelSpec("forest", "classify", {"n_trees": 2}, seed=0), X, y)
@@ -147,9 +208,9 @@ def test_empty_batch_predicts_empty():
 @pytest.fixture
 def fork(monkeypatch):
     """Force the fork path: every fit of two or more trees forks the given
-    number of workers, capped at its trees after the first."""
+    number of workers, capped at its trees."""
     def force(workers):
-        monkeypatch.setattr(forest, "_FORK_MIN_NODES", 0)
+        monkeypatch.setattr(forest, "_FORK_MIN_WORK", 0)
         monkeypatch.setattr(forkmap, "_workers", workers)
     return force
 
@@ -158,33 +219,36 @@ def fork(monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_forked_fits_match_reference(workers, fork, started, monkeypatch, tmp_path):
     fork(workers)
-    n_trees = 5  # four trees to hand out: each of three workers gets one or more
-    for task, hp, weights in product(TASKS, HYPERPARAMETERS, WEIGHTS):
-        test_forest_matches_reference(task, hp, weights, n_trees=n_trees)
-    for n_classes in (2, 9):
-        test_classes_beyond_the_unrolled_sum_match_reference(n_classes, n_trees=n_trees)
-    test_distilled_student_matches_reference(n_trees=n_trees)  # two fits
-    for target in ("nan", "overflowing"):
-        test_non_finite_values_match_reference(target, n_trees=n_trees)
-    for task in TASKS:
-        test_small_work_blocks_match_reference(task, monkeypatch, n_trees=n_trees)
-    test_saved_forest_predicts_like_reference(tmp_path, n_trees=n_trees)
+    _every_case(monkeypatch, tmp_path, n_trees=5)  # each of three workers gets one or more
     assert len(started) == 33 * workers
 
 
-def test_fit_below_the_node_threshold_starts_no_process(monkeypatch, started):
+def _grown_here(monkeypatch) -> list:
+    """The trees grown in this process from now on, one pid each."""
+    pids, grow = [], forest._Grower.grow
+
+    def recorded(self, order):
+        pids.append(os.getpid())
+        return grow(self, order)
+
+    monkeypatch.setattr(forest._Grower, "grow", recorded)
+    return pids
+
+
+def test_fit_below_the_work_threshold_starts_no_process(monkeypatch, started):
     monkeypatch.setattr(forkmap, "_workers", 2)
+    grown_here = _grown_here(monkeypatch)
     X, y = _data("regress")
     spec = ModelSpec("forest", "regress", {"n_trees": 3}, seed=4)
-    model = train_forest(spec, X, y)  # far below the stock threshold
-    assert started == []
-    at_threshold = model.trees[0].feature.size * 2  # the first tree's nodes x trees left
-    monkeypatch.setattr(forest, "_FORK_MIN_NODES", at_threshold + 1)
+    at_threshold = X.shape[0] * 3  # rows x trees
+    assert at_threshold < forest._FORK_MIN_WORK  # far below the stock threshold
+    monkeypatch.setattr(forest, "_FORK_MIN_WORK", at_threshold + 1)
     assert_matches_reference(train_forest(spec, X, y), X, y)
-    assert started == []
-    monkeypatch.setattr(forest, "_FORK_MIN_NODES", at_threshold)
+    assert started == [] and len(grown_here) == 3
+    grown_here.clear()
+    monkeypatch.setattr(forest, "_FORK_MIN_WORK", at_threshold)
     assert_matches_reference(train_forest(spec, X, y), X, y)
-    assert len(started) == 2
+    assert len(started) == 2 and grown_here == []  # every tree grew in a worker
 
 
 def test_fit_beside_other_threads_stays_serial(fork, started):
@@ -225,6 +289,6 @@ def test_worker_that_dies_fails_the_fit(fork, monkeypatch, started):
     fork(2)
     _fail_in_workers(monkeypatch, lambda: os._exit(3))
     X, y = _data("regress")
-    with pytest.raises(RuntimeError, match="exited before sending the result for 1$"):
+    with pytest.raises(RuntimeError, match="exited before sending the result for 0$"):
         train_forest(ModelSpec("forest", "regress", {"n_trees": 4}, seed=4), X, y)
     assert len(started) == 2 and not any(p.is_alive() for p in started)

@@ -150,7 +150,7 @@ def test_poisoning_cells_have_the_same_bits_for_any_worker_count(monkeypatch, st
 def test_cs1_poisoning_has_the_same_bits_for_any_worker_count(monkeypatch, started):
     # every forest with a second tree would fork where it may: the baseline in
     # this process does, the poisoning retrains inside workers must not
-    monkeypatch.setattr(forest, "_FORK_MIN_NODES", 0)
+    monkeypatch.setattr(forest, "_FORK_MIN_WORK", 0)
     config = build_config({"scenario": "cs1", "seed": 3,
                            "data": {"synthetic": {"n_hosts": 20, "sessions_per_host": 3}},
                            "model": {"n_trees": 3}, "attack": {"trials": 2}})

@@ -6,6 +6,7 @@ import pytest
 from mlsec5g.perturb import (ConstraintRule, DependencyGraph, DerivedField,
                              PerturbationSpec, apply_rsp, intensity_schedule,
                              population_std, verify_integrity)
+from views import provenance_csv_text, provenance_rows
 
 
 def records_fixture(n=20, seed=3):
@@ -238,7 +239,7 @@ class TestApplyRsp:
         a, loga = apply_rsp(recs, spec, 0, seed=21)
         b, logb = apply_rsp(recs, spec, 0, seed=21)
         assert a == b
-        assert loga.to_rows() == logb.to_rows()
+        assert provenance_rows(loga) == provenance_rows(logb)
 
     def test_out_of_range_level_index(self):
         spec = PerturbationSpec("s", ("x",), "additive_std", (1.0,))
@@ -255,7 +256,7 @@ class TestApplyRsp:
         spec = PerturbationSpec("s", ("x",), "replace_random", (1.0,),
                                 params={"donor_pool": [9.0]})
         _, log = apply_rsp(recs, spec, 0, seed=0)
-        text = log.to_csv_text()
+        text = provenance_csv_text(log)
         lines = text.strip().split("\n")
         assert lines[0] == "record,field,old,new,level,verdict"
         assert len(lines) == 2

@@ -6,7 +6,6 @@ import json
 import numpy as np
 import pytest
 
-from mlsec5g.flows import packets_to_text
 from mlsec5g.scenarios.adapters import AdapterError, ingest_real_dataset
 from mlsec5g.scenarios.generators import (ATTACKER_IPS, CQI_FEATURES,
                                           MODULATIONS, SIGNAL_FEATURES,
@@ -23,6 +22,7 @@ from mlsec5g.scenarios import mimo
 from mlsec5g.scenarios.mimo import (MimoTopology, grid_topology,
                                     ground_truth_power, normalize_powers,
                                     spectral_efficiency)
+from views import packets_to_text
 
 
 def loop_placements(seed, n_samples, cell_size=250.0, ues_per_cell=5, min_gnb_distance=20.0):
