@@ -173,9 +173,7 @@ def run_training_attack(trainer: Callable, T, V, ratios: Sequence[float],
     cells run through `fork_map`, in forked workers where there are CPUs to
     spare, and are gathered in cell order: the same bits for any worker count.
     """
-    orient = orientation if orientation is not None else M.ORIENTATION.get(metric_name)
-    if orient is None:
-        raise ValueError(f"unknown orientation for metric {metric_name!r}")
+    _, orient = resolve_metric(metric_name, evaluator, orientation)
     ratios = sorted(set(float(r) for r in ratios) | {0.0})
     for r in ratios:
         if not 0.0 <= r <= 1.0:

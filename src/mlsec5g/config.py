@@ -144,10 +144,16 @@ _DEFENSES = {"adversarial_training": _Switch(aug_fraction=_number(
              "feature_removal": _BOOL}
 
 
-def _scenario(data: dict, model: dict, attack: dict, defense: dict | None = None) -> dict:
+# the `format` keys of a real dataset that every adapter but cs1's reads
+_RENAME = {"rename": (lambda v: isinstance(v, dict) and all(
+    isinstance(k, str) and isinstance(n, str) and n for k, n in v.items()),
+    "an object mapping a file's column names to the scenario's")}
+
+
+def _scenario(data: dict, fmt: dict, model: dict, attack: dict,
+              defense: dict | None = None) -> dict:
     return {"scenario": _ANY, "seed": _INDEX, "out_dir": _TEXT,
-            "data": {"synthetic": data, "path": _TEXT,
-                     "format": (lambda v: isinstance(v, dict), "an object")},
+            "data": {"synthetic": data, "path": _TEXT, "format": fmt},
             "model": model, "attack": attack, "defense": defense or {}}
 
 
@@ -155,6 +161,8 @@ def _scenario(data: dict, model: dict, attack: dict, defense: dict | None = None
 _TABLE = {
     "cs1": _scenario(
         {"n_hosts": _COUNT, "sessions_per_host": _COUNT, "sessions_per_attacker": _COUNT},
+        {"attacker_ips": (lambda v: isinstance(v, list) and all(_TEXT[0](a) for a in v),
+                          "a list of non-empty strings")},
         _FOREST,
         {"multipliers": _MULTIPLIERS, "trials": _COUNT, "pad_level_index": _INDEX,
          "ratios": (lambda v: isinstance(v, list) and
@@ -162,22 +170,25 @@ _TABLE = {
                     "a list of numbers in [0, 1]")},
         {"distillation": _BOOL}),
     "cs2": _scenario(
-        {"n": _int(10)}, _FOREST,
+        {"n": _int(10)}, _RENAME, _FOREST,
         {"multipliers": _MULTIPLIERS, "scopes": _names(CS2_SCOPES),
          "replace_levels": _COUNT},
         _DEFENSES),
     "cs3": _scenario(
-        {"length": _COUNT, "profiles": _names(CQI_PROFILES)}, _RECURRENT,
+        {"length": _COUNT, "profiles": _names(CQI_PROFILES)}, _RENAME, _RECURRENT,
         {"spoof_modes": _names(SPOOF_MODES),
          "period_s": _number(lambda v: v < math.inf and round(v) >= 1,
                              "a number of seconds that rounds to at least 1")}),
     "cs4": _scenario(
-        {"n_per_class": _COUNT}, {"forest": _FOREST, "network": _NETWORK},
+        {"n_per_class": _COUNT},
+        {**_RENAME, "snr": _number(math.isfinite, "a finite number")},
+        {"forest": _FOREST, "network": _NETWORK},
         {"multipliers": _MULTIPLIERS, "top_k": _int(1, N_SIGNAL_FEATURES),
          "random_trials": _COUNT}),
     "cs5": _scenario(
         {"n_samples": _int(10), "cell_size": _POSITIVE, "ues_per_cell": _COUNT,
          "min_gnb_distance": _NON_NEGATIVE},
+        {**_RENAME, "topology": _TEXT},
         _NETWORK,
         {"step_count": _COUNT, "max_offset": _POSITIVE,
          "attacker_ids": (lambda v: v == "closest" or (
@@ -185,7 +196,7 @@ _TABLE = {
              and len(set(v)) == len(v)),
              '"closest" or a non-empty list of distinct integers >= 0')}),
     "cs6": _scenario(
-        {"n": _int(10)}, _FOREST, {"multipliers": _MULTIPLIERS, "insider": _BOOL},
+        {"n": _int(10)}, _RENAME, _FOREST, {"multipliers": _MULTIPLIERS, "insider": _BOOL},
         _DEFENSES),
 }
 

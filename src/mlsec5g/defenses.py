@@ -18,7 +18,7 @@ import numpy as np
 from .attacks import DegradationCurve, resolve_metric, run_inference_attack
 from .perturb import PerturbationSpec, apply_rsp
 from .repro import derive_seed
-from .threat import _METRIC_NAMES, TradeoffReport, tradeoff
+from .threat import TradeoffReport, tradeoff
 
 
 def project_columns(X: np.ndarray, full_schema: Sequence[str],
@@ -129,8 +129,7 @@ def evaluate_defense(baseline_model, hardened_model, V, adversarial_sets,
     Xh = project_columns(X, schema, hardened_model.schema)
     p_base = float(fn(y, baseline_model.predict(Xb)))
     p_hardened = float(fn(y, hardened_model.predict(Xh)))
-    report = tradeoff(p_base, p_hardened,
-                      metric_name if metric_name in _METRIC_NAMES else "Acc")
+    report = tradeoff(p_base, p_hardened, metric_name)
 
     def project(v):
         return project_columns(v, schema, hardened_model.schema)

@@ -92,11 +92,17 @@ def parse_packets(text: str) -> list[PacketRecord]:
             continue
         if len(row) != 9:
             raise ValueError(f"line {lineno}: expected 9 fields, got {len(row)}")
-        ts, sip, sport, dip, dport, proto, flags, plen, tos = row
-        flagset = frozenset() if flags == "-" else frozenset(flags.split("+"))
-        packets.append(PacketRecord(float(ts), sip, int(sport), dip, int(dport),
-                                    proto, int(plen), flagset, int(tos)))
+        packets.append(parse_packet(row))
     return packets
+
+
+def parse_packet(fields) -> PacketRecord:
+    """One packet from its nine fields in PACKET_HEADER order; raises
+    ValueError on a malformed one."""
+    ts, sip, sport, dip, dport, proto, flags, plen, tos = fields
+    flagset = frozenset() if flags == "-" else frozenset(flags.split("+"))
+    return PacketRecord(float(ts), sip, int(sport), dip, int(dport),
+                        proto, int(plen), flagset, int(tos))
 
 
 @dataclass

@@ -6,16 +6,22 @@ bookkeeping. Malformed rows are counted, skipped, and logged, never silently
 dropped; a dataset without ground truth is rejected outright, because a
 pipeline cannot measure degradation against labels it does not have.
 
-Formats (delimited text, header row with named columns):
+Every file is a CSV with a header row of named columns. Header cells are
+stripped of surrounding spaces and then renamed by `format.rename` (their
+name to ours); columns the scenario does not read are ignored. Layouts, and
+the `format` keys each scenario reads (the config rejects any other):
 
-  cs1  directory with packets.csv (canonical packet format) and
-       sessions.csv (src_ip,src_port,label)
-  cs2  one CSV with the 16 measurement columns plus CQI
-  cs3  one CSV with a CQI column (optionally a leading timestamp column)
-  cs4  one CSV with iq_000..iq_255, a label column, optionally snr
-  cs5  features CSV (ue{k}_x, ue{k}_y, p{k} columns) plus a topology JSON
-       (gnb_positions, cell_bounds, ue_positions, serving, power_budget)
-  cs6  one CSV with the 8 subscription columns plus a slice label column
+  cs1  a directory with packets.csv (the columns of flows.PACKET_HEADER) and
+       sessions.csv (src_ip, src_port, label).
+       attacker_ips: the attacker addresses (default none)
+  cs2  one CSV with the 16 measurement columns plus CQI.  rename
+  cs3  one CSV with a CQI column.  rename
+  cs4  one CSV with iq_000..iq_255 and a label column.  rename; snr: keep
+       only the rows whose snr column equals it (the file must have one)
+  cs5  a features CSV (ue{k}_x, ue{k}_y, p{k} columns) plus a topology JSON
+       (gnb_positions, cell_bounds, ue_positions, serving, power_budget).
+       rename; topology: the JSON's path (default <path>.topology.json)
+  cs6  one CSV with the 8 subscription columns plus a Slice column.  rename
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import os
 
 import numpy as np
 
-from ..flows import PACKET_HEADER, parse_packets
+from ..flows import PACKET_HEADER, parse_packet
 from .generators import (CQI_FEATURES, MODULATIONS, N_SIGNAL_FEATURES,
                          SIGNAL_FEATURES, SLICE_CLASSES, SLICE_FEATURES)
 from .mimo import MimoTopology
@@ -39,198 +45,130 @@ class AdapterError(ValueError):
     """The dataset cannot serve this scenario at all (not a row-level issue)."""
 
 
-def _open_rows(path: str):
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise AdapterError(f"{path}: empty file, no header row")
-        rows = list(reader)
-    return [name.strip() for name in reader.fieldnames], rows
-
-
-def _apply_rename(columns, rename):
-    rename = dict(rename or {})
-    return [rename.get(c, c) for c in columns]
-
-
 def ingest_real_dataset(scenario: str, path: str, fmt: dict | None = None) -> dict:
     """Parse a real dataset into the scenario's canonical dict.
 
-    fmt may carry {"rename": {their_column: ours}, "label_column": name}.
+    fmt holds the scenario's `format` keys (see the module docstring).
     Returns the same keys as the matching synthetic generator plus a
     "provenance" block with path, row, and skip counts.
     """
-    fmt = dict(fmt or {})
-    rename = fmt.get("rename", {})
-    dispatch = {
-        "cs1": _ingest_traffic,
-        "cs2": _ingest_cqi_records,
-        "cs3": _ingest_cqi_series,
-        "cs4": _ingest_signals,
-        "cs5": _ingest_placements,
-        "cs6": _ingest_subscriptions,
-    }
+    dispatch = {"cs1": _traffic, "cs2": _cqi_records, "cs3": _cqi_series,
+                "cs4": _signals, "cs5": _placements, "cs6": _subscriptions}
     if scenario not in dispatch:
         raise AdapterError(f"no adapter for scenario {scenario!r}")
-    out = dispatch[scenario](path, rename, fmt)
-    prov = out.setdefault("provenance", {})
-    prov["path"] = os.path.abspath(path)
-    prov["scenario"] = scenario
+    out = dispatch[scenario](path, dict(fmt or {}))
+    out["provenance"].update(path=os.path.abspath(path), scenario=scenario)
     return out
 
 
-def _ingest_traffic(path, rename, fmt):
+def _read(path, fmt, columns, parse, truth=()):
+    """parse(values) over each data row of one CSV, where values are the
+    row's cells of `columns` in that order. A row that is short or that parse
+    refuses with ValueError is skipped, counted and logged; parse returns
+    None for a row it leaves out on purpose. Returns (parsed rows,
+    provenance counts). Every missing column is named at once, the `truth`
+    ones as ground truth."""
+    rename = fmt.get("rename", {})
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise AdapterError(f"{path}: empty file, no header row")
+        index = {rename.get(c.strip(), c.strip()): i for i, c in enumerate(header)}
+        missing = [c for c in columns if c not in index]
+        if missing:
+            lost = [c for c in missing if c in truth]
+            raise AdapterError(f"{path}: missing columns {missing}" + (
+                f", among them the ground-truth columns {lost}" if lost else ""))
+        picks = [index[c] for c in columns]
+        out, rows, skipped = [], 0, 0
+        for row in reader:
+            if not row:
+                continue
+            rows += 1
+            try:
+                if len(row) < len(header):
+                    raise ValueError(f"{len(row)} of {len(header)} fields")
+                value = parse([row[i] for i in picks])
+            except ValueError as exc:
+                skipped += 1
+                log.warning("%s line %d skipped: %s", path, reader.line_num, exc)
+                continue
+            if value is not None:
+                out.append(value)
+    if not out:
+        raise AdapterError(f"{path}: no usable rows ({skipped} of {rows} malformed)")
+    return out, {"rows": rows, "skipped": skipped}
+
+
+def _floats(values):
+    return [float(v) for v in values]
+
+
+def _label(value, classes, what):
+    label = value.strip()
+    if label not in classes:
+        raise ValueError(f"unknown {what} {label!r}")
+    return label
+
+
+def _traffic(path, fmt):
     pkt_path = os.path.join(path, "packets.csv")
     lbl_path = os.path.join(path, "sessions.csv")
     if not os.path.exists(pkt_path) or not os.path.exists(lbl_path):
         raise AdapterError(f"{path}: need packets.csv and sessions.csv")
-    with open(pkt_path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    if not lines or lines[0] != PACKET_HEADER:
-        raise AdapterError(f"{pkt_path}: first line must be {PACKET_HEADER!r}")
-    packets = []
-    skipped = 0
-    for ln in lines[1:]:
-        try:
-            packets.extend(parse_packets(PACKET_HEADER + "\n" + ln))
-        except (ValueError, KeyError) as exc:
-            skipped += 1
-            log.warning("cs1 packet row skipped: %s", exc)
-    packets.sort(key=lambda p: p.timestamp)
-
-    _, rows = _open_rows(lbl_path)
-    session_labels = {}
-    lbl_skipped = 0
-    for row in rows:
-        try:
-            session_labels[(row["src_ip"].strip(), int(row["src_port"]))] = \
-                row["label"].strip()
-        except (KeyError, TypeError, ValueError) as exc:
-            lbl_skipped += 1
-            log.warning("cs1 session row skipped: %s", exc)
-    if not session_labels:
-        raise AdapterError(f"{lbl_path}: no usable session labels (ground truth missing)")
-    attacker_ips = tuple(fmt.get("attacker_ips", ()))
-    classes = tuple(sorted(set(session_labels.values())))
+    packets, pkt_prov = _read(pkt_path, fmt, PACKET_HEADER.split(","), parse_packet)
+    sessions, lbl_prov = _read(
+        lbl_path, fmt, ("src_ip", "src_port", "label"),
+        lambda v: ((v[0].strip(), int(v[1])), v[2].strip()), truth=("label",))
+    session_labels = dict(sessions)
     return {
-        "packets": packets,
+        "packets": sorted(packets, key=lambda p: p.timestamp),
         "session_labels": session_labels,
-        "attacker_ips": attacker_ips,
-        "classes": classes,
-        "provenance": {"rows": len(lines) - 1 + len(rows),
-                       "skipped": skipped + lbl_skipped},
+        "attacker_ips": tuple(fmt.get("attacker_ips", ())),
+        "classes": tuple(sorted(set(session_labels.values()))),
+        "provenance": {k: pkt_prov[k] + lbl_prov[k] for k in pkt_prov},
     }
 
 
-def _ingest_cqi_records(path, rename, fmt):
-    columns, rows = _open_rows(path)
-    columns = _apply_rename(columns, rename)
-    target = fmt.get("label_column", "CQI")
-    have = set(columns)
-    missing = [c for c in CQI_FEATURES if c not in have]
-    if missing:
-        raise AdapterError(f"{path}: missing measurement columns {missing}")
-    if target not in have:
-        raise AdapterError(f"{path}: no ground-truth column {target!r}")
-    inverse = {v: k for k, v in dict(rename or {}).items()}
-
-    def cell(row, name):
-        return row[inverse.get(name, name)]
-
-    records, targets = [], []
-    skipped = 0
-    for row in rows:
-        try:
-            rec = {c: float(cell(row, c)) for c in CQI_FEATURES}
-            t = float(cell(row, target))
-        except (TypeError, ValueError) as exc:
-            skipped += 1
-            log.warning("cs2 row skipped: %s", exc)
-            continue
-        records.append(rec)
-        targets.append(t)
-    if not records:
-        raise AdapterError(f"{path}: every row malformed")
+def _cqi_records(path, fmt):
+    rows, prov = _read(path, fmt, CQI_FEATURES + ("CQI",), _floats, truth=("CQI",))
     return {
-        "records": records,
-        "targets": np.asarray(targets, dtype=float),
+        "records": [dict(zip(CQI_FEATURES, r)) for r in rows],
+        "targets": np.asarray([r[-1] for r in rows], dtype=float),
         "schema": CQI_FEATURES,
-        "provenance": {"rows": len(rows), "skipped": skipped},
+        "provenance": prov,
     }
 
 
-def _ingest_cqi_series(path, rename, fmt):
-    columns, rows = _open_rows(path)
-    columns = _apply_rename(columns, rename)
-    target = fmt.get("label_column", "CQI")
-    if target not in columns:
-        raise AdapterError(f"{path}: no CQI column")
-    inverse = {v: k for k, v in dict(rename or {}).items()}
-    key = inverse.get(target, target)
-    series = []
-    skipped = 0
-    for row in rows:
-        raw = row.get(key)
-        try:
-            series.append(float(raw))
-        except (TypeError, ValueError):
-            skipped += 1
-            log.warning("cs3 row without usable CQI skipped")
-    if not series:
-        raise AdapterError(f"{path}: no usable CQI values")
+def _cqi_series(path, fmt):
+    rows, prov = _read(path, fmt, ("CQI",), lambda v: float(v[0]), truth=("CQI",))
+    return {"series": np.asarray(rows, dtype=float), "bounds": (0.0, 15.0),
+            "profile": "real", "provenance": prov}
+
+
+def _signals(path, fmt):
+    snr = fmt.get("snr")
+    n = N_SIGNAL_FEATURES
+
+    def parse(v):
+        if snr is not None and float(v[n + 1]) != float(snr):
+            return None
+        return _floats(v[:n]), MODULATIONS.index(_label(v[n], MODULATIONS, "modulation"))
+
+    columns = SIGNAL_FEATURES + ("label",) + (() if snr is None else ("snr",))
+    rows, prov = _read(path, fmt, columns, parse, truth=("label",))
     return {
-        "series": np.asarray(series, dtype=float),
-        "bounds": (0.0, 15.0),
-        "profile": str(fmt.get("profile", "real")),
-        "provenance": {"rows": len(rows), "skipped": skipped},
-    }
-
-
-def _ingest_signals(path, rename, fmt):
-    columns, rows = _open_rows(path)
-    columns = _apply_rename(columns, rename)
-    label_col = fmt.get("label_column", "label")
-    have = set(columns)
-    missing = [c for c in SIGNAL_FEATURES if c not in have]
-    if missing:
-        raise AdapterError(f"{path}: missing {len(missing)} of {N_SIGNAL_FEATURES} "
-                           f"signal columns (first: {missing[0]})")
-    if label_col not in have:
-        raise AdapterError(f"{path}: no label column {label_col!r}")
-    inverse = {v: k for k, v in dict(rename or {}).items()}
-
-    def cell(row, name):
-        return row[inverse.get(name, name)]
-
-    snr_filter = fmt.get("snr")
-    X_rows, y_rows = [], []
-    skipped = 0
-    for row in rows:
-        try:
-            if snr_filter is not None and "snr" in have and \
-                    float(cell(row, "snr")) != float(snr_filter):
-                continue
-            label = str(cell(row, label_col)).strip()
-            if label not in MODULATIONS:
-                raise ValueError(f"unknown modulation {label!r}")
-            X_rows.append([float(cell(row, c)) for c in SIGNAL_FEATURES])
-            y_rows.append(MODULATIONS.index(label))
-        except (TypeError, ValueError) as exc:
-            skipped += 1
-            log.warning("cs4 row skipped: %s", exc)
-    if not X_rows:
-        raise AdapterError(f"{path}: no usable signal rows")
-    return {
-        "X": np.asarray(X_rows, dtype=float),
-        "y": np.asarray(y_rows, dtype=int),
+        "X": np.asarray([x for x, _ in rows], dtype=float),
+        "y": np.asarray([y for _, y in rows], dtype=int),
         "schema": SIGNAL_FEATURES,
         "classes": MODULATIONS,
         "informative": None,
-        "provenance": {"rows": len(rows), "skipped": skipped},
+        "provenance": prov,
     }
 
 
-def _ingest_placements(path, rename, fmt):
+def _placements(path, fmt):
     topo_path = fmt.get("topology", path + ".topology.json")
     if not os.path.exists(topo_path):
         raise AdapterError(f"{path}: topology description {topo_path} not found")
@@ -246,72 +184,27 @@ def _ingest_placements(path, rename, fmt):
         )
     except KeyError as exc:
         raise AdapterError(f"{topo_path}: missing topology field {exc}") from exc
+    feat_cols = tuple(f"ue{k}_{ax}" for k in range(topo.n_ues) for ax in ("x", "y"))
+    pow_cols = tuple(f"p{k}" for k in range(topo.n_ues))
+    k = len(feat_cols)
+    rows, prov = _read(path, fmt, feat_cols + pow_cols,
+                       lambda v: (_floats(v[:k]), _floats(v[k:])), truth=pow_cols)
+    return {"X": np.asarray([x for x, _ in rows], dtype=float),
+            "Y": np.asarray([y for _, y in rows], dtype=float),
+            "schema": feat_cols, "topology": topo, "provenance": prov}
 
-    columns, rows = _open_rows(path)
-    columns = _apply_rename(columns, rename)
-    n_ues = topo.n_ues
-    feat_cols = [f"ue{k}_{ax}" for k in range(n_ues) for ax in ("x", "y")]
-    pow_cols = [f"p{k}" for k in range(n_ues)]
-    have = set(columns)
-    if any(c not in have for c in feat_cols):
-        raise AdapterError(f"{path}: placement columns incomplete")
-    if any(c not in have for c in pow_cols):
-        raise AdapterError(f"{path}: power target columns missing (ground truth)")
-    X_rows, Y_rows = [], []
-    skipped = 0
-    for row in rows:
-        try:
-            X_rows.append([float(row[c]) for c in feat_cols])
-            Y_rows.append([float(row[c]) for c in pow_cols])
-        except (TypeError, ValueError) as exc:
-            skipped += 1
-            log.warning("cs5 row skipped: %s", exc)
-    if not X_rows:
-        raise AdapterError(f"{path}: no usable placement rows")
+
+def _subscriptions(path, fmt):
+    n = len(SLICE_FEATURES)
+    rows, prov = _read(
+        path, fmt, SLICE_FEATURES + ("Slice",),
+        lambda v: (dict(zip(SLICE_FEATURES, _floats(v[:n]))),
+                   _label(v[n], SLICE_CLASSES, "slice")),
+        truth=("Slice",))
     return {
-        "X": np.asarray(X_rows, dtype=float),
-        "Y": np.asarray(Y_rows, dtype=float),
-        "schema": tuple(feat_cols),
-        "topology": topo,
-        "provenance": {"rows": len(rows), "skipped": skipped},
-    }
-
-
-def _ingest_subscriptions(path, rename, fmt):
-    columns, rows = _open_rows(path)
-    columns = _apply_rename(columns, rename)
-    label_col = fmt.get("label_column", "Slice")
-    have = set(columns)
-    missing = [c for c in SLICE_FEATURES if c not in have]
-    if missing:
-        raise AdapterError(f"{path}: missing subscription columns {missing}")
-    if label_col not in have:
-        raise AdapterError(f"{path}: no slice label column {label_col!r}")
-    inverse = {v: k for k, v in dict(rename or {}).items()}
-
-    def cell(row, name):
-        return row[inverse.get(name, name)]
-
-    records, labels = [], []
-    skipped = 0
-    for row in rows:
-        try:
-            rec = {c: float(cell(row, c)) for c in SLICE_FEATURES}
-            label = str(cell(row, label_col)).strip()
-            if label not in SLICE_CLASSES:
-                raise ValueError(f"unknown slice {label!r}")
-        except (TypeError, ValueError) as exc:
-            skipped += 1
-            log.warning("cs6 row skipped: %s", exc)
-            continue
-        records.append(rec)
-        labels.append(label)
-    if not records:
-        raise AdapterError(f"{path}: every row malformed")
-    return {
-        "records": records,
-        "labels": np.asarray(labels),
+        "records": [r for r, _ in rows],
+        "labels": np.asarray([label for _, label in rows]),
         "schema": SLICE_FEATURES,
         "classes": SLICE_CLASSES,
-        "provenance": {"rows": len(rows), "skipped": skipped},
+        "provenance": prov,
     }

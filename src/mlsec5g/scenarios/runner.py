@@ -441,8 +441,7 @@ def _run_cs3(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
     with _timed(timings, "data"):
         if "path" in config.data:
             data = _load_data(config, "cs3", derive_seed(seed, "data"))
-            series_by_profile[data.get("profile", "real")] = \
-                np.asarray(data["series"], dtype=float)
+            series_by_profile[data["profile"]] = data["series"]
         else:
             syn = dict(config.data["synthetic"])
             for profile in syn.pop("profiles"):

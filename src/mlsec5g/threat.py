@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from numbers import Real
 
+from .metrics import ORIENTATION
+
 
 def _as_tuple(names) -> tuple[str, ...]:
     return tuple(str(n) for n in names)
@@ -119,9 +121,6 @@ class AttackOutcome:
         return cls(clean_prediction, adversarial_prediction, ground_truth, ok)
 
 
-_METRIC_NAMES = ("Acc", "F1", "RMSE", "CRMSE", "SE")
-
-
 @dataclass(frozen=True)
 class TradeoffReport:
     """Cost of a defense on clean data: baseline over hardened performance.
@@ -143,8 +142,8 @@ class TradeoffReport:
 def tradeoff(p_base: float, p_hardened: float, metric_name: str = "Acc") -> TradeoffReport:
     """Build a TradeoffReport; a hardened performance of 0 gives a null ratio
     with its reason, a negative one is an error."""
-    if metric_name not in _METRIC_NAMES:
-        raise ValueError(f"unknown metric_name {metric_name!r}; expected one of {_METRIC_NAMES}")
+    if metric_name not in ORIENTATION:
+        raise ValueError(f"unknown metric_name {metric_name!r}; expected one of {tuple(ORIENTATION)}")
     p_base = float(p_base)
     p_hardened = float(p_hardened)
     if p_hardened < 0.0:

@@ -99,6 +99,18 @@ class TestBuildConfig:
         assert "synthetic" not in cfg.data
         assert cfg.data["path"] == "d.csv"
 
+    @pytest.mark.parametrize("scenario, fmt", [
+        ("cs1", {"attacker_ips": ["10.0.0.1"]}),
+        ("cs2", {"rename": {"cqi": "CQI"}}),
+        ("cs3", {"rename": {"cqi": "CQI"}}),
+        ("cs4", {"rename": {"modulation": "label"}, "snr": -4}),
+        ("cs5", {"rename": {"P0": "p0"}, "topology": "t.json"}),
+        ("cs6", {"rename": {"slice": "Slice"}}),
+    ])
+    def test_each_scenario_takes_its_format_keys(self, scenario, fmt):
+        cfg = build_config({"scenario": scenario, "data": {"path": "d", "format": fmt}})
+        assert cfg.data["format"] == fmt
+
     def test_invalid_config_raises_with_the_full_list(self):
         with pytest.raises(ConfigError) as err:
             build_config({"scenario": "cs2", "seed": -1, "bogus": 1})
@@ -355,6 +367,23 @@ BAD_VALUES = [
     ("cs5", {"model": {"batch_size": 64}}, "config.model.batch_size"),
     ("cs4", {"model": {"network": {"standardize": False}}}, "config.model.network.standardize"),
     ("cs3", {"model": {"online_lr": 0.01}}, "config.model.online_lr"),
+    # each scenario takes only the format keys its adapter reads
+    ("cs2", {"data": {"path": "d.csv", "format": {"lable_column": "CQI"}}},
+     "config.data.format.lable_column"),
+    ("cs6", {"data": {"path": "d.csv", "format": {"label_column": "Slice"}}},
+     "config.data.format.label_column"),
+    ("cs3", {"data": {"path": "d.csv", "format": {"profile": "real"}}},
+     "config.data.format.profile"),
+    ("cs1", {"data": {"path": "d", "format": {"rename": {"ip": "src_ip"}}}},
+     "config.data.format.rename"),
+    ("cs2", {"data": {"path": "d.csv", "format": {"snr": 10.0}}}, "config.data.format.snr"),
+    ("cs4", {"data": {"path": "d.csv", "format": {"snr": "10"}}}, "config.data.format.snr"),
+    ("cs6", {"data": {"path": "d.csv", "format": {"rename": {"slice": 3}}}},
+     "config.data.format.rename"),
+    ("cs1", {"data": {"path": "d", "format": {"attacker_ips": "10.0.0.1"}}},
+     "config.data.format.attacker_ips"),
+    ("cs5", {"data": {"path": "d.csv", "format": {"topology": ""}}},
+     "config.data.format.topology"),
 ]
 
 

@@ -322,6 +322,58 @@ class TestAdapters:
         assert out["records"] == data["records"]
         assert np.array_equal(out["labels"], data["labels"])
 
+    def test_header_cells_are_stripped(self, tmp_path):
+        data = generate_subscriptions(seed=11, n=10)
+        path = tmp_path / "subs.csv"
+        rows = [",".join([repr(r[c]) for c in SLICE_FEATURES] + [lbl])
+                for r, lbl in zip(data["records"], data["labels"])]
+        path.write_text("\n".join([" " + " , ".join(SLICE_FEATURES + ("Slice",)) + " ",
+                                   *rows]) + "\n")
+        out = ingest_real_dataset("cs6", str(path))
+        assert out["records"] == data["records"]
+        assert np.array_equal(out["labels"], data["labels"])
+
+    def test_placements_rename(self, tmp_path):
+        data = generate_placements(seed=10, n_samples=3, ues_per_cell=1)
+        topo = data["topology"]
+        path = tmp_path / "placements.csv"
+        ours = list(data["schema"]) + [f"p{k}" for k in range(topo.n_ues)]
+        write_csv(path, [c.upper() for c in ours],
+                  [[repr(float(v)) for v in np.concatenate([data["X"][i], data["Y"][i]])]
+                   for i in range(3)])
+        (tmp_path / "placements.csv.topology.json").write_text(json.dumps({
+            "gnb_positions": topo.gnb_positions.tolist(),
+            "cell_bounds": [list(b) for b in topo.cell_bounds],
+            "ue_positions": topo.ue_positions.tolist(),
+            "serving": topo.serving.tolist(),
+        }))
+        out = ingest_real_dataset("cs5", str(path),
+                                  {"rename": {c.upper(): c for c in ours}})
+        assert np.array_equal(out["X"], data["X"])
+        assert np.array_equal(out["Y"], data["Y"])
+
+    def test_snr_filter_needs_an_snr_column(self, tmp_path):
+        data = generate_signals(seed=9, n_per_class=1)
+        path = tmp_path / "signals.csv"
+        write_csv(path, list(SIGNAL_FEATURES) + ["label"],
+                  [[repr(float(v)) for v in x] + [MODULATIONS[y]]
+                   for x, y in zip(data["X"], data["y"])])
+        assert len(ingest_real_dataset("cs4", str(path))["y"]) == len(MODULATIONS)
+        with pytest.raises(AdapterError, match="'snr'"):
+            ingest_real_dataset("cs4", str(path), {"snr": 10.0})
+
+    def test_short_rows_are_skipped_and_counted(self, tmp_path):
+        data = generate_traffic(seed=7, n_hosts=3, sessions_per_host=2,
+                                sessions_per_attacker=1)
+        (tmp_path / "packets.csv").write_text(packets_to_text(data["packets"]))
+        sessions = [[ip, port, lbl] for (ip, port), lbl in data["session_labels"].items()]
+        write_csv(tmp_path / "sessions.csv", ["src_ip", "src_port", "label"],
+                  sessions[:1] + [["10.9.9.9", "80"]] + sessions[1:])
+        out = ingest_real_dataset("cs1", str(tmp_path))
+        assert out["session_labels"] == data["session_labels"]
+        assert out["provenance"]["skipped"] == 1
+        assert out["provenance"]["rows"] == len(data["packets"]) + len(sessions) + 1
+
     def test_missing_ground_truth_is_fatal(self, tmp_path):
         data = generate_cqi_records(seed=8, n=5)
         path = tmp_path / "nolabel.csv"
