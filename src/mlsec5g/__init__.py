@@ -16,7 +16,6 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .threat import (
-    AttackOutcome,
     FeatureScope,
     TradeoffReport,
     attack_success,
@@ -30,13 +29,11 @@ from .perturb import (
     PerturbationSpec,
     ProvenanceLog,
     apply_rsp,
-    intensity_schedule,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttackOutcome",
     "ConstraintRule",
     "DependencyGraph",
     "FeatureScope",
@@ -46,7 +43,6 @@ __all__ = [
     "apply_rsp",
     "attack_success",
     "degradation",
-    "intensity_schedule",
     "tradeoff",
     "validate_scope",
 ]

@@ -25,16 +25,16 @@ METRIC_REGISTRY: dict[str, Callable] = {
 }
 
 
-def resolve_metric(metric_name: str, metric_fn: Callable | None = None,
-                   orientation: str | None = None):
-    """Return (fn, orientation) for a metric name, with overrides allowed."""
+def resolve_metric(metric_name: str, metric_fn: Callable | None = None):
+    """Return (fn, orientation) for a metric name of metrics.ORIENTATION;
+    metric_fn, when given, scores it in place of the registered function."""
+    if metric_name not in M.ORIENTATION:
+        raise ValueError(f"unknown metric_name {metric_name!r}; "
+                         f"expected one of {tuple(M.ORIENTATION)}")
     fn = metric_fn if metric_fn is not None else METRIC_REGISTRY.get(metric_name)
     if fn is None:
         raise ValueError(f"no metric function registered for {metric_name!r}; pass metric_fn")
-    orient = orientation if orientation is not None else M.ORIENTATION.get(metric_name)
-    if orient is None:
-        raise ValueError(f"unknown orientation for metric {metric_name!r}")
-    return fn, orient
+    return fn, M.ORIENTATION[metric_name]
 
 
 @dataclass(frozen=True)
@@ -94,9 +94,8 @@ class InferenceAttackResult:
 
 
 def run_inference_attack(model, clean_eval, adversarial_sets, metric_name: str,
-                         metric_fn: Callable | None = None,
-                         orientation: str | None = None,
-                         group_by=None, name: str = "inference",
+                         metric_fn: Callable | None = None, group_by=None,
+                         name: str = "inference",
                          x_label: str = "intensity") -> InferenceAttackResult:
     """Evaluate a trained model on clean rows and their perturbed twins.
 
@@ -115,7 +114,7 @@ def run_inference_attack(model, clean_eval, adversarial_sets, metric_name: str,
     y = np.asarray(y)
     if X.shape[0] != y.shape[0]:
         raise ValueError("clean rows and targets are not aligned")
-    fn, orient = resolve_metric(metric_name, metric_fn, orientation)
+    fn, orient = resolve_metric(metric_name, metric_fn)
     if group_by is not None:
         group_by = np.asarray(group_by)
         if group_by.shape[0] != X.shape[0]:
@@ -157,8 +156,7 @@ def run_inference_attack(model, clean_eval, adversarial_sets, metric_name: str,
 def run_training_attack(trainer: Callable, T, V, ratios: Sequence[float],
                         adversarial_flows, trials: int, seed: int,
                         poison_fn: Callable, evaluator: Callable,
-                        metric_name: str, orientation: str | None = None,
-                        name: str = "training") -> DegradationCurve:
+                        metric_name: str, name: str = "training") -> DegradationCurve:
     """Poison a growing share of the attacker's training flows and retrain.
 
     trainer(T_poisoned, seed) -> model; poison_fn(T, adversarial_flows, ratio,
@@ -173,7 +171,7 @@ def run_training_attack(trainer: Callable, T, V, ratios: Sequence[float],
     cells run through `fork_map`, in forked workers where there are CPUs to
     spare, and are gathered in cell order: the same bits for any worker count.
     """
-    _, orient = resolve_metric(metric_name, evaluator, orientation)
+    _, orient = resolve_metric(metric_name, evaluator)
     ratios = sorted(set(float(r) for r in ratios) | {0.0})
     for r in ratios:
         if not 0.0 <= r <= 1.0:

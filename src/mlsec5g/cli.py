@@ -1,8 +1,8 @@
 """Command-line front end: stage selection, config resolution, artifact emission.
 
-Every setting resolves as flag > environment > config file. Environment
-variables mirror the flags: MLSEC5G_CONFIG, MLSEC5G_SCENARIO, MLSEC5G_SEED,
-MLSEC5G_OUT, MLSEC5G_STAGE.
+The subcommand is the stage. Every other setting resolves as flag >
+environment > config file. Environment variables mirror the flags:
+MLSEC5G_CONFIG, MLSEC5G_SCENARIO, MLSEC5G_SEED, MLSEC5G_OUT.
 
 Exit codes: 0 success, 2 configuration error (every violation listed on
 stderr), 3 runtime failure.
@@ -74,8 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="master seed; every stage derives its own stream from it")
     shared.add_argument("--out", metavar="DIR",
                         help="artifact root directory")
-    shared.add_argument("--stage", choices=STAGES,
-                        help="override the subcommand's stage")
 
     parser = argparse.ArgumentParser(
         prog="mlsec5g",
@@ -89,16 +87,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve(args: argparse.Namespace):
-    """Merge flags, environment and config file into a frozen config + stage."""
+    """Merge flags, environment and config file into a frozen config; the
+    subcommand is the stage."""
     config_path = args.config or _env("CONFIG")
     scenario = args.scenario or _env("SCENARIO")
     seed = args.seed if args.seed is not None else _env_int("SEED")
     out_dir = args.out or _env("OUT")
-
-    stage = args.stage or _env("STAGE") or args.command
-    if stage not in STAGES:
-        raise ConfigError(
-            [f"stage: must be one of {', '.join(STAGES)}, got {stage!r}"])
 
     raw = _load_raw(config_path) if config_path else {}
     if scenario is None and "scenario" not in raw:
@@ -107,7 +101,7 @@ def resolve(args: argparse.Namespace):
              "MLSEC5G_SCENARIO, or put it in the config file)"])
 
     overrides = {"scenario": scenario, "seed": seed, "out_dir": out_dir}
-    return build_config(raw, overrides), stage
+    return build_config(raw, overrides), args.command
 
 
 def main(argv=None) -> int:

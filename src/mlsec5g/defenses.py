@@ -107,7 +107,6 @@ class DefenseEvaluation:
 
 def evaluate_defense(baseline_model, hardened_model, V, adversarial_sets,
                      metric_name: str, metric_fn: Callable | None = None,
-                     orientation: str | None = None,
                      defense: str = "defense") -> DefenseEvaluation:
     """Score a hardened model against its baseline.
 
@@ -123,7 +122,7 @@ def evaluate_defense(baseline_model, hardened_model, V, adversarial_sets,
     """
     X, y, schema = V
     X = np.asarray(X, dtype=float)
-    fn, orient = resolve_metric(metric_name, metric_fn, orientation)
+    fn = resolve_metric(metric_name, metric_fn)[0]
 
     Xb = project_columns(X, schema, baseline_model.schema)
     Xh = project_columns(X, schema, hardened_model.schema)
@@ -139,5 +138,5 @@ def evaluate_defense(baseline_model, hardened_model, V, adversarial_sets,
                  for x, variants in adversarial_sets)
     residual = run_inference_attack(
         hardened_model, (Xh, y), projected, metric_name, metric_fn=fn,
-        orientation=orient, name=f"residual[{defense}]").aggregate
+        name=f"residual[{defense}]").aggregate
     return DefenseEvaluation(defense, report, residual, p_base, p_hardened)

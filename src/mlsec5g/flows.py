@@ -372,18 +372,8 @@ def poison_training_set(training_flows: Sequence[FlowRecord], attacker_ues: Sequ
         ident = flow_identity(training_flows[i])
         if ident not in variants:
             raise ValueError(f"no adversarial twin for training flow {ident}")
-        twin = variants[ident]
-        swapped = replace_flow_label(twin, training_flows[i].label)
-        out[i] = swapped
+        out[i] = replace(variants[ident], label=training_flows[i].label)
     return out
-
-
-def replace_flow_label(flow: FlowRecord, label: str | None) -> FlowRecord:
-    clone = FlowRecord(**{f: getattr(flow, f) for f in (
-        "src_ip", "src_port", "dst_ip", "dst_port", "protocol", "first_ts", "last_ts",
-        "src_pkts", "dst_pkts", "src_bytes", "dst_bytes", "src_tos", "dst_tos", "state")})
-    clone.label = label
-    return clone
 
 
 @dataclass(frozen=True)

@@ -281,23 +281,6 @@ class ProvenanceLog:
         }
 
 
-
-def intensity_schedule(multipliers: Sequence[float], std_f: float) -> list[float]:
-    """Materialize absolute intensities: multiplier * population std.
-
-    The std must be non-negative (a negative value signals an upstream bug);
-    multipliers must be strictly increasing so curves have a monotone x-axis.
-    """
-    if std_f < 0:
-        raise ValueError(f"population std must be non-negative, got {std_f}")
-    ms = [float(m) for m in multipliers]
-    if not ms:
-        raise ValueError("empty multiplier list")
-    if any(b <= a for a, b in zip(ms, ms[1:])):
-        raise ValueError("multipliers must be strictly increasing")
-    return [m * std_f for m in ms]
-
-
 def population_std(records: Sequence[Mapping], field_name: str) -> float:
     """Population (ddof=0) std of one field across records."""
     try:

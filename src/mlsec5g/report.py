@@ -4,8 +4,8 @@ A report is the complete quantitative outcome of one run: baseline metrics,
 degradation curves, defense evaluations, perturbation provenance summaries,
 and scenario extras. Metric artifacts (report.json, curves.csv, defenses.csv,
 plots/*.csv) are byte-identical across runs of the same config and seed;
-wall-clock timings and the BLAS thread and CPU counts go to run_meta.json,
-the one file allowed to differ.
+wall-clock timings, the BLAS thread and CPU counts and a real dataset's
+provenance go to run_meta.json, the one file allowed to differ.
 Every artifact carries the config fingerprint so any number can be traced
 back to the exact configuration that produced it.
 """
@@ -36,6 +36,9 @@ class ExperimentReport:
     timings: dict = field(default_factory=dict)
     # rows (figure, series, x, mean, std) collected by the scenario driver
     plot_series: list = field(default_factory=list)
+    # the adapter's file, row and skip counts of a data.path run; it names a
+    # local path, so it goes to run_meta.json, not report.json
+    data_provenance: dict | None = None
 
 
 def _num(x) -> float:
@@ -153,8 +156,9 @@ def write_report(report: ExperimentReport, out_dir: str) -> dict:
     """Write all artifacts atomically; returns {artifact: path}.
 
     report.json, curves.csv, defenses.csv and plots/ are pure functions of
-    (config, seed); run_meta.json carries wall-clock timings and the BLAS
-    thread and CPU counts, and is expected to differ between runs.
+    (config, seed); run_meta.json carries wall-clock timings, the BLAS
+    thread and CPU counts and, for a data.path run, the data's provenance,
+    and is expected to differ between runs.
     """
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
@@ -174,8 +178,7 @@ def write_report(report: ExperimentReport, out_dir: str) -> dict:
     for p in emit_plot_data(report, os.path.join(out_dir, "plots")):
         paths[f"plot:{os.path.basename(p)}"] = p
 
-    meta_path = os.path.join(out_dir, "run_meta.json")
-    atomic_write_text(meta_path, canonical_json({
+    meta = {
         "scenario": report.scenario,
         "config_fingerprint": report.config_fingerprint,
         "seed": int(report.seed),
@@ -183,6 +186,10 @@ def write_report(report: ExperimentReport, out_dir: str) -> dict:
         "timings_s": {k: float(v) for k, v in sorted(report.timings.items())},
         "blas_threads": blas_threads(),
         "nproc": usable_cpus(),
-    }) + "\n")
+    }
+    if report.data_provenance is not None:
+        meta["data"] = report.data_provenance
+    meta_path = os.path.join(out_dir, "run_meta.json")
+    atomic_write_text(meta_path, canonical_json(meta) + "\n")
     paths["run_meta"] = meta_path
     return paths

@@ -1,8 +1,8 @@
 """Six 5G case studies: data generation, ingestion, and end-to-end drivers.
 
-run_case_study lives in .runner and is imported lazily by the CLI; importing
-it here would cycle through the config module, which itself needs the
-generator schemas below.
+The drivers' entry point, run_case_study, is imported from .runner (as the
+CLI does): importing it here would cycle through the config module, which
+itself needs the generator schemas below.
 """
 
 from .adapters import AdapterError, ingest_real_dataset
@@ -28,13 +28,5 @@ __all__ = [
     "ingest_real_dataset",
     "normalize_powers",
     "records_to_matrix",
-    "run_case_study",
     "spectral_efficiency",
 ]
-
-
-def __getattr__(name):
-    if name == "run_case_study":
-        from .runner import run_case_study
-        return run_case_study
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

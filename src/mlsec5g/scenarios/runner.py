@@ -43,7 +43,7 @@ from ..flows import (FEATURE_NAMES, LabelRule, aggregate_flows,
                      extract_feature_matrix, label_flows, pad_payloads,
                      poison_training_set)
 from ..forkmap import fork_map
-from ..models import ModelSpec, train
+from ..models import ModelSpec
 from ..models.forest import distill_forest, train_forest
 from ..models.network import train_network
 from ..models.recurrent import OnlineRecurrentModel, init_online
@@ -122,12 +122,16 @@ def _new_report(config: ExperimentConfig, stage: str) -> ExperimentReport:
                             seed=config.seed, stage=stage)
 
 
-def _load_data(config: ExperimentConfig, scenario: str, seed: int):
+def _load_data(report: ExperimentReport, config: ExperimentConfig, seed: int):
+    """The scenario's data, generated or read from data.path; a file read
+    leaves its provenance (path, rows, skipped) on the report."""
     if "path" in config.data:
-        return ingest_real_dataset(scenario, config.data["path"],
+        data = ingest_real_dataset(config.scenario, config.data["path"],
                                    config.data.get("format"))
+        report.data_provenance = data["provenance"]
+        return data
     params = dict(config.data.get("synthetic", {}))
-    return G.generate_scenario_data(scenario, seed=seed, **params)
+    return G.generate_scenario_data(config.scenario, seed=seed, **params)
 
 
 def _plot_rows(report: ExperimentReport, figure: str, series: str, curve,
@@ -195,7 +199,7 @@ def _run_cs1(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
     timings = report.timings
 
     with _timed(timings, "data"):
-        data = _load_data(config, "cs1", derive_seed(seed, "data"))
+        data = _load_data(report, config, derive_seed(seed, "data"))
         packets = data["packets"]
         session_labels = data["session_labels"]
         attackers = tuple(data["attacker_ips"])
@@ -367,7 +371,7 @@ def _run_cs2(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
     timings = report.timings
 
     with _timed(timings, "data"):
-        data = _load_data(config, "cs2", derive_seed(seed, "data"))
+        data = _load_data(report, config, derive_seed(seed, "data"))
         records = data["records"]
         y = np.asarray(data["targets"], dtype=float)
         schema = tuple(data["schema"])
@@ -440,7 +444,7 @@ def _run_cs3(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
     series_by_profile = {}
     with _timed(timings, "data"):
         if "path" in config.data:
-            data = _load_data(config, "cs3", derive_seed(seed, "data"))
+            data = _load_data(report, config, derive_seed(seed, "data"))
             series_by_profile[data["profile"]] = data["series"]
         else:
             syn = dict(config.data["synthetic"])
@@ -502,7 +506,7 @@ def _run_cs3(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
                     values=(float(res.crmse_attacked[i]),)))
             report.curves.append(DegradationCurve(
                 name=f"cs3/{profile}/{mode}", metric_name="CRMSE",
-                orientation="lower_better", x_label="t_s",
+                orientation=M.ORIENTATION["CRMSE"], x_label="t_s",
                 baseline=float(res.crmse_clean[-1]), points=points))
             for i in idx:
                 report.plot_series.append(
@@ -524,7 +528,7 @@ def _run_cs4(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
     timings = report.timings
 
     with _timed(timings, "data"):
-        data = _load_data(config, "cs4", derive_seed(seed, "data"))
+        data = _load_data(report, config, derive_seed(seed, "data"))
         X = np.asarray(data["X"], dtype=float)
         y = np.asarray(data["y"])
         schema = tuple(data["schema"])
@@ -647,7 +651,7 @@ def _run_cs5(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
     timings = report.timings
 
     with _timed(timings, "data"):
-        data = _load_data(config, "cs5", derive_seed(seed, "data"))
+        data = _load_data(report, config, derive_seed(seed, "data"))
         X = np.asarray(data["X"], dtype=float)
         Y = np.asarray(data["Y"], dtype=float)
         schema = tuple(data["schema"])
@@ -663,7 +667,7 @@ def _run_cs5(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
         tr, va = _split(X.shape[0], 0.9, derive_seed(seed, "split"))
         mspec = ModelSpec("feedforward", "vector_regress", config.model,
                           seed=derive_seed(seed, "model"))
-        model = train(mspec, X[tr], Y[tr], schema)
+        model = train_network(mspec, X[tr], Y[tr], schema)
         pred_va = model.predict(X[va])
         canonical = topo.ue_positions.ravel()[None, :]
         p_model = normalize_powers(topo, model.predict(canonical)[0])
@@ -749,7 +753,7 @@ def _run_cs6(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
     timings = report.timings
 
     with _timed(timings, "data"):
-        data = _load_data(config, "cs6", derive_seed(seed, "data"))
+        data = _load_data(report, config, derive_seed(seed, "data"))
         records = data["records"]
         y = np.asarray(data["labels"])
         schema = tuple(data["schema"])

@@ -1,4 +1,4 @@
-"""Core threat-model contracts: feature scopes, attack outcomes, tradeoffs.
+"""Core threat-model contracts: feature scopes, attack success, tradeoffs.
 
 The attacker modeled here is deliberately weak. She controls only her own
 equipment, knows a subset of the features the defender computes, consciously
@@ -102,23 +102,6 @@ def attack_success(clean_prediction, adversarial_prediction, ground_truth,
         return abs(float(adversarial_prediction) - float(ground_truth)) > \
             abs(float(clean_prediction) - float(ground_truth)) + float(tau)
     raise ValueError(f"unknown task {task!r}; expected 'classify' or 'regress'")
-
-
-@dataclass(frozen=True)
-class AttackOutcome:
-    """One clean/adversarial prediction pair with its success verdict."""
-
-    clean_prediction: object
-    adversarial_prediction: object
-    ground_truth: object
-    success: bool
-
-    @classmethod
-    def evaluate(cls, clean_prediction, adversarial_prediction, ground_truth,
-                 task: str, tau: float = 0.0) -> "AttackOutcome":
-        ok = attack_success(clean_prediction, adversarial_prediction,
-                            ground_truth, task, tau)
-        return cls(clean_prediction, adversarial_prediction, ground_truth, ok)
 
 
 @dataclass(frozen=True)

@@ -51,9 +51,8 @@ class TestCurveMath:
     def test_resolve_metric_requires_known_name_or_fn(self):
         with pytest.raises(ValueError, match="metric"):
             resolve_metric("GiniIndex")
-        fn, orient = resolve_metric("GiniIndex", metric_fn=lambda t, p: 0.5,
-                                    orientation="lower_better")
-        assert fn(None, None) == 0.5 and orient == "lower_better"
+        with pytest.raises(ValueError, match="unknown metric_name 'GiniIndex'"):
+            resolve_metric("GiniIndex", metric_fn=lambda t, p: 0.5)
 
 
 class TestInferenceAttack:

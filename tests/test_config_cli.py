@@ -1,5 +1,6 @@
 """Configuration contract and the command-line front end."""
 
+import importlib
 import json
 import os
 import shlex
@@ -300,13 +301,22 @@ class TestCli:
         assert code == 2
         assert "MLSEC5G_SEED" in captured.err
 
-    def test_stage_flag_overrides_the_subcommand(self, tmp_path, capsys):
+    def test_there_is_no_stage_flag(self, tmp_path, capsys):
         cfg = tiny_cs6(tmp_path)
-        code = main(["all", "--config", cfg, "--stage", "generate",
+        with pytest.raises(SystemExit) as exc:
+            main(["all", "--config", cfg, "--stage", "generate",
+                  "--out", str(tmp_path / "r")])
+        assert exc.value.code == 2
+        assert "--stage" in capsys.readouterr().err
+
+    def test_the_subcommand_is_the_stage_whatever_the_environment(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("MLSEC5G_STAGE", "generate")
+        code = main(["all", "--config", tiny_cs6(tmp_path),
                      "--out", str(tmp_path / "r")])
         captured = capsys.readouterr()
         assert code == 0
-        assert "stage=generate" in captured.out
+        assert "stage=all" in captured.out
 
     def test_scenario_flag_alone_suffices(self, tmp_path, capsys):
         code = main(["generate", "--scenario", "cs6",
@@ -551,3 +561,11 @@ def test_readme_command_resolves(line, monkeypatch):
             monkeypatch.delenv(name)
     monkeypatch.chdir(ROOT)
     resolve(build_parser().parse_args(shlex.split(line)[1:]))  # raises ConfigError if broken
+
+
+@pytest.mark.parametrize("package", ["mlsec5g", "mlsec5g.models", "mlsec5g.scenarios"])
+def test_every_exported_name_resolves(package):
+    namespace: dict = {}
+    exec(f"from {package} import *", namespace)
+    assert [name for name in importlib.import_module(package).__all__
+            if name not in namespace] == []

@@ -183,12 +183,12 @@ class TestEvaluateDefense:
 
     def test_a_metric_name_outside_the_table_is_refused(self):
         """A name that metrics.ORIENTATION does not list is an error even with
-        its own function and orientation, never a tradeoff labelled Acc."""
+        its own function, never a tradeoff labelled Acc."""
         X, y = self.make_validation()
         base = ColumnModel(("a", "b"), "a")
         with pytest.raises(ValueError, match="unknown metric_name 'Hits'"):
             evaluate_defense(base, base, (X, y, ("a", "b")), [(1.0, X.copy())], "Hits",
-                             metric_fn=lambda t, p: 1.0, orientation="higher_better")
+                             metric_fn=lambda t, p: 1.0)
 
     def test_unknown_metric_without_fn(self):
         X, y = self.make_validation()

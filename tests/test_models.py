@@ -7,7 +7,7 @@ from online_oracle import _sigmoid as masked_sigmoid
 from mlsec5g import config
 from mlsec5g.metrics import accuracy, rmse
 from mlsec5g.models import (ModelSpec, distill_forest, init_online, load_model,
-                            save_model, train, train_forest, train_network)
+                            save_model, train_forest, train_network)
 from mlsec5g.models.base import _HYPERPARAMETERS
 from mlsec5g.models.recurrent import _sigmoid
 
@@ -323,12 +323,6 @@ def test_sigmoid_matches_the_masked_form_bit_for_bit():
 
 
 class TestDispatcher:
-    def test_train_routes_by_kind(self):
-        X, y = blobs()
-        forest = train(ModelSpec("forest", "classify", {"n_trees": 5}, seed=0), X, y)
-        net = train(ModelSpec("feedforward", "classify", {"hidden": [4], "epochs": 5}, seed=0), X, y)
-        assert forest.kind == "forest" and net.kind == "feedforward"
-
     def test_spec_rejects_unknown_kind_and_task(self):
         with pytest.raises(ValueError, match="kind"):
             ModelSpec("svm", "classify")

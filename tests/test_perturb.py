@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from mlsec5g.perturb import (ConstraintRule, DependencyGraph, DerivedField,
-                             PerturbationSpec, apply_rsp, intensity_schedule,
-                             population_std, verify_integrity)
+                             PerturbationSpec, apply_rsp, population_std,
+                             verify_integrity)
 from views import provenance_csv_text, provenance_rows
 
 
@@ -141,21 +141,10 @@ class TestSpecValidation:
 
 
 class TestSchedule:
-    def test_schedule_scales_population_std(self):
-        assert intensity_schedule((0.5, 1.0, 2.0), 4.0) == [2.0, 4.0, 8.0]
-
     def test_population_std_is_ddof_zero(self):
         recs = [{"v": 1.0}, {"v": 2.0}, {"v": 3.0}, {"v": 6.0}]
         expected = float(np.std([1.0, 2.0, 3.0, 6.0]))
         assert population_std(recs, "v") == expected
-
-    def test_schedule_rejects_negative_std(self):
-        with pytest.raises(ValueError):
-            intensity_schedule((1.0,), -0.1)
-
-    def test_schedule_rejects_unsorted_multipliers(self):
-        with pytest.raises(ValueError):
-            intensity_schedule((1.0, 0.5), 1.0)
 
     def test_population_std_rejects_non_numeric(self):
         with pytest.raises(ValueError, match="not numeric"):

@@ -19,7 +19,7 @@ import pytest
 
 import mlsec5g
 from mlsec5g.config import ConfigError, build_config
-from mlsec5g.report import report_to_dict
+from mlsec5g.report import report_to_dict, write_report
 from mlsec5g.repro import canonical_json, derive_seed
 from mlsec5g.scenarios.generators import (ATTACKER_IPS, CQI_FEATURES, SLICE_FEATURES,
                                           generate_scenario_data)
@@ -134,6 +134,27 @@ def test_synthetic_data_read_back_from_files_gives_the_synthetic_run(tmp_path, s
     del want_view["config_fingerprint"], got_view["config_fingerprint"]
     assert same(got_view, want_view)
     assert got.plot_series == want.plot_series
+
+
+def test_a_real_data_run_names_its_file_in_run_meta(tmp_path):
+    """A data.path run's run_meta.json names the file, its rows and the rows
+    skipped; its report.json does not, and a synthetic run's run_meta.json
+    has no data block."""
+    synthetic = build_config({"scenario": "cs6", "seed": 0, **REDUCED["cs6"]})
+    data = generate_scenario_data("cs6", seed=derive_seed(0, "data"),
+                                  **synthetic.data["synthetic"])
+    block = export("cs6", data, tmp_path / "csv")
+    with open(block["path"], "a") as fh:
+        fh.write("1.0,2.0\n")  # one short row
+    real = build_config({"scenario": "cs6", "seed": 0, **REDUCED["cs6"], "data": block})
+    for name, config in (("synthetic", synthetic), ("real", real)):
+        write_report(run_case_study("cs6", config=config, stage="generate"),
+                     str(tmp_path / name))
+    meta = json.loads((tmp_path / "real" / "run_meta.json").read_text())
+    assert meta["data"] == {"path": os.path.abspath(block["path"]), "scenario": "cs6",
+                            "rows": len(data["records"]) + 1, "skipped": 1}
+    assert block["path"] not in (tmp_path / "real" / "report.json").read_text()
+    assert "data" not in json.loads((tmp_path / "synthetic" / "run_meta.json").read_text())
 
 
 def artifact_digest(run_dir: Path) -> str:

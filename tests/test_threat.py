@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from mlsec5g.threat import (AttackOutcome, FeatureScope, attack_success,
-                            degradation, tradeoff, validate_scope)
+from mlsec5g.threat import (FeatureScope, attack_success, degradation, tradeoff,
+                            validate_scope)
 
 
 def scope(full=("a", "b", "c", "d"), known=("a", "b", "c"),
@@ -132,10 +132,3 @@ class TestDegradation:
     def test_unknown_orientation_rejected(self):
         with pytest.raises(ValueError):
             degradation(1.0, 1.0, "sideways")
-
-
-def test_attack_outcome_records_the_verdict():
-    o = AttackOutcome.evaluate(1, 2, 1, task="classify")
-    assert o.success
-    with pytest.raises(AttributeError):
-        o.success = False
