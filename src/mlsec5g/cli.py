@@ -1,8 +1,9 @@
 """Command-line front end: stage selection, config resolution, artifact emission.
 
-The subcommand is the stage. Every other setting resolves as flag >
-environment > config file. Environment variables mirror the flags:
-MLSEC5G_CONFIG, MLSEC5G_SCENARIO, MLSEC5G_SEED, MLSEC5G_OUT.
+The subcommand is the stage: generate, train, attack or all (config.STAGES).
+Every other setting resolves as flag > environment > config file.
+Environment variables mirror the flags: MLSEC5G_CONFIG, MLSEC5G_SCENARIO,
+MLSEC5G_SEED, MLSEC5G_OUT.
 
 Exit codes: 0 success, 2 configuration error (every violation listed on
 stderr), 3 runtime failure.
@@ -29,9 +30,7 @@ _STAGE_HELP = {
     "generate": "produce the scenario dataset and stop",
     "train": "run through baseline model training",
     "attack": "run through the attack sweeps",
-    "defend": "run through defense evaluation",
-    "report": "run the full pipeline (alias of all)",
-    "all": "run the full pipeline",
+    "all": "run the full pipeline, defenses included",
 }
 
 

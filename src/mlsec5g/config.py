@@ -22,7 +22,9 @@ from .attacks import SPOOF_MODES
 from .repro import fingerprint
 from .scenarios.generators import CQI_PROFILES, N_SIGNAL_FEATURES, SCENARIOS
 
-STAGES = ("generate", "train", "attack", "defend", "report", "all")
+# each stage and how far it runs: 0 stops after the data, 1 after the
+# baseline, 2 after the attacks, 3 scores the defenses too
+STAGES = {"generate": 0, "train": 1, "attack": 2, "all": 3}
 
 MULTIPLIERS = [0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0]
 

@@ -1,10 +1,11 @@
 """Packet records, flow aggregation, flow features, padding, poisoning.
 
 The traffic-classification case study works on bidirectional flows exported
-from packet traces. Packets live in a canonical delimited text format (one
-line per packet) so traces are diffable and hand-writable in tests; the
-aggregator mimics a standard NetFlow exporter: 5-tuple bidirectional keying,
-idle and active timeouts, FIN/RST termination.
+from packet traces. Packets live in a canonical CSV format (PACKET_HEADER,
+one line per packet) so traces are diffable and hand-writable; the cs1
+adapter reads it row by row with parse_packet. The aggregator mimics a
+standard NetFlow exporter: 5-tuple bidirectional keying, idle and active
+timeouts, FIN/RST termination.
 
 The attacker's lever here is payload padding: she can only make her own
 packets longer, never shorter, never someone else's, and never the zero-byte
@@ -13,8 +14,6 @@ handshake packets the protocol machine emits for her.
 
 from __future__ import annotations
 
-import csv
-import io
 import ipaddress
 import math
 from dataclasses import dataclass, replace
@@ -78,22 +77,6 @@ class PacketRecord:
 
 
 PACKET_HEADER = "timestamp,src_ip,src_port,dst_ip,dst_port,protocol,flags,payload_len,tos"
-
-
-def parse_packets(text: str) -> list[PacketRecord]:
-    """Parse the canonical packet format; raises on malformed lines."""
-    reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
-    if not rows or [c.strip() for c in rows[0]] != PACKET_HEADER.split(","):
-        raise ValueError("missing or malformed packet header line")
-    packets = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 9:
-            raise ValueError(f"line {lineno}: expected 9 fields, got {len(row)}")
-        packets.append(parse_packet(row))
-    return packets
 
 
 def parse_packet(fields) -> PacketRecord:
@@ -376,26 +359,12 @@ def poison_training_set(training_flows: Sequence[FlowRecord], attacker_ues: Sequ
     return out
 
 
-@dataclass(frozen=True)
-class LabelRule:
-    """Total predicate assigning a label to a flow; None means 'not mine'."""
-
-    name: str
-    fn: object
-
-    def __call__(self, flow: FlowRecord):
-        return self.fn(flow)
-
-
-def label_flows(flows: Sequence[FlowRecord], rules: Sequence[LabelRule]) -> list[FlowRecord]:
-    """Assign each flow the first non-None label; unlabeled flows are an error."""
+def label_flows(flows: Sequence[FlowRecord], label_of) -> list[FlowRecord]:
+    """Set each flow's label to label_of(flow); a flow it returns None for is
+    an error."""
     for f in flows:
-        label = None
-        for rule in rules:
-            label = rule(f)
-            if label is not None:
-                break
+        label = label_of(f)
         if label is None:
-            raise ValueError(f"no labeling rule matched flow {f.key()} at {f.first_ts}")
+            raise ValueError(f"no label for flow {f.key()} at {f.first_ts}")
         f.label = label
     return list(flows)

@@ -134,8 +134,8 @@ def defenses_csv_text(report: ExperimentReport) -> str:
 def emit_plot_data(report: ExperimentReport, out_dir: str) -> list[str]:
     """One delimited file per figure with columns (series, x, mean, std).
 
-    Rows keep the order the scenario driver emitted them (stable); an empty
-    figure still gets its header so downstream tooling never special-cases.
+    Rows keep the order the scenario driver emitted them (stable). A figure
+    exists only through its rows, so one with no rows writes no file.
     """
     os.makedirs(out_dir, exist_ok=True)
     figures: dict[str, list] = {}

@@ -50,7 +50,8 @@ def ingest_real_dataset(scenario: str, path: str, fmt: dict | None = None) -> di
 
     fmt holds the scenario's `format` keys (see the module docstring).
     Returns the same keys as the matching synthetic generator plus a
-    "provenance" block with path, row, and skip counts.
+    "provenance" block with the path and the row and skip counts (cs1
+    counts each file on its own, under "packets" and "sessions").
     """
     dispatch = {"cs1": _traffic, "cs2": _cqi_records, "cs3": _cqi_series,
                 "cs4": _signals, "cs5": _placements, "cs6": _subscriptions}
@@ -127,7 +128,7 @@ def _traffic(path, fmt):
         "session_labels": session_labels,
         "attacker_ips": tuple(fmt.get("attacker_ips", ())),
         "classes": tuple(sorted(set(session_labels.values()))),
-        "provenance": {k: pkt_prov[k] + lbl_prov[k] for k in pkt_prov},
+        "provenance": {"packets": pkt_prov, "sessions": lbl_prov},
     }
 
 

@@ -13,8 +13,8 @@ level, with its provenance), _plot_rows (a curve's points as plot rows) and
 _defend (adversarial training and feature removal against one perturbation,
 each scored against the baseline).
 
-Stage depths: "generate" stops after data, "train" after the baseline,
-"attack" after degradation curves, "defend"/"report"/"all" run everything.
+run_case_study(scenario, config, stage) is the one way in: the config
+carries the seed, and config.STAGES says how far each stage runs.
 
 cs3's channel profiles share nothing, so each profile's warm-up and online
 streams run through `fork_map`, in forked worker processes when there are
@@ -37,9 +37,9 @@ from .. import metrics as M
 from ..attacks import (CurvePoint, DegradationCurve, run_inference_attack,
                        run_online_attacks, run_training_attack, spoof_positions,
                        summarize_curve)
-from ..config import ExperimentConfig, STAGES, build_config, default_config
+from ..config import ExperimentConfig, STAGES, default_config
 from ..defenses import adversarial_training, evaluate_defense, feature_removal
-from ..flows import (FEATURE_NAMES, LabelRule, aggregate_flows,
+from ..flows import (FEATURE_NAMES, aggregate_flows,
                      extract_feature_matrix, label_flows, pad_payloads,
                      poison_training_set)
 from ..forkmap import fork_map
@@ -58,9 +58,6 @@ from .generators import records_to_matrix
 from .mimo import ground_truth_power, normalize_powers, spectral_efficiency
 
 INTERNAL_PREFIXES = ("10.0.0.0/8", "172.16.0.0/12", "192.168.0.0/16")
-
-_DEPTH = {"generate": 0, "train": 1, "attack": 2, "defend": 3,
-          "report": 3, "all": 3}
 
 
 @contextmanager
@@ -90,41 +87,33 @@ def _scope_dict(scope: FeatureScope) -> dict:
     }
 
 
-def run_case_study(scenario, config: ExperimentConfig | None = None,
-                   seed: int | None = None, stage: str = "all") -> ExperimentReport:
-    """Execute one scenario end to end and return its report.
+def run_case_study(scenario: str, config: ExperimentConfig | None = None,
+                   stage: str = "all") -> ExperimentReport:
+    """Execute one scenario to the depth of its stage and return its report.
 
-    scenario accepts "cs1".."cs6" or the bare integer 1..6. config defaults
-    to the scenario's stock configuration; seed, when given, overrides the
-    config's. The report's artifacts are written by the caller.
+    config defaults to the scenario's stock configuration at seed 0. The
+    report's artifacts are written by the caller.
     """
-    if isinstance(scenario, int):
-        scenario = f"cs{scenario}"
     if stage not in STAGES:
-        raise ValueError(f"unknown stage {stage!r}; expected one of {STAGES}")
+        raise ValueError(f"unknown stage {stage!r}; expected one of {tuple(STAGES)}")
     if config is None:
-        config = default_config(scenario, seed=seed if seed is not None else 0)
+        config = default_config(scenario)
     if config.scenario != scenario:
         raise ValueError(
             f"config is for {config.scenario!r}, requested {scenario!r}")
-    if seed is not None and seed != config.seed:
-        config = build_config({**config.to_dict(), "seed": seed})
     driver = {
         "cs1": _run_cs1, "cs2": _run_cs2, "cs3": _run_cs3,
         "cs4": _run_cs4, "cs5": _run_cs5, "cs6": _run_cs6,
     }[scenario]
-    return driver(config, _DEPTH[stage], stage)
-
-
-def _new_report(config: ExperimentConfig, stage: str) -> ExperimentReport:
-    return ExperimentReport(scenario=config.scenario,
-                            config_fingerprint=config.fingerprint(),
-                            seed=config.seed, stage=stage)
+    report = ExperimentReport(scenario=scenario, config_fingerprint=config.fingerprint(),
+                              seed=config.seed, stage=stage)
+    driver(config, report, STAGES[stage])
+    return report
 
 
 def _load_data(report: ExperimentReport, config: ExperimentConfig, seed: int):
     """The scenario's data, generated or read from data.path; a file read
-    leaves its provenance (path, rows, skipped) on the report."""
+    leaves the adapter's provenance (path, row and skip counts) on the report."""
     if "path" in config.data:
         data = ingest_real_dataset(config.scenario, config.data["path"],
                                    config.data.get("format"))
@@ -193,8 +182,7 @@ def _defend(report, config, data, tr, va, baseline, task, spec, removed,
 # cs1: flow classification under payload padding and poisoning
 
 
-def _run_cs1(config: ExperimentConfig, depth: int, stage: str) -> ExperimentReport:
-    report = _new_report(config, stage)
+def _run_cs1(config: ExperimentConfig, report: ExperimentReport, depth: int) -> None:
     seed = config.seed
     timings = report.timings
 
@@ -203,9 +191,11 @@ def _run_cs1(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
         packets = data["packets"]
         session_labels = data["session_labels"]
         attackers = tuple(data["attacker_ips"])
-        rule = LabelRule("session", lambda f: session_labels.get((f.src_ip, f.src_port)))
 
-        flows = label_flows(aggregate_flows(packets), [rule])
+        def label_of(f):
+            return session_labels.get((f.src_ip, f.src_port))
+
+        flows = label_flows(aggregate_flows(packets), label_of)
         X = extract_feature_matrix(flows, INTERNAL_PREFIXES)
         y = np.array([f.label for f in flows])
         attacker_row = np.array([f.src_ip in set(attackers) for f in flows])
@@ -227,7 +217,7 @@ def _run_cs1(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
         "extractor_fingerprint": extractor_fp,
     })
     if depth < 1:
-        return report
+        return
 
     with _timed(timings, "train"):
         tr, va = _split(len(flows), 0.8, derive_seed(seed, "split"))
@@ -243,7 +233,7 @@ def _run_cs1(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
         })
         report.extras["f1_positive_class"] = positive
     if depth < 2:
-        return report
+        return
 
     attack_cfg = config.attack
     multipliers = [float(m) for m in attack_cfg["multipliers"]]
@@ -259,7 +249,7 @@ def _run_cs1(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
             padded = pad_payloads(packets, attackers, bound, pad_seed)
             n_padded = sum(1 for a, b in zip(packets, padded)
                            if a.payload_len != b.payload_len)
-            adv_flows = label_flows(aggregate_flows(padded), [rule])
+            adv_flows = label_flows(aggregate_flows(padded), label_of)
             if len(adv_flows) != len(flows):
                 raise RuntimeError("padding changed the flow count; twin pairing broken")
             X_adv = extract_feature_matrix(adv_flows, INTERNAL_PREFIXES)
@@ -304,7 +294,7 @@ def _run_cs1(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
         _plot_rows(report, "cs1_poisoning", "poisoned_acc", poison_curve,
                    x_of=lambda x: int(round(x * 100)))
     if depth < 3:
-        return report
+        return
 
     with _timed(timings, "defend"):
         if config.defense.get("distillation"):
@@ -312,7 +302,6 @@ def _run_cs1(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
             ev = evaluate_defense(baseline, student, (X[va], y[va], FEATURE_NAMES),
                                   adversarial_sets, "Acc", defense="distillation")
             report.defenses.append(ev)
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +354,7 @@ def _cs2_specs(records, multipliers, replace_levels):
     return base_specs, scopes
 
 
-def _run_cs2(config: ExperimentConfig, depth: int, stage: str) -> ExperimentReport:
-    report = _new_report(config, stage)
+def _run_cs2(config: ExperimentConfig, report: ExperimentReport, depth: int) -> None:
     seed = config.seed
     timings = report.timings
 
@@ -381,7 +369,7 @@ def _run_cs2(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
         {"extractor": "column_order", "features": list(schema)})
     report.extras["n_records"] = len(records)
     if depth < 1:
-        return report
+        return
 
     with _timed(timings, "train"):
         tr, va = _split(len(records), 0.9, derive_seed(seed, "split"))
@@ -394,7 +382,7 @@ def _run_cs2(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
             "Acc": M.cqi_accuracy(y[va], pred_va),
         })
     if depth < 2:
-        return report
+        return
 
     attack_cfg = config.attack
     multipliers = [float(m) for m in attack_cfg["multipliers"]]
@@ -419,7 +407,7 @@ def _run_cs2(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
             report.curves.append(curve)
             _plot_rows(report, "cs2_scopes", name, curve)
     if depth < 3:
-        return report
+        return
 
     with _timed(timings, "defend"):
         canonical = "pktrx_shift"
@@ -429,15 +417,13 @@ def _run_cs2(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
                     sets_by_scope[canonical], M.cqi_accuracy)
             for d in report.defenses:
                 _plot_rows(report, "cs2_defenses", d.defense, d.residual)
-    return report
 
 
 # ---------------------------------------------------------------------------
 # cs3: online channel-quality prediction under spoofed reports
 
 
-def _run_cs3(config: ExperimentConfig, depth: int, stage: str) -> ExperimentReport:
-    report = _new_report(config, stage)
+def _run_cs3(config: ExperimentConfig, report: ExperimentReport, depth: int) -> None:
     seed = config.seed
     timings = report.timings
 
@@ -457,7 +443,7 @@ def _run_cs3(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
         {"extractor": "sliding_window",
          "window": int(config.model["window"])})
     if depth < 1:
-        return report
+        return
 
     spoof_modes = list(config.attack["spoof_modes"])
     period_s = float(config.attack["period_s"])
@@ -515,15 +501,13 @@ def _run_cs3(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
             report.extras[f"spoof_count[{profile}/{mode}]"] = len(res.spoof_steps)
     report.extras["final_differential"] = {
         f"{p}/{m}": v for (p, m), v in sorted(finals.items())}
-    return report
 
 
 # ---------------------------------------------------------------------------
 # cs4: modulation recognition and importance-guided perturbations
 
 
-def _run_cs4(config: ExperimentConfig, depth: int, stage: str) -> ExperimentReport:
-    report = _new_report(config, stage)
+def _run_cs4(config: ExperimentConfig, report: ExperimentReport, depth: int) -> None:
     seed = config.seed
     timings = report.timings
 
@@ -540,7 +524,7 @@ def _run_cs4(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
         "prior_reported_network_acc_snr10": 0.72,
     })
     if depth < 1:
-        return report
+        return
 
     with _timed(timings, "train"):
         tr, va = _split(X.shape[0], 0.5, derive_seed(seed, "split"))
@@ -557,7 +541,7 @@ def _run_cs4(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
             "Acc_network": M.accuracy(y[va], network.predict(X[va])),
         })
     if depth < 2:
-        return report
+        return
 
     attack_cfg = config.attack
     multipliers = [float(m) for m in attack_cfg["multipliers"]]
@@ -609,7 +593,6 @@ def _run_cs4(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
         if informative is not None:
             hit = len(set(top_idx.tolist()) & set(np.asarray(informative).tolist()))
             report.extras["top_k_informative_overlap"] = hit
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -645,8 +628,7 @@ def _ray_headroom(topo, k: int) -> float:
     return s
 
 
-def _run_cs5(config: ExperimentConfig, depth: int, stage: str) -> ExperimentReport:
-    report = _new_report(config, stage)
+def _run_cs5(config: ExperimentConfig, report: ExperimentReport, depth: int) -> None:
     seed = config.seed
     timings = report.timings
 
@@ -661,7 +643,7 @@ def _run_cs5(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
     report.extras["extractor_fingerprint"] = fingerprint(
         {"extractor": "flatten_positions", "features": list(schema)})
     if depth < 1:
-        return report
+        return
 
     with _timed(timings, "train"):
         tr, va = _split(X.shape[0], 0.9, derive_seed(seed, "split"))
@@ -680,7 +662,7 @@ def _run_cs5(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
             "SE_oracle": float(se_oracle.mean()),
         })
     if depth < 2:
-        return report
+        return
 
     attack_cfg = config.attack
     attacker_ids = _resolve_attackers(attack_cfg["attacker_ids"], topo)
@@ -740,15 +722,13 @@ def _run_cs5(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
             "operation": "translate_position", "steps": len(sweep),
             "max_offset_m": max_offset, "attackers": attacker_ids,
         })
-    return report
 
 
 # ---------------------------------------------------------------------------
 # cs6: slice assignment, outsider sweep and insider perturbations
 
 
-def _run_cs6(config: ExperimentConfig, depth: int, stage: str) -> ExperimentReport:
-    report = _new_report(config, stage)
+def _run_cs6(config: ExperimentConfig, report: ExperimentReport, depth: int) -> None:
     seed = config.seed
     timings = report.timings
 
@@ -769,7 +749,7 @@ def _run_cs6(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
         "insider": _scope_dict(FeatureScope(schema, known=schema, conscious=insider_fields,
                                             affected=insider_fields))}
     if depth < 1:
-        return report
+        return
 
     with _timed(timings, "train"):
         tr, va = _split(len(records), 0.9, derive_seed(seed, "split"))
@@ -779,7 +759,7 @@ def _run_cs6(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
         pred_clean = baseline.predict(X[va])
         report.baseline["Acc"] = M.accuracy(y[va], pred_clean)
     if depth < 2:
-        return report
+        return
 
     with _timed(timings, "attack"):
         day_col = schema.index("Day")
@@ -816,11 +796,10 @@ def _run_cs6(config: ExperimentConfig, depth: int, stage: str) -> ExperimentRepo
             report.curves.append(curve)
             _plot_rows(report, "cs6_insider", "insider_acc", curve)
     if depth < 3:
-        return report
+        return
 
     with _timed(timings, "defend"):
         if insider_spec is not None:
             _defend(report, config, (records, X, y, schema), tr, va, baseline,
                     "classify", insider_spec, insider_fields, insider_sets,
                     M.accuracy)
-    return report

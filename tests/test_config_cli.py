@@ -309,6 +309,14 @@ class TestCli:
         assert exc.value.code == 2
         assert "--stage" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alias", ["defend", "report"])
+    def test_there_is_one_name_for_the_full_run(self, tmp_path, capsys, alias):
+        with pytest.raises(SystemExit) as exc:
+            main([alias, "--config", tiny_cs6(tmp_path), "--out", str(tmp_path / "r")])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_the_subcommand_is_the_stage_whatever_the_environment(
             self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("MLSEC5G_STAGE", "generate")

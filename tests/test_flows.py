@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from flow_oracle import handwritten_packets, naive_aggregate, naive_features
-from mlsec5g.flows import (FEATURE_NAMES, MAX_PAYLOAD, FlowRecord, LabelRule,
-                           PacketRecord, aggregate_flows, extract_feature_matrix,
-                           flow_identity, label_flows, pad_payloads,
-                           parse_packets, poison_training_set, port_category)
+from mlsec5g.flows import (FEATURE_NAMES, MAX_PAYLOAD, FlowRecord, PacketRecord,
+                           aggregate_flows, extract_feature_matrix, flow_identity,
+                           label_flows, pad_payloads, poison_training_set,
+                           port_category)
+from mlsec5g.scenarios.adapters import ingest_real_dataset
 from views import packets_to_text
 
 PREFIXES = ("10.0.0.0/8", "172.16.0.0/12", "192.168.0.0/16")
@@ -61,19 +62,12 @@ class TestAggregationAgainstReference:
 
 
 class TestPacketParsing:
-    def test_text_round_trip(self):
+    def test_text_round_trip(self, tmp_path):
         packets = handwritten_packets()
-        again = parse_packets(packets_to_text(packets))
-        assert again == packets
-
-    def test_missing_header_rejected(self):
-        with pytest.raises(ValueError, match="header"):
-            parse_packets("1.0,10.0.0.1,1,10.0.0.2,2,TCP,-,0,0\n")
-
-    def test_short_line_rejected(self):
-        text = packets_to_text(handwritten_packets()[:1]) + "1.0,10.0.0.1\n"
-        with pytest.raises(ValueError, match="expected 9 fields"):
-            parse_packets(text)
+        (tmp_path / "packets.csv").write_text(packets_to_text(packets))
+        (tmp_path / "sessions.csv").write_text("src_ip,src_port,label\n10.0.0.1,1,normal\n")
+        again = ingest_real_dataset("cs1", str(tmp_path))["packets"]
+        assert again == sorted(packets, key=lambda p: p.timestamp)
 
     def test_packet_validation(self):
         with pytest.raises(ValueError, match="protocol"):
@@ -218,20 +212,16 @@ class TestPoisoning:
 
 
 class TestLabeling:
-    def test_first_matching_rule_wins(self):
+    def test_each_flow_takes_the_label_of_its_function(self):
         flows = make_flows()
         for f in flows:
             f.label = None
-        rules = [
-            LabelRule("attacker", lambda f: "planted" if f.src_ip == "10.0.9.9" else None),
-            LabelRule("rest", lambda f: "normal"),
-        ]
-        labeled = label_flows(flows, rules)
+        labeled = label_flows(
+            flows, lambda f: "planted" if f.src_ip == "10.0.9.9" else "normal")
         assert {f.label for f in labeled[:4]} == {"planted"}
         assert {f.label for f in labeled[4:]} == {"normal"}
 
     def test_unlabeled_flow_is_an_error(self):
         flows = make_flows()
-        rules = [LabelRule("none", lambda f: None)]
-        with pytest.raises(ValueError, match="no labeling rule"):
-            label_flows(flows, rules)
+        with pytest.raises(ValueError, match="no label for flow"):
+            label_flows(flows, lambda f: None)

@@ -252,7 +252,8 @@ class TestAdapters:
         assert out["packets"] == data["packets"]
         assert out["session_labels"] == data["session_labels"]
         assert out["attacker_ips"] == ATTACKER_IPS
-        assert out["provenance"]["skipped"] == 0
+        assert out["provenance"]["packets"]["skipped"] == 0
+        assert out["provenance"]["sessions"]["skipped"] == 0
 
     def test_cqi_records_round_trip_with_rename(self, tmp_path):
         data = generate_cqi_records(seed=8, n=25)
@@ -371,8 +372,8 @@ class TestAdapters:
                   sessions[:1] + [["10.9.9.9", "80"]] + sessions[1:])
         out = ingest_real_dataset("cs1", str(tmp_path))
         assert out["session_labels"] == data["session_labels"]
-        assert out["provenance"]["skipped"] == 1
-        assert out["provenance"]["rows"] == len(data["packets"]) + len(sessions) + 1
+        assert out["provenance"]["packets"] == {"rows": len(data["packets"]), "skipped": 0}
+        assert out["provenance"]["sessions"] == {"rows": len(sessions) + 1, "skipped": 1}
 
     def test_missing_ground_truth_is_fatal(self, tmp_path):
         data = generate_cqi_records(seed=8, n=5)

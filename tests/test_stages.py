@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import mlsec5g
-from mlsec5g.config import ConfigError, build_config
+from mlsec5g.config import build_config
 from mlsec5g.report import report_to_dict, write_report
 from mlsec5g.repro import canonical_json, derive_seed
 from mlsec5g.scenarios.generators import (ATTACKER_IPS, CQI_FEATURES, SLICE_FEATURES,
@@ -87,15 +87,6 @@ def test_cs1_ratio_zero_control_is_exact_for_every_seed():
         assert (zero.degradation_mean, zero.degradation_std) == (0.0, 0.0), f"seed {seed}"
 
 
-def test_a_seed_override_equals_a_config_built_at_that_seed():
-    raw = {"scenario": "cs2", **REDUCED["cs2"], "out_dir": "elsewhere"}
-    overridden = run_case_study("cs2", config=build_config({**raw, "seed": 1}), seed=5)
-    built = run_case_study("cs2", config=build_config({**raw, "seed": 5}))
-    assert report_to_dict(overridden) == report_to_dict(built)
-    with pytest.raises(ConfigError, match="config.seed"):
-        run_case_study("cs2", config=build_config(raw), seed=-1)
-
-
 def write_rows(path: Path, header, rows) -> None:
     lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
     path.write_text("\n".join(lines) + "\n")
@@ -139,22 +130,29 @@ def test_synthetic_data_read_back_from_files_gives_the_synthetic_run(tmp_path, s
 def test_a_real_data_run_names_its_file_in_run_meta(tmp_path):
     """A data.path run's run_meta.json names the file, its rows and the rows
     skipped; its report.json does not, and a synthetic run's run_meta.json
-    has no data block."""
-    synthetic = build_config({"scenario": "cs6", "seed": 0, **REDUCED["cs6"]})
-    data = generate_scenario_data("cs6", seed=derive_seed(0, "data"),
-                                  **synthetic.data["synthetic"])
-    block = export("cs6", data, tmp_path / "csv")
-    with open(block["path"], "a") as fh:
-        fh.write("1.0,2.0\n")  # one short row
-    real = build_config({"scenario": "cs6", "seed": 0, **REDUCED["cs6"], "data": block})
-    for name, config in (("synthetic", synthetic), ("real", real)):
-        write_report(run_case_study("cs6", config=config, stage="generate"),
-                     str(tmp_path / name))
-    meta = json.loads((tmp_path / "real" / "run_meta.json").read_text())
-    assert meta["data"] == {"path": os.path.abspath(block["path"]), "scenario": "cs6",
-                            "rows": len(data["records"]) + 1, "skipped": 1}
-    assert block["path"] not in (tmp_path / "real" / "report.json").read_text()
-    assert "data" not in json.loads((tmp_path / "synthetic" / "run_meta.json").read_text())
+    has no data block. cs1 reads a directory and counts packets.csv and
+    sessions.csv apart, so a skipped row says which file it was in."""
+    for scenario, short_row_file in (("cs6", "data.csv"), ("cs1", "sessions.csv")):
+        synthetic = build_config({"scenario": scenario, "seed": 0, **REDUCED[scenario]})
+        data = generate_scenario_data(scenario, seed=derive_seed(0, "data"),
+                                      **synthetic.data["synthetic"])
+        block = export(scenario, data, tmp_path / scenario)
+        with open(tmp_path / scenario / short_row_file, "a") as fh:
+            fh.write("1.0,2.0\n")  # one short row
+        real = build_config({"scenario": scenario, "seed": 0, **REDUCED[scenario],
+                             "data": block})
+        for name, config in (("synthetic", synthetic), ("real", real)):
+            write_report(run_case_study(scenario, config=config, stage="generate"),
+                         str(tmp_path / name / scenario))
+        counts = ({"packets": {"rows": len(data["packets"]), "skipped": 0},
+                   "sessions": {"rows": len(data["session_labels"]) + 1, "skipped": 1}}
+                  if scenario == "cs1" else {"rows": len(data["records"]) + 1, "skipped": 1})
+        meta = json.loads((tmp_path / "real" / scenario / "run_meta.json").read_text())
+        assert meta["data"] == {"path": os.path.abspath(block["path"]),
+                                "scenario": scenario, **counts}
+        assert block["path"] not in (tmp_path / "real" / scenario / "report.json").read_text()
+        assert "data" not in json.loads(
+            (tmp_path / "synthetic" / scenario / "run_meta.json").read_text())
 
 
 def artifact_digest(run_dir: Path) -> str:

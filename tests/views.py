@@ -10,7 +10,7 @@ def format_packet(p) -> str:
 
 
 def packets_to_text(packets) -> str:
-    """Packets in the canonical format `flows.parse_packets` reads."""
+    """Packets in the canonical format of a cs1 export's packets.csv."""
     lines = [PACKET_HEADER]
     lines.extend(format_packet(p) for p in packets)
     return "\n".join(lines) + "\n"
