@@ -8,8 +8,9 @@ pipeline cannot measure degradation against labels it does not have.
 
 Every file is a CSV with a header row of named columns. Header cells are
 stripped of surrounding spaces and then renamed by `format.rename` (their
-name to ours); columns the scenario does not read are ignored. Layouts, and
-the `format` keys each scenario reads (the config rejects any other):
+name to ours). Columns the scenario does not read are ignored and may repeat;
+a column it reads must be named once. Layouts, and the `format` keys each
+scenario reads (the config rejects any other):
 
   cs1  a directory with packets.csv (the columns of flows.PACKET_HEADER) and
        sessions.csv (src_ip, src_port, label).
@@ -68,19 +69,24 @@ def _read(path, fmt, columns, parse, truth=()):
     refuses with ValueError is skipped, counted and logged; parse returns
     None for a row it leaves out on purpose. Returns (parsed rows,
     provenance counts). Every missing column is named at once, the `truth`
-    ones as ground truth."""
+    ones as ground truth, and so is every column read that the header (after
+    `rename`) names more than once."""
     rename = fmt.get("rename", {})
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise AdapterError(f"{path}: empty file, no header row")
-        index = {rename.get(c.strip(), c.strip()): i for i, c in enumerate(header)}
+        names = [rename.get(c.strip(), c.strip()) for c in header]
+        index = {c: i for i, c in enumerate(names)}
         missing = [c for c in columns if c not in index]
         if missing:
             lost = [c for c in missing if c in truth]
             raise AdapterError(f"{path}: missing columns {missing}" + (
                 f", among them the ground-truth columns {lost}" if lost else ""))
+        repeated = [c for c in columns if names.count(c) > 1]
+        if repeated:
+            raise AdapterError(f"{path}: columns named more than once {repeated}")
         picks = [index[c] for c in columns]
         out, rows, skipped = [], 0, 0
         for row in reader:

@@ -13,22 +13,27 @@ level, with its provenance), _plot_rows (a curve's points as plot rows) and
 _defend (adversarial training and feature removal against one perturbation,
 each scored against the baseline).
 
-run_case_study(scenario, config, stage) is the one way in: the config
-carries the seed, and config.STAGES says how far each stage runs.
+run_case_study(scenario, config, stage) is the one way in and owns the only
+stage loop. The config carries the seed, and config.STAGES says how far each
+stage runs. Each driver is a generator that yields the stage it has just
+finished ("data", "train", "attack", then "defend" where there are defenses);
+the loop times each whole segment under that name and stops at the depth.
 
-cs3's channel profiles share nothing, so each profile's warm-up and online
-streams run through `fork_map`, in forked worker processes when there are
-CPUs to spare, and the report is built from their results in profile order:
-the same bits for any worker count. Its per-profile timings (`train[p]`,
-`attack[p]` or `control[p]`) are measured inside the workers and overlap, so
-they can sum to more than the wall time. cs1's poisoning grid runs the same
-way, one (trial, ratio) retrain per item (see `run_training_attack`).
+cs3 yields "data" only: at `train` it runs the no-spoof control stream alone,
+and from `attack` on every mode in lockstep on one shared clean stream, so
+its train and attack cannot be two segments. Its channel profiles share
+nothing, so each profile's warm-up and online streams run through `fork_map`,
+in forked worker processes when there are CPUs to spare, and the report is
+built from their results in profile order: the same bits for any worker
+count. Its per-profile timings (`train[p]`, `attack[p]` or `control[p]`) are
+measured inside the workers and overlap, so they can sum to more than the
+wall time. cs1's poisoning grid runs the same way, one (trial, ratio)
+retrain per item (see `run_training_attack`).
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -58,13 +63,6 @@ from .generators import records_to_matrix
 from .mimo import ground_truth_power, normalize_powers, spectral_efficiency
 
 INTERNAL_PREFIXES = ("10.0.0.0/8", "172.16.0.0/12", "192.168.0.0/16")
-
-
-@contextmanager
-def _timed(timings: dict, name: str):
-    t0 = time.perf_counter()
-    yield
-    timings[name] = timings.get(name, 0.0) + time.perf_counter() - t0
 
 
 def _split(n: int, train_frac: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -107,11 +105,16 @@ def run_case_study(scenario: str, config: ExperimentConfig | None = None,
     }[scenario]
     report = ExperimentReport(scenario=scenario, config_fingerprint=config.fingerprint(),
                               seed=config.seed, stage=stage)
-    driver(config, report, STAGES[stage])
+    start = time.perf_counter()
+    for depth, segment in enumerate(driver(config, report)):
+        end = time.perf_counter()
+        report.timings[segment], start = end - start, end
+        if depth == STAGES[stage]:
+            break
     return report
 
 
-def _load_data(report: ExperimentReport, config: ExperimentConfig, seed: int):
+def _load_data(report: ExperimentReport, config: ExperimentConfig):
     """The scenario's data, generated or read from data.path; a file read
     leaves the adapter's provenance (path, row and skip counts) on the report."""
     if "path" in config.data:
@@ -119,8 +122,8 @@ def _load_data(report: ExperimentReport, config: ExperimentConfig, seed: int):
                                    config.data.get("format"))
         report.data_provenance = data["provenance"]
         return data
-    params = dict(config.data.get("synthetic", {}))
-    return G.generate_scenario_data(config.scenario, seed=seed, **params)
+    return G.generate_scenario_data(config.scenario, seed=derive_seed(config.seed, "data"),
+                                    **config.data.get("synthetic", {}))
 
 
 def _plot_rows(report: ExperimentReport, figure: str, series: str, curve,
@@ -182,23 +185,21 @@ def _defend(report, config, data, tr, va, baseline, task, spec, removed,
 # cs1: flow classification under payload padding and poisoning
 
 
-def _run_cs1(config: ExperimentConfig, report: ExperimentReport, depth: int) -> None:
+def _run_cs1(config: ExperimentConfig, report: ExperimentReport):
     seed = config.seed
-    timings = report.timings
 
-    with _timed(timings, "data"):
-        data = _load_data(report, config, derive_seed(seed, "data"))
-        packets = data["packets"]
-        session_labels = data["session_labels"]
-        attackers = tuple(data["attacker_ips"])
+    data = _load_data(report, config)
+    packets = data["packets"]
+    session_labels = data["session_labels"]
+    attackers = tuple(data["attacker_ips"])
 
-        def label_of(f):
-            return session_labels.get((f.src_ip, f.src_port))
+    def label_of(f):
+        return session_labels.get((f.src_ip, f.src_port))
 
-        flows = label_flows(aggregate_flows(packets), label_of)
-        X = extract_feature_matrix(flows, INTERNAL_PREFIXES)
-        y = np.array([f.label for f in flows])
-        attacker_row = np.array([f.src_ip in set(attackers) for f in flows])
+    flows = label_flows(aggregate_flows(packets), label_of)
+    X = extract_feature_matrix(flows, INTERNAL_PREFIXES)
+    y = np.array([f.label for f in flows])
+    attacker_row = np.array([f.src_ip in set(attackers) for f in flows])
 
     extractor_fp = fingerprint({"extractor": "flow13",
                                 "features": list(FEATURE_NAMES),
@@ -216,92 +217,87 @@ def _run_cs1(config: ExperimentConfig, report: ExperimentReport, depth: int) -> 
             affected=("dur", "src_bytes", "dst_bytes", "tot_bytes", "tot_pkts"))),
         "extractor_fingerprint": extractor_fp,
     })
-    if depth < 1:
-        return
+    yield "data"
 
-    with _timed(timings, "train"):
-        tr, va = _split(len(flows), 0.8, derive_seed(seed, "split"))
-        model_spec = ModelSpec("forest", "classify", config.model,
-                               seed=derive_seed(seed, "model"))
-        baseline = train_forest(model_spec, X[tr], y[tr], FEATURE_NAMES)
-        pred_va = baseline.predict(X[va])
-        counts = {c: int(np.sum(y[tr] == c)) for c in sorted(set(y[tr].tolist()))}
-        positive = min(counts, key=lambda c: (counts[c], c))
-        report.baseline.update({
-            "Acc": M.accuracy(y[va], pred_va),
-            "F1": M.f1_score(y[va], pred_va, positive),
-        })
-        report.extras["f1_positive_class"] = positive
-    if depth < 2:
-        return
+    tr, va = _split(len(flows), 0.8, derive_seed(seed, "split"))
+    model_spec = ModelSpec("forest", "classify", config.model,
+                           seed=derive_seed(seed, "model"))
+    baseline = train_forest(model_spec, X[tr], y[tr], FEATURE_NAMES)
+    pred_va = baseline.predict(X[va])
+    counts = {c: int(np.sum(y[tr] == c)) for c in sorted(set(y[tr].tolist()))}
+    positive = min(counts, key=lambda c: (counts[c], c))
+    report.baseline.update({
+        "Acc": M.accuracy(y[va], pred_va),
+        "F1": M.f1_score(y[va], pred_va, positive),
+    })
+    report.extras["f1_positive_class"] = positive
+    yield "train"
 
     attack_cfg = config.attack
     multipliers = [float(m) for m in attack_cfg["multipliers"]]
-    with _timed(timings, "attack"):
-        data_payloads = [p.payload_len for p in packets
-                         if p.src_ip in set(attackers) and p.payload_len > 0]
-        pay_std = float(np.std(np.asarray(data_payloads, dtype=float))) \
-            if data_payloads else 0.0
-        pad_seed = derive_seed(seed, "pad")
-        bounds = [int(round(m * pay_std)) for m in multipliers]
-        adversarial_sets = []
-        for level, (m, bound) in enumerate(zip(multipliers, bounds)):
-            padded = pad_payloads(packets, attackers, bound, pad_seed)
-            n_padded = sum(1 for a, b in zip(packets, padded)
-                           if a.payload_len != b.payload_len)
-            adv_flows = label_flows(aggregate_flows(padded), label_of)
-            if len(adv_flows) != len(flows):
-                raise RuntimeError("padding changed the flow count; twin pairing broken")
-            X_adv = extract_feature_matrix(adv_flows, INTERNAL_PREFIXES)
-            if level == attack_cfg["pad_level_index"]:
-                poison_twins = adv_flows  # the only padded flows the poisoning reuses
-            adversarial_sets.append((m, X_adv[va]))
-            report.provenance.append({"operation": "pad_payload", "bound_bytes": bound,
-                                      "packets_padded": n_padded})
+    data_payloads = [p.payload_len for p in packets
+                     if p.src_ip in set(attackers) and p.payload_len > 0]
+    pay_std = float(np.std(np.asarray(data_payloads, dtype=float))) \
+        if data_payloads else 0.0
+    pad_seed = derive_seed(seed, "pad")
+    bounds = [int(round(m * pay_std)) for m in multipliers]
+    adversarial_sets = []
+    for level, (m, bound) in enumerate(zip(multipliers, bounds)):
+        padded = pad_payloads(packets, attackers, bound, pad_seed)
+        n_padded = sum(1 for a, b in zip(packets, padded)
+                       if a.payload_len != b.payload_len)
+        adv_flows = label_flows(aggregate_flows(padded), label_of)
+        if len(adv_flows) != len(flows):
+            raise RuntimeError("padding changed the flow count; twin pairing broken")
+        X_adv = extract_feature_matrix(adv_flows, INTERNAL_PREFIXES)
+        if level == attack_cfg["pad_level_index"]:
+            poison_twins = adv_flows  # the only padded flows the poisoning reuses
+        adversarial_sets.append((m, X_adv[va]))
+        report.provenance.append({"operation": "pad_payload", "bound_bytes": bound,
+                                  "packets_padded": n_padded})
 
-        inference = run_inference_attack(
-            baseline, (X[va], y[va]), adversarial_sets, "Acc",
-            group_by=attacker_row[va], name="cs1/inference",
-            x_label="pad_multiplier")
-        report.curves.append(inference.aggregate)
-        report.curves.extend(
-            replace(curve, name=f"cs1/inference[{'attacker' if gid else 'other'}_rows]")
-            for gid, curve in inference.per_group.items())
-        for curve in report.curves:
-            _plot_rows(report, "cs1_inference", curve.name.split("cs1/", 1)[1], curve)
+    inference = run_inference_attack(
+        baseline, (X[va], y[va]), adversarial_sets, "Acc",
+        group_by=attacker_row[va], name="cs1/inference",
+        x_label="pad_multiplier")
+    report.curves.append(inference.aggregate)
+    report.curves.extend(
+        replace(curve, name=f"cs1/inference[{'attacker' if gid else 'other'}_rows]")
+        for gid, curve in inference.per_group.items())
+    for curve in report.curves:
+        _plot_rows(report, "cs1_inference", curve.name.split("cs1/", 1)[1], curve)
 
-        T_flows = [flows[i] for i in tr]
+    T_flows = [flows[i] for i in tr]
 
-        def trainer(flow_list, train_seed):
-            Xp = extract_feature_matrix(flow_list, INTERNAL_PREFIXES)
-            yp = np.array([f.label for f in flow_list])
-            return train_forest(ModelSpec("forest", "classify", config.model,
-                                          seed=train_seed), Xp, yp, FEATURE_NAMES)
+    def trainer(flow_list, train_seed):
+        Xp = extract_feature_matrix(flow_list, INTERNAL_PREFIXES)
+        yp = np.array([f.label for f in flow_list])
+        return train_forest(ModelSpec("forest", "classify", config.model,
+                                      seed=train_seed), Xp, yp, FEATURE_NAMES)
 
-        def poison_fn(T, adversarial_flows, ratio, poison_seed):
-            return poison_training_set(T, attackers, ratio, adversarial_flows,
-                                       poison_seed)
+    def poison_fn(T, adversarial_flows, ratio, poison_seed):
+        return poison_training_set(T, attackers, ratio, adversarial_flows,
+                                   poison_seed)
 
-        def evaluator(model, V):
-            Xv, yv = V
-            return M.accuracy(yv, model.predict(Xv))
+    def evaluator(model, V):
+        Xv, yv = V
+        return M.accuracy(yv, model.predict(Xv))
 
-        poison_curve = run_training_attack(
-            trainer, T_flows, (X[va], y[va]), [float(r) for r in attack_cfg["ratios"]],
-            poison_twins, int(attack_cfg["trials"]), derive_seed(seed, "poison-stage"),
-            poison_fn, evaluator, "Acc", name="cs1/poisoning")
-        report.curves.append(poison_curve)
-        _plot_rows(report, "cs1_poisoning", "poisoned_acc", poison_curve,
-                   x_of=lambda x: int(round(x * 100)))
-    if depth < 3:
-        return
+    poison_curve = run_training_attack(
+        trainer, T_flows, (X[va], y[va]), [float(r) for r in attack_cfg["ratios"]],
+        poison_twins, int(attack_cfg["trials"]), derive_seed(seed, "poison-stage"),
+        poison_fn, evaluator, "Acc", name="cs1/poisoning")
+    report.curves.append(poison_curve)
+    _plot_rows(report, "cs1_poisoning", "poisoned_acc", poison_curve,
+               x_of=lambda x: int(round(x * 100)))
+    yield "attack"
 
-    with _timed(timings, "defend"):
-        if config.defense.get("distillation"):
-            student = distill_forest(baseline, X[tr], seed=derive_seed(seed, "distill"))
-            ev = evaluate_defense(baseline, student, (X[va], y[va], FEATURE_NAMES),
-                                  adversarial_sets, "Acc", defense="distillation")
-            report.defenses.append(ev)
+    if config.defense.get("distillation"):
+        student = distill_forest(baseline, X[tr], seed=derive_seed(seed, "distill"))
+        ev = evaluate_defense(baseline, student, (X[va], y[va], FEATURE_NAMES),
+                              adversarial_sets, "Acc", defense="distillation")
+        report.defenses.append(ev)
+    yield "defend"
 
 
 # ---------------------------------------------------------------------------
@@ -354,35 +350,30 @@ def _cs2_specs(records, multipliers, replace_levels):
     return base_specs, scopes
 
 
-def _run_cs2(config: ExperimentConfig, report: ExperimentReport, depth: int) -> None:
+def _run_cs2(config: ExperimentConfig, report: ExperimentReport):
     seed = config.seed
-    timings = report.timings
 
-    with _timed(timings, "data"):
-        data = _load_data(report, config, derive_seed(seed, "data"))
-        records = data["records"]
-        y = np.asarray(data["targets"], dtype=float)
-        schema = tuple(data["schema"])
-        X = records_to_matrix(records, schema)
+    data = _load_data(report, config)
+    records = data["records"]
+    y = np.asarray(data["targets"], dtype=float)
+    schema = tuple(data["schema"])
+    X = records_to_matrix(records, schema)
 
     report.extras["extractor_fingerprint"] = fingerprint(
         {"extractor": "column_order", "features": list(schema)})
     report.extras["n_records"] = len(records)
-    if depth < 1:
-        return
+    yield "data"
 
-    with _timed(timings, "train"):
-        tr, va = _split(len(records), 0.9, derive_seed(seed, "split"))
-        spec = ModelSpec("forest", "regress", config.model,
-                         seed=derive_seed(seed, "model"))
-        baseline = train_forest(spec, X[tr], y[tr], schema)
-        pred_va = baseline.predict(X[va])
-        report.baseline.update({
-            "RMSE": M.rmse(y[va], pred_va),
-            "Acc": M.cqi_accuracy(y[va], pred_va),
-        })
-    if depth < 2:
-        return
+    tr, va = _split(len(records), 0.9, derive_seed(seed, "split"))
+    spec = ModelSpec("forest", "regress", config.model,
+                     seed=derive_seed(seed, "model"))
+    baseline = train_forest(spec, X[tr], y[tr], schema)
+    pred_va = baseline.predict(X[va])
+    report.baseline.update({
+        "RMSE": M.rmse(y[va], pred_va),
+        "Acc": M.cqi_accuracy(y[va], pred_va),
+    })
+    yield "train"
 
     attack_cfg = config.attack
     multipliers = [float(m) for m in attack_cfg["multipliers"]]
@@ -392,89 +383,85 @@ def _run_cs2(config: ExperimentConfig, report: ExperimentReport, depth: int) -> 
 
     v_records = [records[i] for i in va]
     sets_by_scope = {}
-    with _timed(timings, "attack"):
-        for name in attack_cfg["scopes"]:
-            pspec = specs[name]
-            sets, logs = _apply_levels(v_records, pspec, schema,
-                                       derive_seed(seed, "rsp", name))
-            sets_by_scope[name] = sets
-            report.provenance.extend(logs)
-            curve = run_inference_attack(
-                baseline, (X[va], y[va]), sets, "RMSE",
-                name=f"cs2/{name}",
-                x_label="draw" if pspec.mode == "replace_random" else "multiplier"
-            ).aggregate
-            report.curves.append(curve)
-            _plot_rows(report, "cs2_scopes", name, curve)
-    if depth < 3:
-        return
+    for name in attack_cfg["scopes"]:
+        pspec = specs[name]
+        sets, logs = _apply_levels(v_records, pspec, schema,
+                                   derive_seed(seed, "rsp", name))
+        sets_by_scope[name] = sets
+        report.provenance.extend(logs)
+        curve = run_inference_attack(
+            baseline, (X[va], y[va]), sets, "RMSE",
+            name=f"cs2/{name}",
+            x_label="draw" if pspec.mode == "replace_random" else "multiplier"
+        ).aggregate
+        report.curves.append(curve)
+        _plot_rows(report, "cs2_scopes", name, curve)
+    yield "attack"
 
-    with _timed(timings, "defend"):
-        canonical = "pktrx_shift"
-        if canonical in sets_by_scope:
-            _defend(report, config, (records, X, y, schema), tr, va, baseline,
-                    "regress", specs[canonical], scopes[canonical].affected,
-                    sets_by_scope[canonical], M.cqi_accuracy)
-            for d in report.defenses:
-                _plot_rows(report, "cs2_defenses", d.defense, d.residual)
+    canonical = "pktrx_shift"
+    if canonical in sets_by_scope:
+        _defend(report, config, (records, X, y, schema), tr, va, baseline,
+                "regress", specs[canonical], scopes[canonical].affected,
+                sets_by_scope[canonical], M.cqi_accuracy)
+        for d in report.defenses:
+            _plot_rows(report, "cs2_defenses", d.defense, d.residual)
+    yield "defend"
 
 
 # ---------------------------------------------------------------------------
 # cs3: online channel-quality prediction under spoofed reports
 
 
-def _run_cs3(config: ExperimentConfig, report: ExperimentReport, depth: int) -> None:
+def _run_cs3(config: ExperimentConfig, report: ExperimentReport):
     seed = config.seed
-    timings = report.timings
 
     series_by_profile = {}
-    with _timed(timings, "data"):
-        if "path" in config.data:
-            data = _load_data(report, config, derive_seed(seed, "data"))
-            series_by_profile[data["profile"]] = data["series"]
-        else:
-            syn = dict(config.data["synthetic"])
-            for profile in syn.pop("profiles"):
-                data = G.generate_cqi_series(seed=derive_seed(seed, "data", profile),
-                                             profile=profile, **syn)
-                series_by_profile[profile] = data["series"]
+    if "path" in config.data:
+        data = _load_data(report, config)
+        series_by_profile[data["profile"]] = data["series"]
+    else:
+        syn = dict(config.data["synthetic"])
+        for profile in syn.pop("profiles"):
+            data = G.generate_cqi_series(seed=derive_seed(seed, "data", profile),
+                                         profile=profile, **syn)
+            series_by_profile[profile] = data["series"]
     report.extras["profiles"] = sorted(series_by_profile)
     report.extras["extractor_fingerprint"] = fingerprint(
         {"extractor": "sliding_window",
          "window": int(config.model["window"])})
-    if depth < 1:
-        return
+    yield "data"
 
     spoof_modes = list(config.attack["spoof_modes"])
     period_s = float(config.attack["period_s"])
+    attacking = STAGES[report.stage] >= 2
     # one clean stream shared by the no-spoof control and every spoof mode
-    modes = [None, *spoof_modes] if depth >= 2 else [None]
-    attack_key = "attack" if depth >= 2 else "control"
+    modes = [None, *spoof_modes] if attacking else [None]
+    attack_key = "attack" if attacking else "control"
 
     def run_profile(profile):
         """One profile's warm-up and lockstep streams, with their timings."""
         series = series_by_profile[profile]
         half = series.size // 2
         warmup, live = series[:half], series[half:]
-        profile_timings = {}
-        with _timed(profile_timings, f"train[{profile}]"):
-            mspec = ModelSpec("recurrent", "regress", config.model,
-                              seed=derive_seed(seed, "warmup", profile))
-            meta, arrays = init_online(mspec, warmup).to_state()
+        t0 = time.perf_counter()
+        mspec = ModelSpec("recurrent", "regress", config.model,
+                          seed=derive_seed(seed, "warmup", profile))
+        meta, arrays = init_online(mspec, warmup).to_state()
+        t1 = time.perf_counter()
 
         def factory():
             return OnlineRecurrentModel.from_state(meta, arrays)
 
         seeds = [0] + [derive_seed(seed, "spoof", profile, mode) for mode in modes[1:]]
-        with _timed(profile_timings, f"{attack_key}[{profile}]"):
-            results = run_online_attacks(factory, live, modes, period_s=period_s, seeds=seeds)
-        return results, profile_timings
+        results = run_online_attacks(factory, live, modes, period_s=period_s, seeds=seeds)
+        return results, {f"train[{profile}]": t1 - t0,
+                         f"{attack_key}[{profile}]": time.perf_counter() - t1}
 
     finals = {}
     profiles = sorted(series_by_profile)
     for profile, ((control, *attacked), profile_timings) in zip(
             profiles, fork_map(run_profile, profiles)):
-        timings.update(profile_timings)
+        report.timings.update(profile_timings)
         report.baseline[f"CRMSE[{profile}]"] = float(control.crmse_clean[-1])
         report.extras[f"control_zero[{profile}]"] = bool(
             np.all(control.differential == 0.0))
@@ -507,15 +494,13 @@ def _run_cs3(config: ExperimentConfig, report: ExperimentReport, depth: int) -> 
 # cs4: modulation recognition and importance-guided perturbations
 
 
-def _run_cs4(config: ExperimentConfig, report: ExperimentReport, depth: int) -> None:
+def _run_cs4(config: ExperimentConfig, report: ExperimentReport):
     seed = config.seed
-    timings = report.timings
 
-    with _timed(timings, "data"):
-        data = _load_data(report, config, derive_seed(seed, "data"))
-        X = np.asarray(data["X"], dtype=float)
-        y = np.asarray(data["y"])
-        schema = tuple(data["schema"])
+    data = _load_data(report, config)
+    X = np.asarray(data["X"], dtype=float)
+    y = np.asarray(data["y"])
+    schema = tuple(data["schema"])
     report.extras["n_samples"] = int(X.shape[0])
     report.extras["extractor_fingerprint"] = fingerprint(
         {"extractor": "identity_iq", "features": len(schema)})
@@ -523,76 +508,73 @@ def _run_cs4(config: ExperimentConfig, report: ExperimentReport, depth: int) -> 
         "prior_reported_forest_acc_snr10": 0.82,
         "prior_reported_network_acc_snr10": 0.72,
     })
-    if depth < 1:
-        return
+    yield "data"
 
-    with _timed(timings, "train"):
-        tr, va = _split(X.shape[0], 0.5, derive_seed(seed, "split"))
-        forest = train_forest(
-            ModelSpec("forest", "classify", config.model.get("forest", {}),
-                      seed=derive_seed(seed, "model", "forest")),
-            X[tr], y[tr], schema)
-        network = train_network(
-            ModelSpec("feedforward", "classify", config.model.get("network", {}),
-                      seed=derive_seed(seed, "model", "network")),
-            X[tr], y[tr], schema)
-        report.baseline.update({
-            "Acc_forest": M.accuracy(y[va], forest.predict(X[va])),
-            "Acc_network": M.accuracy(y[va], network.predict(X[va])),
-        })
-    if depth < 2:
-        return
+    tr, va = _split(X.shape[0], 0.5, derive_seed(seed, "split"))
+    forest = train_forest(
+        ModelSpec("forest", "classify", config.model.get("forest", {}),
+                  seed=derive_seed(seed, "model", "forest")),
+        X[tr], y[tr], schema)
+    network = train_network(
+        ModelSpec("feedforward", "classify", config.model.get("network", {}),
+                  seed=derive_seed(seed, "model", "network")),
+        X[tr], y[tr], schema)
+    report.baseline.update({
+        "Acc_forest": M.accuracy(y[va], forest.predict(X[va])),
+        "Acc_network": M.accuracy(y[va], network.predict(X[va])),
+    })
+    yield "train"
 
     attack_cfg = config.attack
     multipliers = [float(m) for m in attack_cfg["multipliers"]]
     top_k = int(attack_cfg["top_k"])
     random_trials = int(attack_cfg["random_trials"])
-    with _timed(timings, "attack"):
-        stds = X.std(axis=0)
-        importance = forest.feature_importance()
-        top_names = importance.top(top_k)
-        name_to_col = {n: i for i, n in enumerate(schema)}
-        top_idx = np.array([name_to_col[n] for n in top_names], dtype=int)
+    stds = X.std(axis=0)
+    importance = forest.feature_importance()
+    top_names = importance.top(top_k)
+    name_to_col = {n: i for i, n in enumerate(schema)}
+    top_idx = np.array([name_to_col[n] for n in top_names], dtype=int)
 
-        def shifted(rows_X, cols, mult):
-            out = rows_X.copy()
-            out[:, cols] += mult * stds[cols]
-            return out
+    def shifted(rows_X, cols, mult):
+        out = rows_X.copy()
+        out[:, cols] += mult * stds[cols]
+        return out
 
-        top_sets = [(m, shifted(X[va], top_idx, m)) for m in multipliers]
-        top_curve = run_inference_attack(forest, (X[va], y[va]), top_sets, "Acc",
-                                         name="cs4/top25",
-                                         x_label="multiplier").aggregate
-        report.curves.append(top_curve)
+    top_sets = [(m, shifted(X[va], top_idx, m)) for m in multipliers]
+    top_curve = run_inference_attack(forest, (X[va], y[va]), top_sets, "Acc",
+                                     name="cs4/top25",
+                                     x_label="multiplier").aggregate
+    report.curves.append(top_curve)
 
-        def random_variants(m):
-            """One shifted copy per trial, drawn as the sweep reaches it."""
-            for t in range(random_trials):
-                rng = np.random.default_rng(
-                    [derive_seed(seed, "rand25", t) & 0x7FFFFFFFFFFFFFFF, 0x24])
-                cols = rng.choice(X.shape[1], size=top_k, replace=False)
-                yield shifted(X[va], cols, m)
+    def random_variants(m):
+        """One shifted copy per trial, drawn as the sweep reaches it."""
+        for t in range(random_trials):
+            rng = np.random.default_rng(
+                [derive_seed(seed, "rand25", t) & 0x7FFFFFFFFFFFFFFF, 0x24])
+            cols = rng.choice(X.shape[1], size=top_k, replace=False)
+            yield shifted(X[va], cols, m)
 
-        rand_curve = run_inference_attack(forest, (X[va], y[va]),
-                                          ((m, random_variants(m)) for m in multipliers),
-                                          "Acc", name="cs4/random25",
-                                          x_label="multiplier").aggregate
-        report.curves.append(rand_curve)
+    rand_curve = run_inference_attack(forest, (X[va], y[va]),
+                                      ((m, random_variants(m)) for m in multipliers),
+                                      "Acc", name="cs4/random25",
+                                      x_label="multiplier").aggregate
+    report.curves.append(rand_curve)
 
-        net_curve = run_inference_attack(network, (X[va], y[va]), top_sets, "Acc",
-                                         name="cs4/top25_network",
-                                         x_label="multiplier").aggregate
-        report.curves.append(net_curve)
+    net_curve = run_inference_attack(network, (X[va], y[va]), top_sets, "Acc",
+                                     name="cs4/top25_network",
+                                     x_label="multiplier").aggregate
+    report.curves.append(net_curve)
 
-        for curve, series in ((top_curve, "top25_forest"),
-                              (rand_curve, "random25_forest"),
-                              (net_curve, "top25_network")):
-            _plot_rows(report, "cs4_importance", series, curve)
-        informative = data.get("informative")
-        report.extras["top_features"] = top_names
-        if informative is not None:
-            hit = len(set(top_idx.tolist()) & set(np.asarray(informative).tolist()))
-            report.extras["top_k_informative_overlap"] = hit
+    for curve, series in ((top_curve, "top25_forest"),
+                          (rand_curve, "random25_forest"),
+                          (net_curve, "top25_network")):
+        _plot_rows(report, "cs4_importance", series, curve)
+    informative = data.get("informative")
+    report.extras["top_features"] = top_names
+    if informative is not None:
+        hit = len(set(top_idx.tolist()) & set(np.asarray(informative).tolist()))
+        report.extras["top_k_informative_overlap"] = hit
+    yield "attack"
 
 
 # ---------------------------------------------------------------------------
@@ -628,116 +610,109 @@ def _ray_headroom(topo, k: int) -> float:
     return s
 
 
-def _run_cs5(config: ExperimentConfig, report: ExperimentReport, depth: int) -> None:
+def _run_cs5(config: ExperimentConfig, report: ExperimentReport):
     seed = config.seed
-    timings = report.timings
 
-    with _timed(timings, "data"):
-        data = _load_data(report, config, derive_seed(seed, "data"))
-        X = np.asarray(data["X"], dtype=float)
-        Y = np.asarray(data["Y"], dtype=float)
-        schema = tuple(data["schema"])
-        topo = data["topology"]
+    data = _load_data(report, config)
+    X = np.asarray(data["X"], dtype=float)
+    Y = np.asarray(data["Y"], dtype=float)
+    schema = tuple(data["schema"])
+    topo = data["topology"]
     report.extras["n_placements"] = int(X.shape[0])
     report.extras["n_ues"] = int(topo.n_ues)
     report.extras["extractor_fingerprint"] = fingerprint(
         {"extractor": "flatten_positions", "features": list(schema)})
-    if depth < 1:
-        return
+    yield "data"
 
-    with _timed(timings, "train"):
-        tr, va = _split(X.shape[0], 0.9, derive_seed(seed, "split"))
-        mspec = ModelSpec("feedforward", "vector_regress", config.model,
-                          seed=derive_seed(seed, "model"))
-        model = train_network(mspec, X[tr], Y[tr], schema)
-        pred_va = model.predict(X[va])
-        canonical = topo.ue_positions.ravel()[None, :]
-        p_model = normalize_powers(topo, model.predict(canonical)[0])
-        p_oracle = ground_truth_power(topo)
-        se_model = spectral_efficiency(topo, p_model)
-        se_oracle = spectral_efficiency(topo, p_oracle)
-        report.baseline.update({
-            "RMSE_power": M.rmse(Y[va].ravel(), np.asarray(pred_va).ravel()),
-            "SE": float(se_model.mean()),
-            "SE_oracle": float(se_oracle.mean()),
-        })
-    if depth < 2:
-        return
+    tr, va = _split(X.shape[0], 0.9, derive_seed(seed, "split"))
+    mspec = ModelSpec("feedforward", "vector_regress", config.model,
+                      seed=derive_seed(seed, "model"))
+    model = train_network(mspec, X[tr], Y[tr], schema)
+    pred_va = model.predict(X[va])
+    canonical = topo.ue_positions.ravel()[None, :]
+    p_model = normalize_powers(topo, model.predict(canonical)[0])
+    p_oracle = ground_truth_power(topo)
+    se_model = spectral_efficiency(topo, p_model)
+    se_oracle = spectral_efficiency(topo, p_oracle)
+    report.baseline.update({
+        "RMSE_power": M.rmse(Y[va].ravel(), np.asarray(pred_va).ravel()),
+        "SE": float(se_model.mean()),
+        "SE_oracle": float(se_oracle.mean()),
+    })
+    yield "train"
 
     attack_cfg = config.attack
     attacker_ids = _resolve_attackers(attack_cfg["attacker_ids"], topo)
     step_count = int(attack_cfg["step_count"])
     max_offset = float(attack_cfg["max_offset"])
-    with _timed(timings, "attack"):
-        # cap the lie at the serving cell's edge: beyond it the spoofed
-        # position would clamp and consecutive steps would collapse together
-        headroom = min(_ray_headroom(topo, a) for a in attacker_ids)
-        max_offset = min(max_offset, 0.98 * headroom)
-        sweep = spoof_positions(topo, attacker_ids, step_count, max_offset)
-        offsets = [s / step_count * max_offset for s in range(step_count + 1)]
-        powers_steps = []
-        se_steps = []
-        for pos in sweep:
-            raw = model.predict(pos.ravel()[None, :])[0]
-            p = normalize_powers(topo, raw)
-            powers_steps.append(p)
-            se_steps.append(spectral_efficiency(topo, p,
-                                                true_positions=topo.ue_positions))
-        powers_steps = np.asarray(powers_steps)
-        se_steps = np.asarray(se_steps)
+    # cap the lie at the serving cell's edge: beyond it the spoofed
+    # position would clamp and consecutive steps would collapse together
+    headroom = min(_ray_headroom(topo, a) for a in attacker_ids)
+    max_offset = min(max_offset, 0.98 * headroom)
+    sweep = spoof_positions(topo, attacker_ids, step_count, max_offset)
+    offsets = [s / step_count * max_offset for s in range(step_count + 1)]
+    powers_steps = []
+    se_steps = []
+    for pos in sweep:
+        raw = model.predict(pos.ravel()[None, :])[0]
+        p = normalize_powers(topo, raw)
+        powers_steps.append(p)
+        se_steps.append(spectral_efficiency(topo, p,
+                                            true_positions=topo.ue_positions))
+    powers_steps = np.asarray(powers_steps)
+    se_steps = np.asarray(se_steps)
 
-        attacker = attacker_ids[0]
-        cell = int(topo.serving[attacker])
-        victims = [int(k) for k in topo.cell_members(cell) if k != attacker]
-        budgets = np.array([[powers_steps[s][topo.cell_members(c)].sum()
-                             for c in range(topo.n_cells)]
-                            for s in range(len(sweep))])
+    attacker = attacker_ids[0]
+    cell = int(topo.serving[attacker])
+    victims = [int(k) for k in topo.cell_members(cell) if k != attacker]
+    budgets = np.array([[powers_steps[s][topo.cell_members(c)].sum()
+                         for c in range(topo.n_cells)]
+                        for s in range(len(sweep))])
 
-        report.curves.append(summarize_curve(
-            "cs5/mean_se", "SE", "higher_better", "offset_m",
-            float(se_steps[0].mean()),
-            [(off, [float(se_steps[s].mean())]) for s, off in enumerate(offsets)]))
+    report.curves.append(summarize_curve(
+        "cs5/mean_se", "SE", "higher_better", "offset_m",
+        float(se_steps[0].mean()),
+        [(off, [float(se_steps[s].mean())]) for s, off in enumerate(offsets)]))
 
-        for s, off in enumerate(offsets):
-            report.plot_series.append(
-                ("cs5_sweep", "attacker_power", off,
-                 float(powers_steps[s][attacker]), 0.0))
-            report.plot_series.append(
-                ("cs5_sweep", "victim_se_min", off,
-                 float(se_steps[s][victims].min()) if victims else 0.0, 0.0))
-            report.plot_series.append(
-                ("cs5_sweep", "mean_se", off, float(se_steps[s].mean()), 0.0))
-        report.extras.update({
-            "attacker": attacker,
-            "attacker_cell": cell,
-            "victims_same_cell": victims,
-            "offsets_m": [float(o) for o in offsets],
-            "attacker_power_w": powers_steps[:, attacker].tolist(),
-            "victim_se": se_steps[:, victims].tolist() if victims else [],
-            "se_mean_per_step": se_steps.mean(axis=1).tolist(),
-            "budget_per_cell": budgets.tolist(),
-            "power_budget": float(topo.power_budget),
-        })
-        report.provenance.append({
-            "operation": "translate_position", "steps": len(sweep),
-            "max_offset_m": max_offset, "attackers": attacker_ids,
-        })
+    for s, off in enumerate(offsets):
+        report.plot_series.append(
+            ("cs5_sweep", "attacker_power", off,
+             float(powers_steps[s][attacker]), 0.0))
+        report.plot_series.append(
+            ("cs5_sweep", "victim_se_min", off,
+             float(se_steps[s][victims].min()) if victims else 0.0, 0.0))
+        report.plot_series.append(
+            ("cs5_sweep", "mean_se", off, float(se_steps[s].mean()), 0.0))
+    report.extras.update({
+        "attacker": attacker,
+        "attacker_cell": cell,
+        "victims_same_cell": victims,
+        "offsets_m": [float(o) for o in offsets],
+        "attacker_power_w": powers_steps[:, attacker].tolist(),
+        "victim_se": se_steps[:, victims].tolist() if victims else [],
+        "se_mean_per_step": se_steps.mean(axis=1).tolist(),
+        "budget_per_cell": budgets.tolist(),
+        "power_budget": float(topo.power_budget),
+    })
+    report.provenance.append({
+        "operation": "translate_position", "steps": len(sweep),
+        "max_offset_m": max_offset, "attackers": attacker_ids,
+    })
+    yield "attack"
 
 
 # ---------------------------------------------------------------------------
 # cs6: slice assignment, outsider sweep and insider perturbations
 
 
-def _run_cs6(config: ExperimentConfig, report: ExperimentReport, depth: int) -> None:
+def _run_cs6(config: ExperimentConfig, report: ExperimentReport):
     seed = config.seed
-    timings = report.timings
 
-    with _timed(timings, "data"):
-        data = _load_data(report, config, derive_seed(seed, "data"))
-        records = data["records"]
-        y = np.asarray(data["labels"])
-        schema = tuple(data["schema"])
-        X = records_to_matrix(records, schema)
+    data = _load_data(report, config)
+    records = data["records"]
+    y = np.asarray(data["labels"])
+    schema = tuple(data["schema"])
+    X = records_to_matrix(records, schema)
     report.extras["n_records"] = len(records)
     report.extras["extractor_fingerprint"] = fingerprint(
         {"extractor": "column_order", "features": list(schema)})
@@ -748,58 +723,53 @@ def _run_cs6(config: ExperimentConfig, report: ExperimentReport, depth: int) -> 
                                              affected=("Day", "Hour"))),
         "insider": _scope_dict(FeatureScope(schema, known=schema, conscious=insider_fields,
                                             affected=insider_fields))}
-    if depth < 1:
-        return
+    yield "data"
 
-    with _timed(timings, "train"):
-        tr, va = _split(len(records), 0.9, derive_seed(seed, "split"))
-        spec = ModelSpec("forest", "classify", config.model,
-                         seed=derive_seed(seed, "model"))
-        baseline = train_forest(spec, X[tr], y[tr], schema)
-        pred_clean = baseline.predict(X[va])
-        report.baseline["Acc"] = M.accuracy(y[va], pred_clean)
-    if depth < 2:
-        return
+    tr, va = _split(len(records), 0.9, derive_seed(seed, "split"))
+    spec = ModelSpec("forest", "classify", config.model,
+                     seed=derive_seed(seed, "model"))
+    baseline = train_forest(spec, X[tr], y[tr], schema)
+    pred_clean = baseline.predict(X[va])
+    report.baseline["Acc"] = M.accuracy(y[va], pred_clean)
+    yield "train"
 
-    with _timed(timings, "attack"):
-        day_col = schema.index("Day")
-        hour_col = schema.index("Hour")
-        successes = 0
-        for d in range(1, 8):
-            for h in range(0, 24):
-                Xa = X[va].copy()
-                Xa[:, day_col] = float(d)
-                Xa[:, hour_col] = float(h)
-                flips = int(np.sum(baseline.predict(Xa) != pred_clean))
-                successes += flips
-                report.plot_series.append(("cs6_outsider", "prediction_flips",
-                                           (d - 1) * 24 + h, float(flips), 0.0))
-        report.extras["outsider_successes"] = successes
-        report.extras["outsider_variants"] = 7 * 24
-        report.extras["outsider_rows"] = int(len(va))
+    day_col = schema.index("Day")
+    hour_col = schema.index("Hour")
+    successes = 0
+    for d in range(1, 8):
+        for h in range(0, 24):
+            Xa = X[va].copy()
+            Xa[:, day_col] = float(d)
+            Xa[:, hour_col] = float(h)
+            flips = int(np.sum(baseline.predict(Xa) != pred_clean))
+            successes += flips
+            report.plot_series.append(("cs6_outsider", "prediction_flips",
+                                       (d - 1) * 24 + h, float(flips), 0.0))
+    report.extras["outsider_successes"] = successes
+    report.extras["outsider_variants"] = 7 * 24
+    report.extras["outsider_rows"] = int(len(va))
 
-        insider_spec = None
-        if config.attack["insider"]:
-            insider_spec = PerturbationSpec(
-                "insider_qos", insider_fields, "additive_std",
-                tuple(config.attack["multipliers"]),
-                constraints=(
-                    ConstraintRule("PacketDelayBudget", lo=0.0, action="clamp"),
-                    ConstraintRule("PacketLossRate", lo=0.0, action="clamp")))
-            insider_sets, logs = _apply_levels(
-                [records[i] for i in va], insider_spec, schema,
-                derive_seed(seed, "rsp", "insider"))
-            report.provenance.extend(logs)
-            curve = run_inference_attack(baseline, (X[va], y[va]), insider_sets,
-                                         "Acc", name="cs6/insider",
-                                         x_label="multiplier").aggregate
-            report.curves.append(curve)
-            _plot_rows(report, "cs6_insider", "insider_acc", curve)
-    if depth < 3:
-        return
+    insider_spec = None
+    if config.attack["insider"]:
+        insider_spec = PerturbationSpec(
+            "insider_qos", insider_fields, "additive_std",
+            tuple(config.attack["multipliers"]),
+            constraints=(
+                ConstraintRule("PacketDelayBudget", lo=0.0, action="clamp"),
+                ConstraintRule("PacketLossRate", lo=0.0, action="clamp")))
+        insider_sets, logs = _apply_levels(
+            [records[i] for i in va], insider_spec, schema,
+            derive_seed(seed, "rsp", "insider"))
+        report.provenance.extend(logs)
+        curve = run_inference_attack(baseline, (X[va], y[va]), insider_sets,
+                                     "Acc", name="cs6/insider",
+                                     x_label="multiplier").aggregate
+        report.curves.append(curve)
+        _plot_rows(report, "cs6_insider", "insider_acc", curve)
+    yield "attack"
 
-    with _timed(timings, "defend"):
-        if insider_spec is not None:
-            _defend(report, config, (records, X, y, schema), tr, va, baseline,
-                    "classify", insider_spec, insider_fields, insider_sets,
-                    M.accuracy)
+    if insider_spec is not None:
+        _defend(report, config, (records, X, y, schema), tr, va, baseline,
+                "classify", insider_spec, insider_fields, insider_sets,
+                M.accuracy)
+    yield "defend"

@@ -46,8 +46,25 @@ def _weights(kind, n, seed=1):
     return w
 
 
+_REFERENCES = {}
+
+
+def _cached_reference(spec, X, y, sample_weight):
+    """reference_forest, grown once per distinct input for the session: the
+    forked and split-path cases repeat the inputs of the cases above."""
+    def key(a):
+        a = np.asarray(a)
+        return a.dtype.str, a.shape, a.tobytes()
+
+    k = (repr(spec), *(key(a) for a in (X, y)),
+         None if sample_weight is None else key(sample_weight))
+    if k not in _REFERENCES:
+        _REFERENCES[k] = reference_forest(spec, X, y, sample_weight)
+    return _REFERENCES[k]
+
+
 def assert_matches_reference(model, X, y, sample_weight=None):
-    trees, importance, classes = reference_forest(model.spec, X, y, sample_weight)
+    trees, importance, classes = _cached_reference(model.spec, X, y, sample_weight)
     assert len(model.trees) == len(trees)
     for got, want in zip(model.trees, trees):
         for name in ("feature", "threshold", "left", "right", "value"):

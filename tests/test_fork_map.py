@@ -3,7 +3,6 @@ same report and artifacts for any worker count, failures that reach the
 caller, no process where forking is not safe or cannot pay, and no worker
 that forks again."""
 
-import hashlib
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -18,6 +17,7 @@ from mlsec5g.report import report_to_dict, write_report
 from mlsec5g.repro import canonical_json
 from mlsec5g.scenarios import runner
 from mlsec5g.scenarios.runner import run_case_study
+from views import artifact_digest
 
 PROFILES = ["static", "driving", "high"]  # run as sorted: driving, high, static
 
@@ -26,16 +26,6 @@ def _config(profiles=PROFILES):
     return build_config({"scenario": "cs3", "seed": 5,
                          "data": {"synthetic": {"length": 240, "profiles": profiles}},
                          "model": {"window": 12, "hidden_size": 6, "epochs": 4}})
-
-
-def _digest(report, out_dir) -> str:
-    """sha256 over every artifact but run_meta.json, which holds timings."""
-    write_report(report, str(out_dir))
-    h = hashlib.sha256()
-    for path in sorted(p for p in out_dir.rglob("*") if p.is_file()):
-        if path.name != "run_meta.json":
-            h.update(str(path.relative_to(out_dir)).encode() + b"\0" + path.read_bytes())
-    return h.hexdigest()
 
 
 @pytest.mark.parametrize("stage", ["train", "all"])
@@ -47,7 +37,8 @@ def test_profiles_have_the_same_bits_for_any_worker_count(stage, started, monkey
         report = run_case_study("cs3", config=_config(), stage=stage)
         assert len(started) == sum(range(workers + 1))
         views.append(canonical_json(report_to_dict(report)))
-        digests.append(_digest(report, tmp_path / str(workers)))
+        write_report(report, str(tmp_path / str(workers)))
+        digests.append(artifact_digest(tmp_path / str(workers)))
         streams = "attack" if stage == "all" else "control"
         assert sorted(report.timings) == sorted(
             ["data", *(f"{s}[{p}]" for p in PROFILES for s in ("train", streams))])

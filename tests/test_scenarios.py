@@ -334,6 +334,25 @@ class TestAdapters:
         assert out["records"] == data["records"]
         assert np.array_equal(out["labels"], data["labels"])
 
+    def test_a_column_read_that_is_named_twice_is_fatal(self, tmp_path):
+        path = tmp_path / "series.csv"
+        write_csv(path, ["a", "CQI", " CQI"], [["1.0", "7.0", "9.0"]])
+        with pytest.raises(AdapterError, match=r"more than once \['CQI'\]"):
+            ingest_real_dataset("cs3", str(path))
+
+    def test_a_rename_onto_a_column_read_is_fatal(self, tmp_path):
+        path = tmp_path / "series.csv"
+        write_csv(path, ["a", "CQI"], [["1.0", "7.0"]])
+        with pytest.raises(AdapterError, match=r"more than once \['CQI'\]"):
+            ingest_real_dataset("cs3", str(path), {"rename": {"a": "CQI"}})
+
+    def test_a_repeated_column_not_read_still_ingests(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text("CQI,,\n7.0,,\n9.0,,\n")  # a trailing comma: two blank names
+        out = ingest_real_dataset("cs3", str(path))
+        assert out["series"].tolist() == [7.0, 9.0]
+        assert out["provenance"]["skipped"] == 0
+
     def test_placements_rename(self, tmp_path):
         data = generate_placements(seed=10, n_samples=3, ues_per_cell=1)
         topo = data["topology"]

@@ -8,7 +8,6 @@ function of config and seed alone: not of the output directory, nor of the
 BLAS thread count at these sizes.
 """
 
-import hashlib
 import json
 import os
 import subprocess
@@ -18,13 +17,14 @@ from pathlib import Path
 import pytest
 
 import mlsec5g
-from mlsec5g.config import build_config
+from mlsec5g.config import STAGES, build_config
 from mlsec5g.report import report_to_dict, write_report
 from mlsec5g.repro import canonical_json, derive_seed
 from mlsec5g.scenarios.generators import (ATTACKER_IPS, CQI_FEATURES, SLICE_FEATURES,
                                           generate_scenario_data)
+from mlsec5g.scenarios import runner
 from mlsec5g.scenarios.runner import run_case_study
-from views import packets_to_text
+from views import artifact_digest, packets_to_text
 
 STAGE_ORDER = ("generate", "train", "attack", "all")
 LIST_SECTIONS = ("curves", "defenses", "provenance", "plot_series")
@@ -60,12 +60,26 @@ def assert_prefix(earlier, later, where: str) -> None:
             assert_prefix(value, later[key], f"{where}.{key}")
 
 
+def stage_timings(scenario: str, stage: str, profiles) -> list[str]:
+    """The sorted timings_s keys of a run: one per stage run (cs4 and cs5
+    have no defend stage), but cs3 times only its data, beside a warm-up and a
+    stream per profile."""
+    if scenario == "cs3":
+        streams = {"generate": (), "train": ("train", "control")}.get(
+            stage, ("train", "attack"))
+        return sorted(["data", *(f"{s}[{p}]" for p in profiles for s in streams)])
+    last = 2 if scenario in ("cs4", "cs5") else 3
+    return sorted(("data", "train", "attack", "defend")[:min(STAGES[stage], last) + 1])
+
+
 @pytest.mark.parametrize("scenario", sorted(REDUCED))
 def test_each_stage_is_a_prefix_of_the_next(scenario):
     config = build_config({"scenario": scenario, "seed": 3, **REDUCED[scenario]})
     views = []
     for stage in STAGE_ORDER:
         report = run_case_study(scenario, config=config, stage=stage)
+        assert sorted(report.timings) == stage_timings(
+            scenario, stage, report.extras.get("profiles", ()))
         view = report_to_dict(report)
         assert view.pop("stage") == stage
         view["plot_series"] = [list(row) for row in report.plot_series]
@@ -74,6 +88,20 @@ def test_each_stage_is_a_prefix_of_the_next(scenario):
         assert_prefix(v0, v1, f"{scenario} {s0} -> {s1}")
     # the full run adds something at every stage boundary
     assert views[-1]["baseline"] and views[-1]["curves"] and views[-1]["plot_series"]
+
+
+@pytest.mark.parametrize("scenario", sorted(REDUCED))
+def test_generate_trains_nothing(scenario, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("a model was trained")
+
+    for name in ("train_forest", "train_network", "init_online"):
+        monkeypatch.setattr(runner, name, refuse)
+    config = build_config({"scenario": scenario, "seed": 3, **REDUCED[scenario]})
+    report = run_case_study(scenario, config=config, stage="generate")
+    assert list(report.timings) == ["data"] and not report.baseline
+    with pytest.raises(RuntimeError, match="a model was trained"):
+        run_case_study(scenario, config=config, stage="train")
 
 
 def test_cs1_ratio_zero_control_is_exact_for_every_seed():
@@ -153,15 +181,6 @@ def test_a_real_data_run_names_its_file_in_run_meta(tmp_path):
         assert block["path"] not in (tmp_path / "real" / scenario / "report.json").read_text()
         assert "data" not in json.loads(
             (tmp_path / "synthetic" / scenario / "run_meta.json").read_text())
-
-
-def artifact_digest(run_dir: Path) -> str:
-    """sha256 over every artifact but run_meta.json, which holds timings."""
-    h = hashlib.sha256()
-    for path in sorted(p for p in run_dir.rglob("*") if p.is_file()):
-        if path.name != "run_meta.json":
-            h.update(str(path.relative_to(run_dir)).encode() + b"\0" + path.read_bytes())
-    return h.hexdigest()
 
 
 def test_cli_artifacts_ignore_out_dir_and_blas_threads(tmp_path):

@@ -1,5 +1,7 @@
 """Text and list views of package objects that only the tests read."""
 
+import hashlib
+
 from mlsec5g.flows import PACKET_HEADER
 
 
@@ -41,3 +43,13 @@ def xs(curve) -> list[float]:
 def degradations(curve) -> list[float]:
     """A `DegradationCurve`'s mean degradations, point by point."""
     return [p.degradation_mean for p in curve.points]
+
+
+def artifact_digest(run_dir) -> str:
+    """sha256 over every artifact of a run directory but run_meta.json, which
+    holds timings."""
+    h = hashlib.sha256()
+    for path in sorted(p for p in run_dir.rglob("*") if p.is_file()):
+        if path.name != "run_meta.json":
+            h.update(str(path.relative_to(run_dir)).encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
