@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .attacks import SPOOF_MODES
+from .models.base import _BOOL, _COUNT, _POSITIVE, _ROWS, _int, _is_number, _number
 from .repro import fingerprint
 from .scenarios.generators import CQI_PROFILES, N_SIGNAL_FEATURES, SCENARIOS
 
@@ -90,21 +91,7 @@ class ConfigError(ValueError):
 
 
 # A row is (check, what the value must be); a dict of rows is a subsection.
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _int(lo: int, hi: int | None = None, null: bool = False):
-    what = f"an integer >= {lo}" if hi is None else f"an integer in [{lo}, {hi}]"
-    return (lambda v: (null and v is None) or
-            (type(v) is int and lo <= v and (hi is None or v <= hi)),
-            what + (" or null" if null else ""))
-
-
-def _number(test, what: str):
-    return lambda v: _is_number(v) and test(v), what
-
+# The model sections are the models' own hyperparameter rows.
 
 def _names(allowed):
     allowed = tuple(allowed)
@@ -118,29 +105,13 @@ class _Switch(dict):
 
 
 _ANY = (lambda v: True, "anything")
-_COUNT = _int(1)
 _INDEX = _int(0)
-_BOOL = (lambda v: isinstance(v, bool), "true or false")
 _TEXT = (lambda v: isinstance(v, str) and v != "", "a non-empty string")
-_POSITIVE = _number(lambda v: 0 < v < math.inf, "a positive number")
 _NON_NEGATIVE = _number(lambda v: 0 <= v < math.inf, "a non-negative number")
 _MULTIPLIERS = (lambda v: isinstance(v, list) and bool(v) and
                 all(_POSITIVE[0](m) for m in v) and all(b > a for a, b in zip(v, v[1:])),
                 "a strictly increasing list of positive numbers")
 
-_FOREST = {
-    "n_trees": _COUNT, "max_depth": _int(1, null=True), "min_samples_split": _int(2),
-    "min_samples_leaf": _COUNT, "bootstrap": _BOOL,
-    "max_features": (lambda v: v in ("sqrt", "third", "all") or _COUNT[0](v) or
-                     (isinstance(v, float) and 0 < v <= 1),
-                     '"sqrt", "third", "all", an integer >= 1 or a fraction in (0, 1]'),
-}
-_NETWORK = {
-    "hidden": (lambda v: isinstance(v, list) and all(_COUNT[0](h) for h in v),
-               "a list of integers >= 1"),
-    "epochs": _COUNT, "lr": _POSITIVE,
-}
-_RECURRENT = {"window": _COUNT, "hidden_size": _COUNT, "epochs": _COUNT, "lr": _POSITIVE}
 _DEFENSES = {"adversarial_training": _Switch(aug_fraction=_number(
                  lambda v: 0 < v <= 1, "a number in (0, 1]")),
              "feature_removal": _BOOL}
@@ -165,40 +136,40 @@ _TABLE = {
         {"n_hosts": _COUNT, "sessions_per_host": _COUNT, "sessions_per_attacker": _COUNT},
         {"attacker_ips": (lambda v: isinstance(v, list) and all(_TEXT[0](a) for a in v),
                           "a list of non-empty strings")},
-        _FOREST,
+        _ROWS["forest"],
         {"multipliers": _MULTIPLIERS, "trials": _COUNT, "pad_level_index": _INDEX,
          "ratios": (lambda v: isinstance(v, list) and
                     all(_is_number(r) and 0 <= r <= 1 for r in v),
                     "a list of numbers in [0, 1]")},
         {"distillation": _BOOL}),
     "cs2": _scenario(
-        {"n": _int(10)}, _RENAME, _FOREST,
+        {"n": _int(10)}, _RENAME, _ROWS["forest"],
         {"multipliers": _MULTIPLIERS, "scopes": _names(CS2_SCOPES),
          "replace_levels": _COUNT},
         _DEFENSES),
     "cs3": _scenario(
-        {"length": _COUNT, "profiles": _names(CQI_PROFILES)}, _RENAME, _RECURRENT,
+        {"length": _COUNT, "profiles": _names(CQI_PROFILES)}, _RENAME, _ROWS["recurrent"],
         {"spoof_modes": _names(SPOOF_MODES),
          "period_s": _number(lambda v: v < math.inf and round(v) >= 1,
                              "a number of seconds that rounds to at least 1")}),
     "cs4": _scenario(
         {"n_per_class": _COUNT},
         {**_RENAME, "snr": _number(math.isfinite, "a finite number")},
-        {"forest": _FOREST, "network": _NETWORK},
+        {"forest": _ROWS["forest"], "network": _ROWS["feedforward"]},
         {"multipliers": _MULTIPLIERS, "top_k": _int(1, N_SIGNAL_FEATURES),
          "random_trials": _COUNT}),
     "cs5": _scenario(
         {"n_samples": _int(10), "cell_size": _POSITIVE, "ues_per_cell": _COUNT,
          "min_gnb_distance": _NON_NEGATIVE},
         {**_RENAME, "topology": _TEXT},
-        _NETWORK,
+        _ROWS["feedforward"],
         {"step_count": _COUNT, "max_offset": _POSITIVE,
          "attacker_ids": (lambda v: v == "closest" or (
              isinstance(v, list) and bool(v) and all(_INDEX[0](a) for a in v)
              and len(set(v)) == len(v)),
              '"closest" or a non-empty list of distinct integers >= 0')}),
     "cs6": _scenario(
-        {"n": _int(10)}, _RENAME, _FOREST, {"multipliers": _MULTIPLIERS, "insider": _BOOL},
+        {"n": _int(10)}, _RENAME, _ROWS["forest"], {"multipliers": _MULTIPLIERS, "insider": _BOOL},
         _DEFENSES),
 }
 

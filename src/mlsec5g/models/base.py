@@ -1,15 +1,20 @@
-"""Model contracts: specs, the trained-model surface, save/load.
+"""Model contracts: the hyperparameter table, specs, the trained-model
+surface and its container, save/load, and the Adam step.
 
-All learners are self-contained numpy implementations so that training and
-prediction are bit-for-bit reproducible under a fixed seed on any platform:
-no thread pools, no BLAS-order ambiguity in the hot paths, no hidden global
-state. That guarantee is what lets zero-intensity controls be compared with
-== instead of tolerances.
+All learners are self-contained numpy implementations, bit-for-bit
+reproducible under a fixed seed. Forest trees, cs3's profiles and cs1's
+poisoning cells run in forked workers gathered in item order, and cs5's
+network fit shares its epochs with one forked helper only where a check shows
+the split keeps every bit. The BLAS runs one thread unless
+OPENBLAS_NUM_THREADS says otherwise (stock cs5 takes other bits at other
+counts). That is what lets zero-intensity controls be compared with ==
+instead of tolerances.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -26,12 +31,43 @@ _VALID = {
     "recurrent": ("regress",),
 }
 
-# the hyperparameters each kind reads; a spec refuses any other name
-_HYPERPARAMETERS = {
-    "forest": ("n_trees", "max_depth", "min_samples_split", "min_samples_leaf",
-               "bootstrap", "max_features"),
-    "feedforward": ("hidden", "epochs", "lr"),
-    "recurrent": ("window", "hidden_size", "epochs", "lr"),
+
+# A row is (check, what the value must be); the config's table uses these too.
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _int(lo: int, hi: int | None = None, null: bool = False):
+    what = f"an integer >= {lo}" if hi is None else f"an integer in [{lo}, {hi}]"
+    return (lambda v: (null and v is None) or
+            (type(v) is int and lo <= v and (hi is None or v <= hi)),
+            what + (" or null" if null else ""))
+
+
+def _number(test, what: str):
+    return lambda v: _is_number(v) and test(v), what
+
+
+_COUNT = _int(1)
+_BOOL = (lambda v: isinstance(v, bool), "true or false")
+_POSITIVE = _number(lambda v: 0 < v < math.inf, "a positive number")
+
+# the one hyperparameter table: each name a kind reads, and its row
+_ROWS = {
+    "forest": {
+        "n_trees": _COUNT, "max_depth": _int(1, null=True), "min_samples_split": _int(2),
+        "min_samples_leaf": _COUNT, "bootstrap": _BOOL,
+        "max_features": (lambda v: v in ("sqrt", "third", "all") or _COUNT[0](v) or
+                         (isinstance(v, float) and 0 < v <= 1),
+                         '"sqrt", "third", "all", an integer >= 1 or a fraction in (0, 1]'),
+    },
+    "feedforward": {
+        "hidden": (lambda v: isinstance(v, list) and all(_COUNT[0](h) for h in v),
+                   "a list of integers >= 1"),
+        "epochs": _COUNT, "lr": _POSITIVE,
+    },
+    "recurrent": {"window": _COUNT, "hidden_size": _COUNT, "epochs": _COUNT, "lr": _POSITIVE},
 }
 
 
@@ -52,14 +88,12 @@ class ModelSpec:
             raise ValueError(f"unknown task {self.task!r}; expected one of {TASKS}")
         if self.task not in _VALID[self.kind]:
             raise ValueError(f"kind {self.kind!r} does not support task {self.task!r}")
-        hp = self.hyperparameters
-        unknown = sorted(set(hp) - set(_HYPERPARAMETERS[self.kind]))
+        rows = _ROWS[self.kind]
+        unknown = sorted(set(self.hyperparameters) - set(rows))
         errors = [f"kind {self.kind!r} does not read hyperparameters {unknown}"] if unknown else []
-        errors += [f"hyperparameter {key} must be >= 1, got {hp[key]}"
-                   for key in ("n_trees", "epochs", "hidden_size", "window")
-                   if key in hp and int(hp[key]) < 1]
-        if any(int(h) < 1 for h in hp.get("hidden", ())):
-            errors.append(f"hyperparameter hidden widths must be >= 1, got {hp['hidden']}")
+        errors += [f"hyperparameter {key} must be {rows[key][1]}, got {value!r}"
+                   for key, value in self.hyperparameters.items()
+                   if key in rows and not rows[key][0](value)]
         if errors:
             raise ValueError("; ".join(errors))
 
@@ -100,6 +134,31 @@ class TrainedModel:
     def predict(self, X):  # pragma: no cover - abstract
         raise NotImplementedError
 
+    def to_state(self) -> tuple[dict, dict]:
+        """(meta, arrays): the header every kind writes, then the kind's own (`_state`)."""
+        meta, arrays = self._state()
+        return {"kind": self.kind, "task": self.task, "schema": list(self.schema),
+                "fingerprint": self.fingerprint, "seed": int(self.spec.seed),
+                "hyperparameters": {k: _jsonable(v) for k, v in self.spec.hyperparameters.items()},
+                **meta}, arrays
+
+    @classmethod
+    def from_state(cls, meta: dict, arrays: dict):
+        """The model to_state wrote: the spec from the header, the rest by `_restore`."""
+        spec = ModelSpec(cls.kind, meta["task"], meta["hyperparameters"], meta["seed"])
+        return cls._restore(spec, meta, arrays)
+
+
+def _adam(theta: np.ndarray, grad: np.ndarray, state: dict, lr: float) -> np.ndarray:
+    """theta after one Adam step on grad; advances state's t, m and v."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    state["t"] += 1
+    state["m"] = beta1 * state["m"] + (1 - beta1) * grad
+    state["v"] = beta2 * state["v"] + (1 - beta2) * grad * grad
+    mhat = state["m"] / (1 - beta1 ** state["t"])
+    vhat = state["v"] / (1 - beta2 ** state["t"])
+    return theta - lr * mhat / (np.sqrt(vhat) + eps)
+
 
 def default_schema(width: int) -> tuple[str, ...]:
     return tuple(f"f{i}" for i in range(width))
@@ -108,12 +167,9 @@ def default_schema(width: int) -> tuple[str, ...]:
 def save_model(model, path: str) -> None:
     """Persist a model as a self-describing npz (meta JSON + arrays)."""
     meta, arrays = model.to_state()
-    meta = dict(meta)
-    meta["format"] = "mlsec5g-model-v1"
-    meta["kind"] = model.kind
+    meta = json.dumps({**meta, "format": "mlsec5g-model-v1"}, sort_keys=True)
     payload = {f"arr_{k}": np.asarray(v) for k, v in arrays.items()}
-    payload["meta_json"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"),
-                                         dtype=np.uint8)
+    payload["meta_json"] = np.frombuffer(meta.encode("utf-8"), dtype=np.uint8)
     with open(path, "wb") as fh:
         np.savez(fh, **payload)
 
@@ -129,8 +185,7 @@ def load_model(path: str):
     if meta.get("format") != "mlsec5g-model-v1":
         raise ValueError(f"{path}: not a recognized model container")
     kind = meta["kind"]
-    cls = {"forest": ForestModel, "feedforward": FeedforwardModel,
-           "recurrent": OnlineRecurrentModel}.get(kind)
+    cls = {c.kind: c for c in (ForestModel, FeedforwardModel, OnlineRecurrentModel)}.get(kind)
     if cls is None:
         raise ValueError(f"{path}: unknown model kind {kind!r}")
     return cls.from_state(meta, arrays)

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..forkmap import fork_map
-from ..repro import _jsonable
 from .base import ModelSpec, TrainedModel, default_schema
 
 _EPS_GAIN = 1e-12
@@ -348,23 +347,15 @@ class ForestModel(TrainedModel):
 
     # -- persistence -----------------------------------------------------
 
-    def to_state(self):
+    def _state(self):
         offsets, nodes = _stack(self.trees)
         arrays = {"offsets": offsets, **nodes, "importance": self._importance_raw}
         if self.classes_ is not None:
             arrays["classes"] = np.asarray(self.classes_, dtype=str)
-        meta = {
-            "task": self.task,
-            "schema": list(self.schema),
-            "fingerprint": self.fingerprint,
-            "seed": int(self.spec.seed),
-            "hyperparameters": {k: _jsonable(v) for k, v in self.spec.hyperparameters.items()},
-        }
-        return meta, arrays
+        return {}, arrays
 
     @classmethod
-    def from_state(cls, meta, arrays):
-        spec = ModelSpec("forest", meta["task"], meta["hyperparameters"], meta["seed"])
+    def _restore(cls, spec, meta, arrays):
         offsets = arrays["offsets"]
         trees = [_Tree(*(arrays[name][lo:hi] for name in _TREE_FIELDS))
                  for lo, hi in zip(offsets[:-1], offsets[1:])]

@@ -39,8 +39,7 @@ from contextlib import nullcontext
 import numpy as np
 
 from .. import forkmap
-from ..repro import _jsonable
-from .base import ModelSpec, TrainedModel, default_schema
+from .base import ModelSpec, TrainedModel, _adam, default_schema
 
 # A fit splits its epochs only from these sizes on, both measured on a 2-core
 # x86-64 VM. Rows x parameters of one epoch: two semaphore handoffs cost about
@@ -269,27 +268,17 @@ class FeedforwardModel(TrainedModel):
 
     # -- persistence --------------------------------------------------------
 
-    def to_state(self):
+    def _state(self):
         arrays = {"x_mean": self.x_mean, "x_std": self.x_std}
         for i, (W, b) in enumerate(zip(self.weights, self.biases)):
             arrays[f"W{i}"] = W
             arrays[f"b{i}"] = b
         if self.classes_ is not None:
             arrays["classes"] = np.asarray(self.classes_, dtype=str)
-        meta = {
-            "task": self.task,
-            "schema": list(self.schema),
-            "fingerprint": self.fingerprint,
-            "seed": int(self.spec.seed),
-            "hyperparameters": {k: _jsonable(v) for k, v in self.spec.hyperparameters.items()},
-            "n_layers": len(self.weights),
-            "out_dim": self.out_dim,
-        }
-        return meta, arrays
+        return {"n_layers": len(self.weights), "out_dim": self.out_dim}, arrays
 
     @classmethod
-    def from_state(cls, meta, arrays):
-        spec = ModelSpec("feedforward", meta["task"], meta["hyperparameters"], meta["seed"])
+    def _restore(cls, spec, meta, arrays):
         weights = [arrays[f"W{i}"] for i in range(meta["n_layers"])]
         biases = [arrays[f"b{i}"] for i in range(meta["n_layers"])]
         classes = arrays.get("classes")
@@ -370,11 +359,9 @@ def train_network(spec: ModelSpec, X, y, schema=None) -> FeedforwardModel:
         else:
             model._reduce(Xs, ws, layers[1:], layers)
 
-    m = np.zeros_like(theta)
-    v = np.zeros_like(theta)
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    adam = {"m": np.zeros_like(theta), "v": np.zeros_like(theta), "t": 0}
     with forkmap.Lockstep(helper) if split else nullcontext() as lockstep:
-        for step in range(1, epochs + 1):
+        for _ in range(epochs):
             ws.theta[:] = theta
             if lockstep is None:
                 model._loss_grad(Xs, targets, ws, with_loss=False)
@@ -385,12 +372,7 @@ def train_network(spec: ModelSpec, X, y, schema=None) -> FeedforwardModel:
                 lockstep.post(1)
                 model._reduce(Xs, ws, layers[:1], ())
                 lockstep.wait()
-            grad = ws.grad
-            m = beta1 * m + (1 - beta1) * grad
-            v = beta2 * v + (1 - beta2) * grad * grad
-            mhat = m / (1 - beta1 ** step)
-            vhat = v / (1 - beta2 ** step)
-            theta = theta - lr * mhat / (np.sqrt(vhat) + eps)
+            theta = _adam(theta, ws.grad, adam, lr)
     model.set_flat_params(theta)
     return model
 

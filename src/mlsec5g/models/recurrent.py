@@ -45,8 +45,7 @@ import math
 
 import numpy as np
 
-from ..repro import _jsonable
-from .base import ModelSpec, TrainedModel
+from .base import ModelSpec, TrainedModel, _adam
 
 _PARAM_ORDER = ("Wz", "Uz", "bz", "Wr", "Ur", "br", "Wh", "Uh", "bh", "Wy", "by")
 
@@ -215,17 +214,6 @@ class OnlineRecurrentModel(TrainedModel):
                       out=np.reshape(grad[..., :-H - 1], ws.g.shape[1:], copy=False))
         return grad
 
-    def _adam_step(self, grad: np.ndarray, lr: float) -> None:
-        beta1, beta2, eps = 0.9, 0.999, 1e-8
-        st = self.adam
-        st["t"] += 1
-        st["m"] = beta1 * st["m"] + (1 - beta1) * grad
-        st["v"] = beta2 * st["v"] + (1 - beta2) * grad * grad
-        mhat = st["m"] / (1 - beta1 ** st["t"])
-        vhat = st["v"] / (1 - beta2 ** st["t"])
-        theta = self._flat(self.params) - lr * mhat / (np.sqrt(vhat) + eps)
-        self._unflatten(theta)
-
     # -- stream stacks -----------------------------------------------------------
 
     @classmethod
@@ -301,7 +289,7 @@ class OnlineRecurrentModel(TrainedModel):
             raise ValueError(f"expected one observation per stream, got shape {obs.shape}")
         grad = self._backward(self._window_forward(), self._normalize(obs[..., None, None]))
         self._window_pass = None
-        self._adam_step(grad, self.lr)
+        self._unflatten(_adam(self._flat(self.params), grad, self.adam, self.lr))
         self.history.append(obs.tolist())
         if len(self.history) > self.window:
             self.history = self.history[-self.window:]
@@ -317,26 +305,17 @@ class OnlineRecurrentModel(TrainedModel):
 
     # -- persistence -------------------------------------------------------------
 
-    def to_state(self):
+    def _state(self):
         arrays = {k: self.params[k] for k in _PARAM_ORDER}
         arrays["history"] = np.asarray(self.history, dtype=float)
         arrays["adam_m"] = self.adam["m"]
         arrays["adam_v"] = self.adam["v"]
-        meta = {
-            "task": self.task,
-            "fingerprint": self.fingerprint,
-            "seed": int(self.spec.seed),
-            "hyperparameters": {k: _jsonable(v) for k, v in self.spec.hyperparameters.items()},
-            "mu": self.mu,
-            "sd": self.sd,
-            "window": self.window,
-            "adam_t": int(self.adam["t"]),
-        }
+        meta = {"mu": self.mu, "sd": self.sd, "window": self.window,
+                "adam_t": int(self.adam["t"])}
         return meta, arrays
 
     @classmethod
-    def from_state(cls, meta, arrays):
-        spec = ModelSpec("recurrent", meta["task"], meta["hyperparameters"], meta["seed"])
+    def _restore(cls, spec, meta, arrays):
         # copy: restored models must never alias the donor's live arrays
         params = {k: np.array(arrays[k], dtype=float) for k in _PARAM_ORDER}
         adam = {"m": np.array(arrays["adam_m"], dtype=float),
@@ -355,8 +334,6 @@ def init_online(spec: ModelSpec, warmup_series) -> OnlineRecurrentModel:
     series = np.asarray(warmup_series, dtype=float)
     hp = spec.hyperparameters
     window = int(hp.get("window", 30))
-    if window < 1:
-        raise ValueError("window must be >= 1")
     if series.ndim != 1 or series.size <= window:
         raise ValueError(
             f"warmup series must be 1-d and longer than the window ({window}), "
@@ -391,7 +368,8 @@ def init_online(spec: ModelSpec, warmup_series) -> OnlineRecurrentModel:
     Xn = model._normalize(Xw)
     tn = model._normalize(targets)
     for _ in range(epochs):
-        model._adam_step(model._backward(model._forward(Xn), tn), model.lr)
+        grad = model._backward(model._forward(Xn), tn)
+        model._unflatten(_adam(model._flat(model.params), grad, model.adam, model.lr))
     model._ws = None  # the warm-up's workspace goes; the stream's is window-sized
     return model
 

@@ -41,26 +41,22 @@ class ExperimentReport:
     data_provenance: dict | None = None
 
 
-def _num(x) -> float:
-    return float(x)
-
-
 def curve_to_dict(curve: DegradationCurve) -> dict:
     return {
         "name": curve.name,
         "metric": curve.metric_name,
         "orientation": curve.orientation,
         "x_label": curve.x_label,
-        "baseline": _num(curve.baseline),
+        "baseline": float(curve.baseline),
         "points": [
             {
-                "x": _num(p.x),
-                "metric_mean": _num(p.metric_mean),
-                "metric_std": _num(p.metric_std),
-                "degradation_mean": _num(p.degradation_mean),
-                "degradation_std": _num(p.degradation_std),
+                "x": float(p.x),
+                "metric_mean": float(p.metric_mean),
+                "metric_std": float(p.metric_std),
+                "degradation_mean": float(p.degradation_mean),
+                "degradation_std": float(p.degradation_std),
                 "n_trials": int(p.n_trials),
-                "values": [_num(v) for v in p.values],
+                "values": [float(v) for v in p.values],
             }
             for p in curve.points
         ],
@@ -72,11 +68,11 @@ def defense_to_dict(ev: DefenseEvaluation) -> dict:
     out = {
         "defense": ev.defense,
         "metric": t.metric_name,
-        "p_base": _num(t.p_base),
-        "p_hardened": _num(t.p_hardened),
-        "tradeoff": None if t.tradeoff is None else _num(t.tradeoff),
-        "baseline_clean": _num(ev.baseline_clean),
-        "hardened_clean": _num(ev.hardened_clean),
+        "p_base": float(t.p_base),
+        "p_hardened": float(t.p_hardened),
+        "tradeoff": None if t.tradeoff is None else float(t.tradeoff),
+        "baseline_clean": float(ev.baseline_clean),
+        "hardened_clean": float(ev.hardened_clean),
         "residual": curve_to_dict(ev.residual),
     }
     if t.tradeoff is None:  # an undefined ratio says why, beside its null
@@ -91,7 +87,7 @@ def report_to_dict(report: ExperimentReport) -> dict:
         "config_fingerprint": report.config_fingerprint,
         "seed": int(report.seed),
         "stage": report.stage,
-        "baseline": {k: _num(v) for k, v in sorted(report.baseline.items())},
+        "baseline": {k: float(v) for k, v in sorted(report.baseline.items())},
         "curves": [curve_to_dict(c) for c in report.curves],
         "defenses": [defense_to_dict(d) for d in report.defenses],
         "provenance": _jsonable(report.provenance),

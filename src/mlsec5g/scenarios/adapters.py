@@ -4,7 +4,11 @@ Synthetic generators and real datasets feed the identical downstream
 pipeline; the adapter's only job is parsing, schema alignment, and honest
 bookkeeping. Malformed rows are counted, skipped, and logged, never silently
 dropped; a dataset without ground truth is rejected outright, because a
-pipeline cannot measure degradation against labels it does not have.
+pipeline cannot measure degradation against labels it does not have. A
+NaN or infinite ground-truth value (cs2's CQI, cs5's powers) makes its row
+malformed; one in a cs3 series refuses the file, because skipping a step
+would shift every later one. Feature cells pass through as read, NaN and
+infinity included.
 
 Every file is a CSV with a header row of named columns. Header cells are
 stripped of surrounding spaces and then renamed by `format.rename` (their
@@ -30,6 +34,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import os
 
 import numpy as np
@@ -68,8 +73,9 @@ def _read(path, fmt, columns, parse, truth=()):
     row's cells of `columns` in that order. A row that is short or that parse
     refuses with ValueError is skipped, counted and logged; parse returns
     None for a row it leaves out on purpose. Returns (parsed rows,
-    provenance counts). Every missing column is named at once, the `truth`
-    ones as ground truth, and so is every column read that the header (after
+    provenance counts). An AdapterError from parse refuses the file, naming
+    the line. Every missing column is named at once, the `truth` ones as
+    ground truth, and so is every column read that the header (after
     `rename`) names more than once."""
     rename = fmt.get("rename", {})
     with open(path, newline="") as fh:
@@ -97,6 +103,8 @@ def _read(path, fmt, columns, parse, truth=()):
                 if len(row) < len(header):
                     raise ValueError(f"{len(row)} of {len(header)} fields")
                 value = parse([row[i] for i in picks])
+            except AdapterError as exc:
+                raise AdapterError(f"{path} line {reader.line_num}: {exc}") from None
             except ValueError as exc:
                 skipped += 1
                 log.warning("%s line %d skipped: %s", path, reader.line_num, exc)
@@ -110,6 +118,15 @@ def _read(path, fmt, columns, parse, truth=()):
 
 def _floats(values):
     return [float(v) for v in values]
+
+
+def _truth(cell, what, error=ValueError):
+    """A ground-truth cell as a float. NaN or infinity raises error: by
+    default the row is malformed, an AdapterError refuses the file."""
+    value = float(cell)
+    if not math.isfinite(value):
+        raise error(f"non-finite {what} {cell.strip()!r}")
+    return value
 
 
 def _label(value, classes, what):
@@ -139,7 +156,8 @@ def _traffic(path, fmt):
 
 
 def _cqi_records(path, fmt):
-    rows, prov = _read(path, fmt, CQI_FEATURES + ("CQI",), _floats, truth=("CQI",))
+    rows, prov = _read(path, fmt, CQI_FEATURES + ("CQI",),
+                       lambda v: _floats(v[:-1]) + [_truth(v[-1], "CQI")], truth=("CQI",))
     return {
         "records": [dict(zip(CQI_FEATURES, r)) for r in rows],
         "targets": np.asarray([r[-1] for r in rows], dtype=float),
@@ -149,7 +167,8 @@ def _cqi_records(path, fmt):
 
 
 def _cqi_series(path, fmt):
-    rows, prov = _read(path, fmt, ("CQI",), lambda v: float(v[0]), truth=("CQI",))
+    rows, prov = _read(path, fmt, ("CQI",), lambda v: _truth(v[0], "CQI", AdapterError),
+                       truth=("CQI",))
     return {"series": np.asarray(rows, dtype=float), "bounds": (0.0, 15.0),
             "profile": "real", "provenance": prov}
 
@@ -195,7 +214,8 @@ def _placements(path, fmt):
     pow_cols = tuple(f"p{k}" for k in range(topo.n_ues))
     k = len(feat_cols)
     rows, prov = _read(path, fmt, feat_cols + pow_cols,
-                       lambda v: (_floats(v[:k]), _floats(v[k:])), truth=pow_cols)
+                       lambda v: (_floats(v[:k]), [_truth(p, "power") for p in v[k:]]),
+                       truth=pow_cols)
     return {"X": np.asarray([x for x, _ in rows], dtype=float),
             "Y": np.asarray([y for _, y in rows], dtype=float),
             "schema": feat_cols, "topology": topo, "provenance": prov}

@@ -72,6 +72,16 @@ def _split(n: int, train_frac: float, seed: int) -> tuple[np.ndarray, np.ndarray
     return np.sort(perm[:k]), np.sort(perm[k:])
 
 
+def _spec_scope(spec: PerturbationSpec, full_set, known) -> FeatureScope:
+    """The attacker scope a perturbation spec implies: it consciously touches
+    its targets, and alters them, then its linked fields, then every field
+    the derived graph reaches from those, in graph order."""
+    affected = [*spec.target_fields, *spec.params.get("linked", {})]
+    for name in affected:  # the list grows as the loop reaches derived fields
+        affected += [d.name for d in spec.derived.edges.get(name, ()) if d.name not in affected]
+    return FeatureScope(full_set, known=known, conscious=spec.target_fields, affected=affected)
+
+
 def _scope_dict(scope: FeatureScope) -> dict:
     """The scope's four sets as lists, for the report; an invalid scope is fatal."""
     problems = validate_scope(scope)
@@ -305,14 +315,14 @@ def _run_cs1(config: ExperimentConfig, report: ExperimentReport):
 
 
 def _cs2_specs(records, multipliers, replace_levels):
-    """The four attacker scopes: what each one consciously touches."""
+    """The four attacker perturbations, each with the scope it implies."""
     rsrp_pool = tuple(float(r["RSRP"]) for r in records)
     rsrq_pool = tuple(float(r["RSRQ"]) for r in records)
     aiat_graph = DependencyGraph({
         "pktRx": (DerivedField("pktRxAiat", rule="inverse_scale"),),
     })
     known = ("RSRP", "RSRQ", "pktRx", "pktRxByt", "pktRxAiat", "PHR")
-    base_specs = {
+    specs = {
         "rsrp_replace": PerturbationSpec(
             "rsrp_replace", ("RSRP",), "replace_random",
             tuple(float(i) for i in range(1, replace_levels + 1)),
@@ -333,21 +343,8 @@ def _cs2_specs(records, multipliers, replace_levels):
                          ConstraintRule("pktRxAiat", lo=0.0, action="clamp")),
             derived=aiat_graph),
     }
-    scopes = {
-        "rsrp_replace": FeatureScope(G.CQI_FEATURES, known=known,
-                                     conscious=("RSRP",),
-                                     affected=("RSRP", "RSRQ")),
-        "pktrxbyt_shift": FeatureScope(G.CQI_FEATURES, known=known,
-                                       conscious=("pktRxByt",),
-                                       affected=("pktRxByt",)),
-        "pktrx_shift": FeatureScope(G.CQI_FEATURES, known=known,
-                                    conscious=("pktRx",),
-                                    affected=("pktRx", "pktRxAiat")),
-        "both_counters": FeatureScope(G.CQI_FEATURES, known=known,
-                                      conscious=("pktRx", "pktRxByt"),
-                                      affected=("pktRx", "pktRxByt", "pktRxAiat")),
-    }
-    return base_specs, scopes
+    return specs, {name: _spec_scope(spec, G.CQI_FEATURES, known)
+                   for name, spec in specs.items()}
 
 
 def _run_cs2(config: ExperimentConfig, report: ExperimentReport):
@@ -717,12 +714,17 @@ def _run_cs6(config: ExperimentConfig, report: ExperimentReport):
     report.extras["extractor_fingerprint"] = fingerprint(
         {"extractor": "column_order", "features": list(schema)})
 
-    insider_fields = ("PacketDelayBudget", "PacketLossRate")
+    insider_spec = PerturbationSpec(
+        "insider_qos", ("PacketDelayBudget", "PacketLossRate"), "additive_std",
+        tuple(config.attack["multipliers"]),
+        constraints=(
+            ConstraintRule("PacketDelayBudget", lo=0.0, action="clamp"),
+            ConstraintRule("PacketLossRate", lo=0.0, action="clamp")))
+    insider_scope = _spec_scope(insider_spec, schema, schema)
     report.extras["scopes"] = {
         "outsider": _scope_dict(FeatureScope(schema, known=schema, conscious=("Day", "Hour"),
                                              affected=("Day", "Hour"))),
-        "insider": _scope_dict(FeatureScope(schema, known=schema, conscious=insider_fields,
-                                            affected=insider_fields))}
+        "insider": _scope_dict(insider_scope)}
     yield "data"
 
     tr, va = _split(len(records), 0.9, derive_seed(seed, "split"))
@@ -749,14 +751,7 @@ def _run_cs6(config: ExperimentConfig, report: ExperimentReport):
     report.extras["outsider_variants"] = 7 * 24
     report.extras["outsider_rows"] = int(len(va))
 
-    insider_spec = None
     if config.attack["insider"]:
-        insider_spec = PerturbationSpec(
-            "insider_qos", insider_fields, "additive_std",
-            tuple(config.attack["multipliers"]),
-            constraints=(
-                ConstraintRule("PacketDelayBudget", lo=0.0, action="clamp"),
-                ConstraintRule("PacketLossRate", lo=0.0, action="clamp")))
         insider_sets, logs = _apply_levels(
             [records[i] for i in va], insider_spec, schema,
             derive_seed(seed, "rsp", "insider"))
@@ -768,8 +763,8 @@ def _run_cs6(config: ExperimentConfig, report: ExperimentReport):
         _plot_rows(report, "cs6_insider", "insider_acc", curve)
     yield "attack"
 
-    if insider_spec is not None:
+    if config.attack["insider"]:
         _defend(report, config, (records, X, y, schema), tr, va, baseline,
-                "classify", insider_spec, insider_fields, insider_sets,
+                "classify", insider_spec, insider_scope.affected, insider_sets,
                 M.accuracy)
     yield "defend"

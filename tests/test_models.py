@@ -8,7 +8,7 @@ from mlsec5g import config
 from mlsec5g.metrics import accuracy, rmse
 from mlsec5g.models import (ModelSpec, distill_forest, init_online, load_model,
                             save_model, train_forest, train_network)
-from mlsec5g.models.base import _HYPERPARAMETERS
+from mlsec5g.models.base import _ROWS
 from mlsec5g.models.recurrent import _sigmoid
 
 
@@ -342,18 +342,31 @@ class TestDispatcher:
             ModelSpec(kind, task, hp)
         assert str(err.value) == f"kind {kind!r} does not read hyperparameters {sorted(hp)}"
 
-    def test_spec_names_match_the_config_table(self):
-        assert {kind: set(names) for kind, names in _HYPERPARAMETERS.items()} == {
-            "forest": set(config._FOREST), "feedforward": set(config._NETWORK),
-            "recurrent": set(config._RECURRENT)}
+    @pytest.mark.parametrize("scenario, kind, key, value", [
+        ("cs2", "forest", "bootstrap", "no"),
+        ("cs2", "forest", "n_trees", 2.5),
+        ("cs2", "forest", "max_features", "half"),
+        ("cs2", "forest", "min_samples_leaf", 0),
+        ("cs2", "forest", "min_samples_split", 1),
+        ("cs2", "forest", "max_depth", 0),
+        ("cs5", "feedforward", "lr", -0.05),
+        ("cs3", "recurrent", "lr", 0.0),
+    ])
+    def test_spec_refuses_each_value_the_config_refuses(self, scenario, kind, key, value):
+        what = _ROWS[kind][key][1]
+        with pytest.raises(ValueError) as err:
+            ModelSpec(kind, "regress", {key: value})
+        assert str(err.value) == f"hyperparameter {key} must be {what}, got {value!r}"
+        assert config.validate_config({"scenario": scenario, "model": {key: value}}) == [
+            f"config.model.{key}: must be {what}, got {value!r}"]
 
     def test_spec_rejects_nonpositive_counts(self):
         with pytest.raises(ValueError, match="n_trees"):
             ModelSpec("forest", "classify", {"n_trees": 0})
 
     @pytest.mark.parametrize("hp, bad", [
-        ({"hidden": [0]}, r"hidden widths must be >= 1, got \[0\]"),
-        ({"hidden": [8, -1]}, r"hidden widths must be >= 1, got \[8, -1\]"),
+        ({"hidden": [0]}, r"hidden must be a list of integers >= 1, got \[0\]"),
+        ({"hidden": [8, -1]}, r"hidden must be a list of integers >= 1, got \[8, -1\]"),
     ])
     def test_spec_rejects_bad_network_sizes(self, hp, bad):
         with pytest.raises(ValueError, match=bad):

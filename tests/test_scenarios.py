@@ -276,6 +276,28 @@ class TestAdapters:
         assert out["series"].tolist() == [7.0, 9.0]
         assert out["provenance"]["skipped"] == 2
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cqi_makes_its_row_malformed(self, tmp_path, caplog, cell):
+        data = generate_cqi_records(seed=8, n=5)
+        path = tmp_path / "metrics.csv"
+        truth = [repr(float(t)) for t in data["targets"]]
+        truth[2] = cell
+        write_csv(path, list(CQI_FEATURES) + ["CQI"],
+                  [[repr(r[c]) for c in CQI_FEATURES] + [t]
+                   for r, t in zip(data["records"], truth)])
+        out = ingest_real_dataset("cs2", str(path))
+        keep = [0, 1, 3, 4]
+        assert out["records"] == [data["records"][i] for i in keep]
+        assert np.array_equal(out["targets"], data["targets"][keep])
+        assert (out["provenance"]["rows"], out["provenance"]["skipped"]) == (5, 1)
+        assert f"line 4 skipped: non-finite CQI '{cell}'" in caplog.text
+
+    def test_a_non_finite_series_value_refuses_the_file(self, tmp_path):
+        path = tmp_path / "series.csv"
+        write_csv(path, ["CQI"], [["7.0"], ["bogus"], ["nan"], ["9.0"]])
+        with pytest.raises(AdapterError, match=r"series.csv line 4: non-finite CQI 'nan'"):
+            ingest_real_dataset("cs3", str(path))
+
     def test_signals_round_trip_with_snr_filter(self, tmp_path):
         data = generate_signals(seed=9, n_per_class=2)
         path = tmp_path / "signals.csv"
@@ -311,6 +333,25 @@ class TestAdapters:
         assert np.array_equal(out["X"], data["X"])
         assert np.array_equal(out["Y"], data["Y"])
         assert np.array_equal(out["topology"].ue_positions, topo.ue_positions)
+
+    def test_a_non_finite_power_makes_its_row_malformed(self, tmp_path, caplog):
+        data = generate_placements(seed=10, n_samples=4, ues_per_cell=1)
+        topo = data["topology"]
+        path = tmp_path / "placements.csv"
+        rows = [[repr(float(v)) for v in np.concatenate([data["X"][i], data["Y"][i]])]
+                for i in range(4)]
+        rows[1][-1] = "inf"
+        write_csv(path, list(data["schema"]) + [f"p{k}" for k in range(topo.n_ues)], rows)
+        (tmp_path / "placements.csv.topology.json").write_text(json.dumps({
+            "gnb_positions": topo.gnb_positions.tolist(),
+            "cell_bounds": [list(b) for b in topo.cell_bounds],
+            "ue_positions": topo.ue_positions.tolist(),
+            "serving": topo.serving.tolist(),
+        }))
+        out = ingest_real_dataset("cs5", str(path))
+        assert np.array_equal(out["Y"], data["Y"][[0, 2, 3]])
+        assert (out["provenance"]["rows"], out["provenance"]["skipped"]) == (4, 1)
+        assert "line 3 skipped: non-finite power 'inf'" in caplog.text
 
     def test_subscriptions_round_trip(self, tmp_path):
         data = generate_subscriptions(seed=11, n=30)

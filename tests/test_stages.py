@@ -20,7 +20,8 @@ import mlsec5g
 from mlsec5g.config import STAGES, build_config
 from mlsec5g.report import report_to_dict, write_report
 from mlsec5g.repro import canonical_json, derive_seed
-from mlsec5g.scenarios.generators import (ATTACKER_IPS, CQI_FEATURES, SLICE_FEATURES,
+from mlsec5g.scenarios.generators import (ATTACKER_IPS, CQI_FEATURES, MODULATIONS,
+                                          SIGNAL_FEATURES, SLICE_FEATURES,
                                           generate_scenario_data)
 from mlsec5g.scenarios import runner
 from mlsec5g.scenarios.runner import run_case_study
@@ -130,18 +131,33 @@ def export(scenario: str, data: dict, root: Path) -> dict:
         write_rows(root / "sessions.csv", ("src_ip", "src_port", "label"),
                    [(ip, port, label) for (ip, port), label in data["session_labels"].items()])
         return {"path": str(root), "format": {"attacker_ips": list(ATTACKER_IPS)}}
-    schema, label, truth = {"cs2": (CQI_FEATURES, "CQI", data.get("targets")),
-                            "cs6": (SLICE_FEATURES, "Slice", data.get("labels"))}[scenario]
-    write_rows(root / "data.csv", schema + (label,),
-               [[r[c] for c in schema] + [t] for r, t in zip(data["records"], truth)])
+    if scenario == "cs4":
+        write_rows(root / "data.csv", SIGNAL_FEATURES + ("label",),
+                   [[float(v) for v in x] + [MODULATIONS[c]]
+                    for x, c in zip(data["X"], data["y"])])
+    elif scenario == "cs5":
+        topo = data["topology"]
+        write_rows(root / "data.csv", data["schema"] + tuple(f"p{k}" for k in range(topo.n_ues)),
+                   [[float(v) for v in (*x, *p)] for x, p in zip(data["X"], data["Y"])])
+        (root / "data.csv.topology.json").write_text(json.dumps({
+            "gnb_positions": topo.gnb_positions.tolist(),
+            "cell_bounds": [list(b) for b in topo.cell_bounds],
+            "ue_positions": topo.ue_positions.tolist(),
+            "serving": topo.serving.tolist(), "power_budget": topo.power_budget}))
+    else:
+        schema, label, truth = {"cs2": (CQI_FEATURES, "CQI", data.get("targets")),
+                                "cs6": (SLICE_FEATURES, "Slice", data.get("labels"))}[scenario]
+        write_rows(root / "data.csv", schema + (label,),
+                   [[r[c] for c in schema] + [t] for r, t in zip(data["records"], truth)])
     return {"path": str(root / "data.csv")}
 
 
-@pytest.mark.parametrize("scenario", ["cs1", "cs2", "cs6"])
+@pytest.mark.parametrize("scenario", ["cs1", "cs2", "cs4", "cs5", "cs6"])
 def test_synthetic_data_read_back_from_files_gives_the_synthetic_run(tmp_path, scenario):
     """The real-data path end to end: the same rows through the adapter and
     the whole pipeline give the same report, all but the fingerprint (the
-    config now names a path), and the same plot rows."""
+    config now names a path) and cs4's overlap with the generator's
+    informative features, which a file does not know, and the same plot rows."""
     synthetic = build_config({"scenario": scenario, "seed": 0, **REDUCED[scenario]})
     data = generate_scenario_data(scenario, seed=derive_seed(0, "data"),
                                   **synthetic.data["synthetic"])
@@ -151,6 +167,9 @@ def test_synthetic_data_read_back_from_files_gives_the_synthetic_run(tmp_path, s
     assert want.config_fingerprint != got.config_fingerprint
     want_view, got_view = report_to_dict(want), report_to_dict(got)
     del want_view["config_fingerprint"], got_view["config_fingerprint"]
+    if scenario == "cs4":
+        assert "top_k_informative_overlap" not in got_view["extras"]
+        del want_view["extras"]["top_k_informative_overlap"]
     assert same(got_view, want_view)
     assert got.plot_series == want.plot_series
 
