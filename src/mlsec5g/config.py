@@ -19,9 +19,11 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .attacks import SPOOF_MODES
+from .flows import FEATURE_NAMES
 from .models.base import _BOOL, _COUNT, _POSITIVE, _ROWS, _int, _is_number, _number
 from .repro import fingerprint
-from .scenarios.generators import CQI_PROFILES, N_SIGNAL_FEATURES, SCENARIOS
+from .scenarios.generators import (CQI_FEATURES, CQI_PROFILES, N_SIGNAL_FEATURES,
+                                   SCENARIOS, SLICE_FEATURES)
 
 # each stage and how far it runs: 0 stops after the data, 1 after the
 # baseline, 2 after the attacks, 3 scores the defenses too
@@ -225,14 +227,27 @@ def _attackers_exist(ids, ues_per_cell):
                 f"{4 * ues_per_cell}, got {ids!r}")
 
 
+def _mtry_fits(path, width):
+    """Refuse an integer max_features wider than the schema the scenario reads."""
+    def rule(m):
+        if type(m) is int and m > width:
+            return (f"config.{path}: must be at most {width}, the number of features "
+                    f"the scenario reads, got {m!r}")
+    return (path,), rule
+
+
 # cross-key rules over the merged config: (the keys each one reads, the rule)
 _RULES = {
-    "cs1": [(("attack.pad_level_index", "attack.multipliers"), _pad_in_range)],
+    "cs1": [(("attack.pad_level_index", "attack.multipliers"), _pad_in_range),
+            _mtry_fits("model.max_features", len(FEATURE_NAMES))],
+    "cs2": [_mtry_fits("model.max_features", len(CQI_FEATURES))],
     "cs3": [(("data.synthetic.length", "attack.period_s"), _live_covers_period),
             (("data.synthetic.length", "model.window"), _warmup_beats_window)],
     "cs5": [(("data.synthetic.min_gnb_distance", "data.synthetic.cell_size"),
              _placement_fits),
             (("attack.attacker_ids", "data.synthetic.ues_per_cell"), _attackers_exist)],
+    "cs4": [_mtry_fits("model.forest.max_features", N_SIGNAL_FEATURES)],
+    "cs6": [_mtry_fits("model.max_features", len(SLICE_FEATURES))],
 }
 
 

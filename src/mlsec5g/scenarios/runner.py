@@ -8,9 +8,11 @@ The master seed fans out through derive_seed(seed, stage, ...) so any stage
 can be reproduced in isolation.
 
 The drivers share their common steps: _load_data (synthetic or ingested
-data), _apply_levels (one row-aligned adversarial matrix per perturbation
-level, with its provenance), _plot_rows (a curve's points as plot rows) and
-_defend (adversarial training and feature removal against one perturbation,
+data), _plot_rows (a curve's points as plot rows) and, for cs2 and cs6,
+which perturb dict records, _load_records (records, feature matrix, truth and
+schema), _rsp_sweep (one row-aligned adversarial matrix per perturbation
+level, its provenance and the baseline's curve over them) and _defend
+(adversarial training and removal of the features the perturbation affects,
 each scored against the baseline).
 
 run_case_study(scenario, config, stage) is the one way in and owns the only
@@ -66,20 +68,30 @@ INTERNAL_PREFIXES = ("10.0.0.0/8", "172.16.0.0/12", "192.168.0.0/16")
 
 
 def _split(n: int, train_frac: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic shuffled split; both halves keep ascending order."""
-    perm = np.random.default_rng([seed & 0x7FFFFFFFFFFFFFFF, 0x5117]).permutation(n)
+    """Deterministic shuffled split; both halves keep ascending order and
+    neither may be empty."""
     k = int(round(train_frac * n))
+    if not 0 < k < n:
+        raise ValueError(f"a split needs a row on each side; {n} rows give {k} "
+                         f"training and {n - k} validation rows")
+    perm = np.random.default_rng([seed & 0x7FFFFFFFFFFFFFFF, 0x5117]).permutation(n)
     return np.sort(perm[:k]), np.sort(perm[k:])
+
+
+def _affected(spec: PerturbationSpec) -> list[str]:
+    """The fields a perturbation spec alters: its targets, its linked fields,
+    then every field the derived graph reaches from those, in graph order."""
+    affected = [*spec.target_fields, *spec.params.get("linked", {})]
+    for name in affected:  # the list grows as the loop reaches derived fields
+        affected += [d.name for d in spec.derived.edges.get(name, ()) if d.name not in affected]
+    return affected
 
 
 def _spec_scope(spec: PerturbationSpec, full_set, known) -> FeatureScope:
     """The attacker scope a perturbation spec implies: it consciously touches
-    its targets, and alters them, then its linked fields, then every field
-    the derived graph reaches from those, in graph order."""
-    affected = [*spec.target_fields, *spec.params.get("linked", {})]
-    for name in affected:  # the list grows as the loop reaches derived fields
-        affected += [d.name for d in spec.derived.edges.get(name, ()) if d.name not in affected]
-    return FeatureScope(full_set, known=known, conscious=spec.target_fields, affected=affected)
+    its targets and alters what _affected says."""
+    return FeatureScope(full_set, known=known, conscious=spec.target_fields,
+                        affected=_affected(spec))
 
 
 def _scope_dict(scope: FeatureScope) -> dict:
@@ -144,23 +156,44 @@ def _plot_rows(report: ExperimentReport, figure: str, series: str, curve,
             (figure, series, x_of(p.x), p.metric_mean, p.metric_std))
 
 
-def _apply_levels(records, spec, schema, seed):
-    """One adversarial matrix per level; alignment-breaking rejects are fatal."""
+def _load_records(report, config, truth, dtype=None):
+    """The scenario's dict records as (records, X, y, schema): X holds the
+    records' features in schema order and y the data's `truth` column."""
+    data = _load_data(report, config)
+    records = data["records"]
+    schema = tuple(data["schema"])
+    report.extras["n_records"] = len(records)
+    report.extras["extractor_fingerprint"] = fingerprint(
+        {"extractor": "column_order", "features": list(schema)})
+    return (records, records_to_matrix(records, schema),
+            np.asarray(data[truth], dtype=dtype), schema)
+
+
+def _rsp_sweep(report, baseline, data, va, spec, label, metric, figure, series):
+    """spec at each level on the validation records, seeded by label: one
+    row-aligned matrix per level (a rejected record is fatal) and its
+    provenance, then the baseline's curve and plot rows. Returns the sets."""
+    records, X, y, schema = data
+    v_records = [records[i] for i in va]
+    seed = derive_seed(report.seed, "rsp", label)
     sets = []
-    logs = []
     for li, level in enumerate(spec.intensity_levels):
-        out, plog = apply_rsp(records, spec, li, seed)
-        if len(out) != len(records):
+        out, plog = apply_rsp(v_records, spec, li, seed)
+        if len(out) != len(v_records):
             raise RuntimeError(
                 f"{spec.name}: {plog.n_rejected} records rejected; "
                 "row-aligned evaluation impossible")
         sets.append((level, records_to_matrix(out, schema)))
-        logs.append({"spec": spec.name, "level": level, **plog.counts()})
-    return sets, logs
+        report.provenance.append({"spec": spec.name, "level": level, **plog.counts()})
+    curve = run_inference_attack(
+        baseline, (X[va], y[va]), sets, metric, name=f"{report.scenario}/{label}",
+        x_label="draw" if spec.mode == "replace_random" else "multiplier").aggregate
+    report.curves.append(curve)
+    _plot_rows(report, figure, series, curve)
+    return sets
 
 
-def _defend(report, config, data, tr, va, baseline, task, spec, removed,
-            adv_sets, metric_fn) -> None:
+def _defend(report, config, data, tr, va, baseline, spec, adv_sets, metric_fn) -> None:
     """Adversarial training against spec and removal of the features it
     affects, each scored against the baseline on the same adversarial sets.
 
@@ -170,7 +203,7 @@ def _defend(report, config, data, tr, va, baseline, task, spec, removed,
     seed = config.seed
 
     def trainer(X_, y_, schema_, s):
-        return train_forest(ModelSpec("forest", task, config.model, seed=s),
+        return train_forest(ModelSpec("forest", baseline.task, config.model, seed=s),
                             X_, y_, schema_)
 
     def scored(model, defense):
@@ -186,7 +219,7 @@ def _defend(report, config, data, tr, va, baseline, task, spec, removed,
             derive_seed(seed, "advtrain"), aug_fraction=float(at_cfg["aug_fraction"])),
             "adversarial_training")
     if config.defense["feature_removal"]:
-        scored(feature_removal(trainer, X[tr], y[tr], schema, removed,
+        scored(feature_removal(trainer, X[tr], y[tr], schema, _affected(spec),
                                derive_seed(seed, "removal")),
                "feature_removal")
 
@@ -315,14 +348,13 @@ def _run_cs1(config: ExperimentConfig, report: ExperimentReport):
 
 
 def _cs2_specs(records, multipliers, replace_levels):
-    """The four attacker perturbations, each with the scope it implies."""
+    """The four attacker perturbations, by name."""
     rsrp_pool = tuple(float(r["RSRP"]) for r in records)
     rsrq_pool = tuple(float(r["RSRQ"]) for r in records)
     aiat_graph = DependencyGraph({
         "pktRx": (DerivedField("pktRxAiat", rule="inverse_scale"),),
     })
-    known = ("RSRP", "RSRQ", "pktRx", "pktRxByt", "pktRxAiat", "PHR")
-    specs = {
+    return {
         "rsrp_replace": PerturbationSpec(
             "rsrp_replace", ("RSRP",), "replace_random",
             tuple(float(i) for i in range(1, replace_levels + 1)),
@@ -343,22 +375,13 @@ def _cs2_specs(records, multipliers, replace_levels):
                          ConstraintRule("pktRxAiat", lo=0.0, action="clamp")),
             derived=aiat_graph),
     }
-    return specs, {name: _spec_scope(spec, G.CQI_FEATURES, known)
-                   for name, spec in specs.items()}
 
 
 def _run_cs2(config: ExperimentConfig, report: ExperimentReport):
     seed = config.seed
 
-    data = _load_data(report, config)
-    records = data["records"]
-    y = np.asarray(data["targets"], dtype=float)
-    schema = tuple(data["schema"])
-    X = records_to_matrix(records, schema)
-
-    report.extras["extractor_fingerprint"] = fingerprint(
-        {"extractor": "column_order", "features": list(schema)})
-    report.extras["n_records"] = len(records)
+    data = _load_records(report, config, "targets", float)
+    records, X, y, schema = data
     yield "data"
 
     tr, va = _split(len(records), 0.9, derive_seed(seed, "split"))
@@ -375,30 +398,18 @@ def _run_cs2(config: ExperimentConfig, report: ExperimentReport):
     attack_cfg = config.attack
     multipliers = [float(m) for m in attack_cfg["multipliers"]]
     replace_levels = int(attack_cfg["replace_levels"])
-    specs, scopes = _cs2_specs(records, multipliers, replace_levels)
-    report.extras["scopes"] = {name: _scope_dict(s) for name, s in scopes.items()}
-
-    v_records = [records[i] for i in va]
-    sets_by_scope = {}
-    for name in attack_cfg["scopes"]:
-        pspec = specs[name]
-        sets, logs = _apply_levels(v_records, pspec, schema,
-                                   derive_seed(seed, "rsp", name))
-        sets_by_scope[name] = sets
-        report.provenance.extend(logs)
-        curve = run_inference_attack(
-            baseline, (X[va], y[va]), sets, "RMSE",
-            name=f"cs2/{name}",
-            x_label="draw" if pspec.mode == "replace_random" else "multiplier"
-        ).aggregate
-        report.curves.append(curve)
-        _plot_rows(report, "cs2_scopes", name, curve)
+    specs = _cs2_specs(records, multipliers, replace_levels)
+    known = ("RSRP", "RSRQ", "pktRx", "pktRxByt", "pktRxAiat", "PHR")
+    report.extras["scopes"] = {name: _scope_dict(_spec_scope(s, schema, known))
+                               for name, s in specs.items()}
+    sets_by_scope = {name: _rsp_sweep(report, baseline, data, va, specs[name], name,
+                                      "RMSE", "cs2_scopes", name)
+                     for name in attack_cfg["scopes"]}
     yield "attack"
 
     canonical = "pktrx_shift"
     if canonical in sets_by_scope:
-        _defend(report, config, (records, X, y, schema), tr, va, baseline,
-                "regress", specs[canonical], scopes[canonical].affected,
+        _defend(report, config, data, tr, va, baseline, specs[canonical],
                 sets_by_scope[canonical], M.cqi_accuracy)
         for d in report.defenses:
             _plot_rows(report, "cs2_defenses", d.defense, d.residual)
@@ -705,26 +716,18 @@ def _run_cs5(config: ExperimentConfig, report: ExperimentReport):
 def _run_cs6(config: ExperimentConfig, report: ExperimentReport):
     seed = config.seed
 
-    data = _load_data(report, config)
-    records = data["records"]
-    y = np.asarray(data["labels"])
-    schema = tuple(data["schema"])
-    X = records_to_matrix(records, schema)
-    report.extras["n_records"] = len(records)
-    report.extras["extractor_fingerprint"] = fingerprint(
-        {"extractor": "column_order", "features": list(schema)})
-
+    data = _load_records(report, config, "labels")
+    records, X, y, schema = data
     insider_spec = PerturbationSpec(
         "insider_qos", ("PacketDelayBudget", "PacketLossRate"), "additive_std",
         tuple(config.attack["multipliers"]),
         constraints=(
             ConstraintRule("PacketDelayBudget", lo=0.0, action="clamp"),
             ConstraintRule("PacketLossRate", lo=0.0, action="clamp")))
-    insider_scope = _spec_scope(insider_spec, schema, schema)
     report.extras["scopes"] = {
         "outsider": _scope_dict(FeatureScope(schema, known=schema, conscious=("Day", "Hour"),
                                              affected=("Day", "Hour"))),
-        "insider": _scope_dict(insider_scope)}
+        "insider": _scope_dict(_spec_scope(insider_spec, schema, schema))}
     yield "data"
 
     tr, va = _split(len(records), 0.9, derive_seed(seed, "split"))
@@ -752,19 +755,11 @@ def _run_cs6(config: ExperimentConfig, report: ExperimentReport):
     report.extras["outsider_rows"] = int(len(va))
 
     if config.attack["insider"]:
-        insider_sets, logs = _apply_levels(
-            [records[i] for i in va], insider_spec, schema,
-            derive_seed(seed, "rsp", "insider"))
-        report.provenance.extend(logs)
-        curve = run_inference_attack(baseline, (X[va], y[va]), insider_sets,
-                                     "Acc", name="cs6/insider",
-                                     x_label="multiplier").aggregate
-        report.curves.append(curve)
-        _plot_rows(report, "cs6_insider", "insider_acc", curve)
+        insider_sets = _rsp_sweep(report, baseline, data, va, insider_spec, "insider",
+                                  "Acc", "cs6_insider", "insider_acc")
     yield "attack"
 
     if config.attack["insider"]:
-        _defend(report, config, (records, X, y, schema), tr, va, baseline,
-                "classify", insider_spec, insider_scope.affected, insider_sets,
+        _defend(report, config, data, tr, va, baseline, insider_spec, insider_sets,
                 M.accuracy)
     yield "defend"

@@ -405,6 +405,31 @@ BAD_VALUES = [
 ]
 
 
+@pytest.mark.parametrize("scenario, path, width", [
+    ("cs1", ("model",), 13), ("cs2", ("model",), 16), ("cs6", ("model",), 8),
+    ("cs4", ("model", "forest"), 256)])
+def test_an_integer_max_features_wider_than_the_data_is_refused(tmp_path, capsys, scenario,
+                                                                path, width):
+    """Each scenario's schema fixes its width, so the config refuses an
+    integer max_features above it and the CLI exits 2, before any stage."""
+    def raw(m):
+        section = {"max_features": m}
+        for key in reversed(path):
+            section = {key: section}
+        return {"scenario": scenario, **section}
+
+    key = "config." + ".".join(path) + ".max_features"
+    assert validate_config(raw(width + 1)) == [
+        f"{key}: must be at most {width}, the number of features the scenario reads, "
+        f"got {width + 1}"]
+    assert validate_config(raw(width)) == []
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw(width + 1)))
+    out = tmp_path / "r"
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"{key}:" in capsys.readouterr().err and not out.exists()
+
+
 @pytest.mark.parametrize("scenario, sections, key", BAD_VALUES)
 def test_every_bad_value_exits_2_at_every_stage(tmp_path, capsys, scenario, sections, key):
     path = tmp_path / "cfg.json"

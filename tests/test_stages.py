@@ -22,7 +22,7 @@ from mlsec5g.report import report_to_dict, write_report
 from mlsec5g.repro import canonical_json, derive_seed
 from mlsec5g.scenarios.generators import (ATTACKER_IPS, CQI_FEATURES, MODULATIONS,
                                           SIGNAL_FEATURES, SLICE_FEATURES,
-                                          generate_scenario_data)
+                                          generate_cqi_series, generate_scenario_data)
 from mlsec5g.scenarios import runner
 from mlsec5g.scenarios.runner import run_case_study
 from views import artifact_digest, packets_to_text
@@ -172,6 +172,51 @@ def test_synthetic_data_read_back_from_files_gives_the_synthetic_run(tmp_path, s
         del want_view["extras"]["top_k_informative_overlap"]
     assert same(got_view, want_view)
     assert got.plot_series == want.plot_series
+
+
+def test_a_cqi_series_read_from_a_file_runs_through_every_stage(tmp_path):
+    """cs3's data.path: one generated series written as a CQI column is the
+    one "real" profile, with an exact control, a differential per spoof mode,
+    one warm-up and one stream, and the file named in run_meta.json."""
+    synthetic = build_config({"scenario": "cs3", "seed": 0, **REDUCED["cs3"]})
+    syn = dict(synthetic.data["synthetic"])
+    profile = syn.pop("profiles")[0]
+    series = generate_cqi_series(seed=derive_seed(0, "data", profile), profile=profile,
+                                 **syn)["series"]
+    path = tmp_path / "cqi.csv"
+    write_rows(path, ("CQI",), [[float(v)] for v in series])
+    real = build_config({"scenario": "cs3", "seed": 0, **REDUCED["cs3"],
+                         "data": {"path": str(path)}})
+    report = run_case_study("cs3", config=real)
+    assert report.extras["profiles"] == ["real"]
+    assert report.extras["control_zero[real]"] is True
+    assert sorted(report.extras["final_differential"]) == sorted(
+        f"real/{mode}" for mode in real.attack["spoof_modes"])
+    write_report(report, str(tmp_path / "out" / "cs3"))
+    meta = json.loads((tmp_path / "out" / "cs3" / "run_meta.json").read_text())
+    assert sorted(meta["timings_s"]) == ["attack[real]", "data", "train[real]"]
+    assert meta["data"] == {"path": os.path.abspath(path), "scenario": "cs3",
+                            "rows": len(series), "skipped": 0}
+
+
+@pytest.mark.parametrize("scenario", ["cs2", "cs6"])
+def test_a_split_with_an_empty_side_fails_before_any_fit(tmp_path, monkeypatch, scenario):
+    """Three rows split 90/10 leave no validation row. `generate` still reads
+    them; `train` names the counts before a model is fit."""
+    synthetic = build_config({"scenario": scenario, "seed": 0, **REDUCED[scenario]})
+    data = generate_scenario_data(scenario, seed=derive_seed(0, "data"),
+                                  **synthetic.data["synthetic"])
+    data["records"] = data["records"][:3]
+    config = build_config({"scenario": scenario, "seed": 0, **REDUCED[scenario],
+                           "data": export(scenario, data, tmp_path / scenario)})
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("a model was trained")
+
+    monkeypatch.setattr(runner, "train_forest", refuse)
+    assert run_case_study(scenario, config=config, stage="generate").extras["n_records"] == 3
+    with pytest.raises(ValueError, match="3 rows give 3 training and 0 validation rows"):
+        run_case_study(scenario, config=config, stage="train")
 
 
 def test_a_real_data_run_names_its_file_in_run_meta(tmp_path):
