@@ -16,7 +16,7 @@ import numpy as np
 from . import metrics as M
 from .forkmap import fork_map
 from .models.recurrent import OnlineRecurrentModel
-from .repro import derive_seed
+from .repro import derive_seed, seeded
 from .threat import degradation
 
 METRIC_REGISTRY: dict[str, Callable] = {
@@ -25,16 +25,14 @@ METRIC_REGISTRY: dict[str, Callable] = {
 }
 
 
-def resolve_metric(metric_name: str, metric_fn: Callable | None = None):
-    """Return (fn, orientation) for a metric name of metrics.ORIENTATION;
-    metric_fn, when given, scores it in place of the registered function."""
-    if metric_name not in M.ORIENTATION:
-        raise ValueError(f"unknown metric_name {metric_name!r}; "
-                         f"expected one of {tuple(M.ORIENTATION)}")
+def resolve_metric(metric_name: str, metric_fn: Callable | None = None) -> Callable:
+    """The (y_true, y_pred) scorer of a metric name of metrics.ORIENTATION:
+    metric_fn when given, else the registered function."""
+    M._orientation(metric_name)  # an unknown name is an error, even with metric_fn
     fn = metric_fn if metric_fn is not None else METRIC_REGISTRY.get(metric_name)
     if fn is None:
         raise ValueError(f"no metric function registered for {metric_name!r}; pass metric_fn")
-    return fn, M.ORIENTATION[metric_name]
+    return fn
 
 
 @dataclass(frozen=True)
@@ -62,13 +60,12 @@ class DegradationCurve:
     points: tuple[CurvePoint, ...]
 
 
-def summarize_curve(name, metric_name, orientation, x_label, baseline,
-                    raw_points) -> DegradationCurve:
-    """raw_points: sequence of (x, [per-trial metric values]).
-
-    baseline is one clean metric value, or one per trial, each measured
-    against that trial's values; the curve's baseline is their mean.
-    """
+def summarize_curve(name, metric_name, x_label, baseline, raw_points) -> DegradationCurve:
+    """raw_points: sequence of (x, [per-trial metric values]); metric_name's
+    ORIENTATION entry signs the damage. baseline is one clean metric value, or
+    one per trial, each measured against that trial's values; the curve's
+    baseline is their mean."""
+    orientation = M._orientation(metric_name)
     pts = []
     for x, values in raw_points:
         values = tuple(float(v) for v in values)
@@ -114,7 +111,7 @@ def run_inference_attack(model, clean_eval, adversarial_sets, metric_name: str,
     y = np.asarray(y)
     if X.shape[0] != y.shape[0]:
         raise ValueError("clean rows and targets are not aligned")
-    fn, orient = resolve_metric(metric_name, metric_fn)
+    fn = resolve_metric(metric_name, metric_fn)
     if group_by is not None:
         group_by = np.asarray(group_by)
         if group_by.shape[0] != X.shape[0]:
@@ -142,7 +139,7 @@ def run_inference_attack(model, clean_eval, adversarial_sets, metric_name: str,
         base = float(fn(y[rows], pred_clean[rows]))
         raw = [(x, [float(fn(y[rows], p[rows])) for p in predictions])
                for x, predictions in sweep]
-        return summarize_curve(label, metric_name, orient, x_label, base, raw)
+        return summarize_curve(label, metric_name, x_label, base, raw)
 
     aggregate = curve_for(np.arange(X.shape[0]), name)
     per_group: dict[object, DegradationCurve] = {}
@@ -171,7 +168,7 @@ def run_training_attack(trainer: Callable, T, V, ratios: Sequence[float],
     cells run through `fork_map`, in forked workers where there are CPUs to
     spare, and are gathered in cell order: the same bits for any worker count.
     """
-    _, orient = resolve_metric(metric_name, evaluator)
+    M._orientation(metric_name)  # an unknown name fails before any retrain
     ratios = sorted(set(float(r) for r in ratios) | {0.0})
     for r in ratios:
         if not 0.0 <= r <= 1.0:
@@ -190,7 +187,7 @@ def run_training_attack(trainer: Callable, T, V, ratios: Sequence[float],
     for (_, j), value in zip(cells, fork_map(cell, cells)):
         values[j].append(value)
     # ratios[0] is the 0.0 control, the baseline of its own trial
-    return summarize_curve(name, metric_name, orient, "poison_ratio", values[0],
+    return summarize_curve(name, metric_name, "poison_ratio", values[0],
                            list(zip(ratios, values)))
 
 
@@ -199,7 +196,6 @@ def run_training_attack(trainer: Callable, T, V, ratios: Sequence[float],
 
 SPOOF_MODES = ("floor_zero", "jitter")
 JITTER_MAX_OFFSET = 3
-CQI_RANGE = (0, 15)
 
 
 def spoof_value(mode: str, true_value: float, step_index: int, seed: int) -> float:
@@ -207,11 +203,10 @@ def spoof_value(mode: str, true_value: float, step_index: int, seed: int) -> flo
     if mode == "floor_zero":
         return 0.0
     if mode == "jitter":
-        rng = np.random.default_rng([int(seed) & 0x7FFFFFFFFFFFFFFF, step_index])
+        rng = seeded(seed, step_index)
         magnitude = int(rng.integers(1, JITTER_MAX_OFFSET + 1))
         sign = 1.0 if rng.random() < 0.5 else -1.0
-        lo, hi = CQI_RANGE
-        return float(min(hi, max(lo, true_value + sign * magnitude)))
+        return float(min(M.CQI_MAX, max(M.CQI_MIN, true_value + sign * magnitude)))
     raise ValueError(f"unknown spoof mode {mode!r}; expected one of {SPOOF_MODES}")
 
 

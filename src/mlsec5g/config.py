@@ -15,7 +15,7 @@ fingerprint exactly when they ran the same experiment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import reduce
 
 from .attacks import SPOOF_MODES
@@ -31,8 +31,9 @@ STAGES = {"generate": 0, "train": 1, "attack": 2, "all": 3}
 
 MULTIPLIERS = [0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0]
 
-# the cs2 attacker scopes the runner knows how to perturb
+# the cs2 attacker scopes the runner knows how to perturb, and the one it defends
 CS2_SCOPES = ("rsrp_replace", "pktrxbyt_shift", "pktrx_shift", "both_counters")
+_CS2_DEFENDED = "pktrx_shift"
 
 DEFAULTS: dict[str, dict] = {
     "cs1": {
@@ -236,18 +237,31 @@ def _mtry_fits(path, width):
     return (path,), rule
 
 
+def _removal_mtry_fits(width, attack_key, attacks=bool):
+    """Refuse an integer max_features above width - 2 when feature removal is on
+    and attacks(attack_key's value) says the defended attack runs: the removal
+    retrain drops the two fields the runner's defended spec alters."""
+    def rule(m, removal, attack):
+        if removal and attacks(attack) and type(m) is int and width - 2 < m <= width:
+            return (f"config.model.max_features: must be at most {width - 2}, the number "
+                    f"of features left after defense.feature_removal, got {m!r}")
+    return ("model.max_features", "defense.feature_removal", attack_key), rule
+
+
 # cross-key rules over the merged config: (the keys each one reads, the rule)
 _RULES = {
     "cs1": [(("attack.pad_level_index", "attack.multipliers"), _pad_in_range),
             _mtry_fits("model.max_features", len(FEATURE_NAMES))],
-    "cs2": [_mtry_fits("model.max_features", len(CQI_FEATURES))],
+    "cs2": [_mtry_fits("model.max_features", len(CQI_FEATURES)),
+            _removal_mtry_fits(len(CQI_FEATURES), "attack.scopes", lambda s: _CS2_DEFENDED in s)],
     "cs3": [(("data.synthetic.length", "attack.period_s"), _live_covers_period),
             (("data.synthetic.length", "model.window"), _warmup_beats_window)],
     "cs5": [(("data.synthetic.min_gnb_distance", "data.synthetic.cell_size"),
              _placement_fits),
             (("attack.attacker_ids", "data.synthetic.ues_per_cell"), _attackers_exist)],
     "cs4": [_mtry_fits("model.forest.max_features", N_SIGNAL_FEATURES)],
-    "cs6": [_mtry_fits("model.max_features", len(SLICE_FEATURES))],
+    "cs6": [_mtry_fits("model.max_features", len(SLICE_FEATURES)),
+            _removal_mtry_fits(len(SLICE_FEATURES), "attack.insider")],
 }
 
 
@@ -309,19 +323,8 @@ class ExperimentConfig:
     attack: dict
     defense: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "seed": int(self.seed),
-            "out_dir": self.out_dir,
-            "data": self.data,
-            "model": self.model,
-            "attack": self.attack,
-            "defense": self.defense,
-        }
-
     def fingerprint(self) -> str:
-        return fingerprint({k: v for k, v in self.to_dict().items() if k != "out_dir"})
+        return fingerprint({k: v for k, v in asdict(self).items() if k != "out_dir"})
 
 
 def build_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:

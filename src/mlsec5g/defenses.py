@@ -17,7 +17,7 @@ import numpy as np
 
 from .attacks import DegradationCurve, resolve_metric, run_inference_attack
 from .perturb import PerturbationSpec, apply_rsp
-from .repro import derive_seed
+from .repro import derive_seed, seeded
 from .threat import TradeoffReport, tradeoff
 
 
@@ -53,8 +53,7 @@ def adversarial_training(trainer: Callable, records: Sequence[dict], y,
 
     n = len(records)
     k = math.ceil(aug_fraction * n)
-    rng = np.random.default_rng([int(seed) & 0x7FFFFFFFFFFFFFFF, 0xA06])
-    aug_idx = np.sort(rng.choice(n, size=k, replace=False))
+    aug_idx = np.sort(seeded(seed, 0xA06).choice(n, size=k, replace=False))
     subset = [records[i] for i in aug_idx]
     y_subset = y[aug_idx]
 
@@ -101,8 +100,6 @@ class DefenseEvaluation:
     defense: str
     tradeoff: TradeoffReport
     residual: DegradationCurve
-    baseline_clean: float
-    hardened_clean: float
 
 
 def evaluate_defense(baseline_model, hardened_model, V, adversarial_sets,
@@ -113,22 +110,18 @@ def evaluate_defense(baseline_model, hardened_model, V, adversarial_sets,
     V is (X, y, schema) with X in the full schema; both models see only the
     columns they were trained on, so feature-removal models evaluate through
     projection. The tradeoff is computed on clean V only; the residual curve
-    re-runs the adversarial sweep against the hardened model. When the
-    hardened model's schema contains none of an attack's affected columns,
-    projected adversarial rows equal projected clean rows and the residual
-    degradation is exactly zero. adversarial_sets takes what
+    re-runs the adversarial sweep against the hardened model, and its
+    baseline, the hardened model's one clean score, is the tradeoff's
+    p_hardened. When the hardened model's schema contains none of an attack's
+    affected columns, projected adversarial rows equal projected clean rows
+    and the residual degradation is exactly zero. adversarial_sets takes what
     run_inference_attack takes, generators included; each variant is
     projected as the sweep reaches it.
     """
     X, y, schema = V
-    X = np.asarray(X, dtype=float)
-    fn = resolve_metric(metric_name, metric_fn)[0]
-
+    fn = resolve_metric(metric_name, metric_fn)
     Xb = project_columns(X, schema, baseline_model.schema)
-    Xh = project_columns(X, schema, hardened_model.schema)
     p_base = float(fn(y, baseline_model.predict(Xb)))
-    p_hardened = float(fn(y, hardened_model.predict(Xh)))
-    report = tradeoff(p_base, p_hardened, metric_name)
 
     def project(v):
         return project_columns(v, schema, hardened_model.schema)
@@ -137,6 +130,7 @@ def evaluate_defense(baseline_model, hardened_model, V, adversarial_sets,
                   else map(project, variants))
                  for x, variants in adversarial_sets)
     residual = run_inference_attack(
-        hardened_model, (Xh, y), projected, metric_name, metric_fn=fn,
+        hardened_model, (project(X), y), projected, metric_name, metric_fn=fn,
         name=f"residual[{defense}]").aggregate
-    return DefenseEvaluation(defense, report, residual, p_base, p_hardened)
+    return DefenseEvaluation(defense, tradeoff(p_base, residual.baseline, metric_name),
+                             residual)

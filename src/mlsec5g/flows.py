@@ -21,6 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .repro import seeded
+
 PROTOCOLS = ("TCP", "UDP", "other")
 TCP_FLAGS = ("SYN", "ACK", "FIN", "RST", "PSH")
 MAX_PAYLOAD = 1500
@@ -311,8 +313,7 @@ def pad_payloads(packets: Sequence[PacketRecord], attacker_ues: Sequence[str],
         if max_pad == 0 or p.src_ip not in attackers or p.payload_len == 0:
             out.append(p)
             continue
-        rng = np.random.default_rng([int(seed) & 0x7FFFFFFFFFFFFFFF, i])
-        pad = int(rng.random() * (max_pad + 1))
+        pad = int(seeded(seed, i).random() * (max_pad + 1))
         if pad == 0:
             out.append(p)
             continue
@@ -348,8 +349,7 @@ def poison_training_set(training_flows: Sequence[FlowRecord], attacker_ues: Sequ
     if ratio == 0.0 or not attacker_idx:
         return out
     k = math.ceil(ratio * len(attacker_idx))
-    rng = np.random.default_rng([int(seed) & 0x7FFFFFFFFFFFFFFF, 0xB0150])
-    chosen = rng.choice(len(attacker_idx), size=k, replace=False)
+    chosen = seeded(seed, 0xB0150).choice(len(attacker_idx), size=k, replace=False)
     for c in sorted(int(x) for x in np.atleast_1d(chosen)):
         i = attacker_idx[c]
         ident = flow_identity(training_flows[i])

@@ -18,6 +18,14 @@ ORIENTATION = {
     "SE": "higher_better",
 }
 
+
+def _orientation(metric_name: str) -> str:
+    """metric_name's ORIENTATION entry; an unknown name is a ValueError."""
+    if metric_name not in ORIENTATION:
+        raise ValueError(f"unknown metric_name {metric_name!r}; expected one of {tuple(ORIENTATION)}")
+    return ORIENTATION[metric_name]
+
+
 CQI_MIN = 0
 CQI_MAX = 15
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..forkmap import fork_map
+from ..repro import seeded
 from .base import ModelSpec, TrainedModel, default_schema
 
 _EPS_GAIN = 1e-12
@@ -443,12 +444,11 @@ def train_forest(spec: ModelSpec, X, y, schema=None, sample_weight=None) -> Fore
         raise ValueError("X and y row counts differ")
 
     n = X.shape[0]
-    seed = int(spec.seed) & 0x7FFFFFFFFFFFFFFF
     XT = np.ascontiguousarray(X.T)
     order = np.argsort(XT, axis=1, kind="stable")  # the fit's only sort
 
     def grow(t: int):
-        rng = np.random.default_rng([seed, t])
+        rng = seeded(spec.seed, t)
         rows = np.sort(rng.integers(0, n, size=n)) if bootstrap else np.arange(n)
         grower = _Grower(XT[:, rows], target[rows], w[rows], classify=classify, n_classes=K,
                          max_depth=max_depth, min_split=min_split, min_leaf=min_leaf,

@@ -39,6 +39,7 @@ from contextlib import nullcontext
 import numpy as np
 
 from .. import forkmap
+from ..repro import seeded
 from .base import ModelSpec, TrainedModel, _adam, default_schema
 
 # A fit splits its epochs only from these sizes on, both measured on a 2-core
@@ -291,7 +292,7 @@ def build_network(spec: ModelSpec, in_dim: int, out_dim: int, schema, classes,
     """Seeded Glorot-uniform initialization of the layer stack."""
     hp = spec.hyperparameters
     hidden = tuple(int(h) for h in hp.get("hidden", (32,)))
-    rng = np.random.default_rng([int(spec.seed) & 0x7FFFFFFFFFFFFFFF, 0x9E7])
+    rng = seeded(spec.seed, 0x9E7)
     dims = (in_dim,) + hidden + (out_dim,)
     weights, biases = [], []
     for i in range(len(dims) - 1):

@@ -45,6 +45,7 @@ import math
 
 import numpy as np
 
+from ..repro import seeded
 from .base import ModelSpec, TrainedModel, _adam
 
 _PARAM_ORDER = ("Wz", "Uz", "bz", "Wr", "Ur", "br", "Wh", "Uh", "bh", "Wy", "by")
@@ -346,7 +347,7 @@ def init_online(spec: ModelSpec, warmup_series) -> OnlineRecurrentModel:
     if sd < 1e-8:
         sd = 1.0
 
-    rng = np.random.default_rng([int(spec.seed) & 0x7FFFFFFFFFFFFFFF, 0x6E5])
+    rng = seeded(spec.seed, 0x6E5)
     scale_x = np.sqrt(6.0 / (1 + hidden))
     scale_h = np.sqrt(6.0 / (2 * hidden))
     scale_y = np.sqrt(6.0 / (hidden + 1))

@@ -22,6 +22,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .repro import seeded
+
 MODES = ("additive_std", "replace_random")
 
 
@@ -325,14 +327,9 @@ def _enforce(record: dict, constraints: Sequence[ConstraintRule]) -> IntegrityVe
     return verdict
 
 
-def _record_rng(seed: int, index: int) -> np.random.Generator:
-    # per-record stream so that any partitioning of the input agrees
-    return np.random.default_rng([int(seed) & 0x7FFFFFFFFFFFFFFF, int(index)])
-
-
 def derive_stream(seed: int, level_index: int) -> int:
     """Fold the level index into the seed so each level draws independently."""
-    return (int(seed) * 1000003 + int(level_index) + 1) & 0x7FFFFFFFFFFFFFFF
+    return int(seed) * 1000003 + int(level_index) + 1
 
 
 def apply_rsp(records: Sequence[Mapping], spec: PerturbationSpec, level_index: int,
@@ -376,8 +373,8 @@ def apply_rsp(records: Sequence[Mapping], spec: PerturbationSpec, level_index: i
                     new[fname] = original[fname] + d
                     changed.add(fname)
         else:  # replace_random
-            rng = _record_rng(derive_stream(seed, level_index), i)
-            j = int(rng.integers(0, len(donor_pool)))
+            # per-record stream so that any partitioning of the input agrees
+            j = int(seeded(derive_stream(seed, level_index), i).integers(0, len(donor_pool)))
             for fname, pool in [(spec.target_fields[0], donor_pool)] + \
                     [(lf, lv) for lf, lv in linked.items()]:
                 if new[fname] != pool[j]:

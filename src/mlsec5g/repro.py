@@ -1,9 +1,10 @@
-"""Reproducibility plumbing: seed fan-out, fingerprints, atomic writes.
+"""Reproducibility plumbing: seeds and streams, fingerprints, atomic writes.
 
 Every run hangs off one master seed. Sub-stages never consume the master
 directly; they derive their own seed from (master, stage label, index) via
 sha256 so that any stage can be re-run in isolation and so that adding a stage
-never shifts the randomness of its neighbours.
+never shifts the randomness of its neighbours. Every random stream is
+seeded(derived seed, tag): the one place that builds a numpy Generator.
 """
 
 from __future__ import annotations
@@ -26,6 +27,11 @@ def derive_seed(master: int, *parts: object) -> int:
     text = str(int(master)) + "".join("|" + str(p) for p in parts)
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") & 0x7FFFFFFFFFFFFFFF
+
+
+def seeded(seed: int, tag: int) -> np.random.Generator:
+    """The Generator of (seed folded to 63 bits, tag): one stream per tag."""
+    return np.random.default_rng([int(seed) & 0x7FFFFFFFFFFFFFFF, int(tag)])
 
 
 def canonical_json(obj: Any) -> str:

@@ -145,12 +145,10 @@ def _traffic(path, fmt):
     sessions, lbl_prov = _read(
         lbl_path, fmt, ("src_ip", "src_port", "label"),
         lambda v: ((v[0].strip(), int(v[1])), v[2].strip()), truth=("label",))
-    session_labels = dict(sessions)
     return {
         "packets": sorted(packets, key=lambda p: p.timestamp),
-        "session_labels": session_labels,
+        "session_labels": dict(sessions),
         "attacker_ips": tuple(fmt.get("attacker_ips", ())),
-        "classes": tuple(sorted(set(session_labels.values()))),
         "provenance": {"packets": pkt_prov, "sessions": lbl_prov},
     }
 
@@ -169,8 +167,7 @@ def _cqi_records(path, fmt):
 def _cqi_series(path, fmt):
     rows, prov = _read(path, fmt, ("CQI",), lambda v: _truth(v[0], "CQI", AdapterError),
                        truth=("CQI",))
-    return {"series": np.asarray(rows, dtype=float), "bounds": (0.0, 15.0),
-            "profile": "real", "provenance": prov}
+    return {"series": np.asarray(rows, dtype=float), "profile": "real", "provenance": prov}
 
 
 def _signals(path, fmt):
@@ -188,7 +185,6 @@ def _signals(path, fmt):
         "X": np.asarray([x for x, _ in rows], dtype=float),
         "y": np.asarray([y for _, y in rows], dtype=int),
         "schema": SIGNAL_FEATURES,
-        "classes": MODULATIONS,
         "informative": None,
         "provenance": prov,
     }
@@ -232,6 +228,5 @@ def _subscriptions(path, fmt):
         "records": [r for r, _ in rows],
         "labels": np.asarray([label for _, label in rows]),
         "schema": SLICE_FEATURES,
-        "classes": SLICE_CLASSES,
         "provenance": prov,
     }

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..flows import PacketRecord
+from ..repro import seeded
 from .mimo import grid_topology, ground_truth_power, place_terminals
 
 SCENARIOS = ("cs1", "cs2", "cs3", "cs4", "cs5", "cs6")
@@ -42,10 +43,6 @@ N_SIGNAL_FEATURES = 256
 SIGNAL_FEATURES = tuple(f"iq_{i:03d}" for i in range(N_SIGNAL_FEATURES))
 
 ATTACKER_IPS = tuple(f"10.0.0.{i}" for i in range(1, 7))
-
-
-def _seed_rng(seed: int, tag: int) -> np.random.Generator:
-    return np.random.default_rng([int(seed) & 0x7FFFFFFFFFFFFFFF, tag])
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +99,7 @@ def generate_traffic(seed: int = 0, n_hosts: int = 114,
     At the defaults the six attacker handsets are 5% of the 120 hosts and
     contribute 5% of the flows.
     """
-    rng = _seed_rng(seed, 0xC51)
+    rng = seeded(seed, 0xC51)
     servers = [f"203.0.113.{i}" for i in range(1, 41)]
     packets = []
     session_labels = {}
@@ -131,12 +128,7 @@ def generate_traffic(seed: int = 0, n_hosts: int = 114,
             emit(ue_ip, bias)
 
     packets.sort(key=lambda p: p.timestamp)
-    return {
-        "packets": packets,
-        "session_labels": session_labels,
-        "attacker_ips": ATTACKER_IPS,
-        "classes": ("active", "background"),
-    }
+    return {"packets": packets, "session_labels": session_labels, "attacker_ips": ATTACKER_IPS}
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +144,7 @@ def generate_cqi_records(seed: int = 0, n: int = 3000) -> dict:
     is exactly the dependency an integrity-preserving perturbation must
     recompute.
     """
-    rng = _seed_rng(seed, 0xC52)
+    rng = seeded(seed, 0xC52)
     s = rng.uniform(0.0, 1.0, size=n)
     rsrp = -120.0 + 44.0 * s + rng.normal(0.0, 1.5, n)
     rsrq = -19.5 + 16.0 * s + rng.normal(0.0, 0.8, n)
@@ -222,7 +214,7 @@ def generate_cqi_series(seed: int = 0, length: int = 900,
     if profile not in CQI_PROFILES:
         raise ValueError(f"unknown series profile {profile!r}")
     sigma, lo, hi, start = CQI_PROFILES[profile]
-    rng = _seed_rng(seed, 0xC53)
+    rng = seeded(seed, 0xC53)
     series = np.empty(length)
     x = start
     for t in range(length):
@@ -234,7 +226,7 @@ def generate_cqi_series(seed: int = 0, length: int = 900,
             if x > hi:
                 x = 2 * hi - x
         series[t] = x
-    return {"series": series, "bounds": (lo, hi), "profile": profile}
+    return {"series": series, "profile": profile}
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +244,12 @@ def _class_templates() -> tuple[np.ndarray, np.ndarray]:
     trained classifiers a property of the signal structure itself, so
     ranking-based experiments do not wobble from one data draw to the next.
     """
-    pick = np.random.default_rng([_GEOMETRY_SEED, 4242])
+    pick = seeded(_GEOMETRY_SEED, 4242)
     informative = np.sort(pick.choice(N_SIGNAL_FEATURES, _N_INFORMATIVE,
                                       replace=False))
     templates = np.zeros((len(MODULATIONS), N_SIGNAL_FEATURES))
     for c in range(len(MODULATIONS)):
-        comp = np.random.default_rng([_GEOMETRY_SEED, c])
+        comp = seeded(_GEOMETRY_SEED, c)
         templates[c, informative] = comp.normal(0.0, 1.0, _N_INFORMATIVE)
     return templates, informative
 
@@ -267,7 +259,7 @@ def generate_signals(seed: int = 0, n_per_class: int = 100) -> dict:
     templates, informative = _class_templates()
     signal_power = float(np.mean(templates ** 2))
     noise_var = signal_power / (10.0 ** (_SNR_DB / 10.0))
-    rng = _seed_rng(seed, 0xC54)
+    rng = seeded(seed, 0xC54)
     n_classes = len(MODULATIONS)
     y = np.repeat(np.arange(n_classes), n_per_class)
     X = templates[y] + rng.normal(0.0, np.sqrt(noise_var),
@@ -277,7 +269,6 @@ def generate_signals(seed: int = 0, n_per_class: int = 100) -> dict:
         "X": X[order],
         "y": y[order],
         "schema": SIGNAL_FEATURES,
-        "classes": MODULATIONS,
         "informative": informative,
     }
 
@@ -298,7 +289,7 @@ def generate_placements(seed: int = 0, n_samples: int = 400,
     """
     topo = grid_topology(cell_size=cell_size, ues_per_cell=ues_per_cell,
                          seed=seed, min_gnb_distance=min_gnb_distance)
-    rng = _seed_rng(seed, 0xC55)
+    rng = seeded(seed, 0xC55)
     n_ues = topo.n_ues
     positions = place_terminals(rng, np.tile(topo.serving, n_samples), topo.cell_bounds,
                                 topo.gnb_positions, min_gnb_distance)
@@ -330,7 +321,7 @@ def slice_label(record) -> str:
 
 def generate_subscriptions(seed: int = 0, n: int = 4000) -> dict:
     """Subscription records labeled by the deterministic assignment rule."""
-    rng = _seed_rng(seed, 0xC56)
+    rng = seeded(seed, 0xC56)
     records = []
     for _ in range(n):
         rec = {
@@ -345,12 +336,7 @@ def generate_subscriptions(seed: int = 0, n: int = 4000) -> dict:
         }
         records.append(rec)
     labels = np.array([slice_label(r) for r in records])
-    return {
-        "records": records,
-        "labels": labels,
-        "schema": SLICE_FEATURES,
-        "classes": SLICE_CLASSES,
-    }
+    return {"records": records, "labels": labels, "schema": SLICE_FEATURES}
 
 
 # ---------------------------------------------------------------------------

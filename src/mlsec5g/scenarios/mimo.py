@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..repro import seeded
+
 PATHLOSS_EXPONENT = 3.7
 BUDGET_TOLERANCE = 1e-9
 _PLACE_BLOCK = 256  # (x, y) pairs drawn at once by place_terminals
@@ -93,7 +95,7 @@ def grid_topology(cell_size: float = 250.0, ues_per_cell: int = 5, seed: int = 0
         raise ValueError(f"min_gnb_distance {min_gnb_distance} must be below the "
                          f"inscribed radius {cell_size / 2.0:.6g} of a "
                          f"{cell_size} m cell")
-    rng = np.random.default_rng([int(seed) & 0x7FFFFFFFFFFFFFFF, 0x707])
+    rng = seeded(seed, 0x707)
     cells = []
     gnbs = []
     for row in range(2):

@@ -44,7 +44,7 @@ from .. import metrics as M
 from ..attacks import (CurvePoint, DegradationCurve, run_inference_attack,
                        run_online_attacks, run_training_attack, spoof_positions,
                        summarize_curve)
-from ..config import ExperimentConfig, STAGES, default_config
+from ..config import _CS2_DEFENDED, ExperimentConfig, STAGES, default_config
 from ..defenses import adversarial_training, evaluate_defense, feature_removal
 from ..flows import (FEATURE_NAMES, aggregate_flows,
                      extract_feature_matrix, label_flows, pad_payloads,
@@ -57,7 +57,7 @@ from ..models.recurrent import OnlineRecurrentModel, init_online
 from ..perturb import (ConstraintRule, DependencyGraph, DerivedField,
                        PerturbationSpec, apply_rsp)
 from ..report import ExperimentReport
-from ..repro import derive_seed, fingerprint
+from ..repro import derive_seed, fingerprint, seeded
 from ..threat import FeatureScope, validate_scope
 from . import generators as G
 from .adapters import ingest_real_dataset
@@ -74,7 +74,7 @@ def _split(n: int, train_frac: float, seed: int) -> tuple[np.ndarray, np.ndarray
     if not 0 < k < n:
         raise ValueError(f"a split needs a row on each side; {n} rows give {k} "
                          f"training and {n - k} validation rows")
-    perm = np.random.default_rng([seed & 0x7FFFFFFFFFFFFFFF, 0x5117]).permutation(n)
+    perm = seeded(seed, 0x5117).permutation(n)
     return np.sort(perm[:k]), np.sort(perm[k:])
 
 
@@ -407,10 +407,9 @@ def _run_cs2(config: ExperimentConfig, report: ExperimentReport):
                      for name in attack_cfg["scopes"]}
     yield "attack"
 
-    canonical = "pktrx_shift"
-    if canonical in sets_by_scope:
-        _defend(report, config, data, tr, va, baseline, specs[canonical],
-                sets_by_scope[canonical], M.cqi_accuracy)
+    if _CS2_DEFENDED in sets_by_scope:
+        _defend(report, config, data, tr, va, baseline, specs[_CS2_DEFENDED],
+                sets_by_scope[_CS2_DEFENDED], M.cqi_accuracy)
         for d in report.defenses:
             _plot_rows(report, "cs2_defenses", d.defense, d.residual)
     yield "defend"
@@ -557,9 +556,8 @@ def _run_cs4(config: ExperimentConfig, report: ExperimentReport):
     def random_variants(m):
         """One shifted copy per trial, drawn as the sweep reaches it."""
         for t in range(random_trials):
-            rng = np.random.default_rng(
-                [derive_seed(seed, "rand25", t) & 0x7FFFFFFFFFFFFFFF, 0x24])
-            cols = rng.choice(X.shape[1], size=top_k, replace=False)
+            cols = seeded(derive_seed(seed, "rand25", t), 0x24).choice(
+                X.shape[1], size=top_k, replace=False)
             yield shifted(X[va], cols, m)
 
     rand_curve = run_inference_attack(forest, (X[va], y[va]),
@@ -678,8 +676,7 @@ def _run_cs5(config: ExperimentConfig, report: ExperimentReport):
                         for s in range(len(sweep))])
 
     report.curves.append(summarize_curve(
-        "cs5/mean_se", "SE", "higher_better", "offset_m",
-        float(se_steps[0].mean()),
+        "cs5/mean_se", "SE", "offset_m", float(se_steps[0].mean()),
         [(off, [float(se_steps[s].mean())]) for s, off in enumerate(offsets)]))
 
     for s, off in enumerate(offsets):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from numbers import Real
 
-from .metrics import ORIENTATION
+from .metrics import _orientation
 
 
 def _as_tuple(names) -> tuple[str, ...]:
@@ -125,8 +125,7 @@ class TradeoffReport:
 def tradeoff(p_base: float, p_hardened: float, metric_name: str = "Acc") -> TradeoffReport:
     """Build a TradeoffReport; a hardened performance of 0 gives a null ratio
     with its reason, a negative one is an error."""
-    if metric_name not in ORIENTATION:
-        raise ValueError(f"unknown metric_name {metric_name!r}; expected one of {tuple(ORIENTATION)}")
+    _orientation(metric_name)  # an unknown name is an error
     p_base = float(p_base)
     p_hardened = float(p_hardened)
     if p_hardened < 0.0:

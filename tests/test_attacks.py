@@ -24,7 +24,7 @@ class ThresholdModel:
 
 class TestCurveMath:
     def test_point_statistics(self):
-        curve = summarize_curve("c", "Acc", "higher_better", "level", 0.9,
+        curve = summarize_curve("c", "Acc", "level", 0.9,
                                 [(1.0, [0.8, 0.6])])
         p = curve.points[0]
         assert p.metric_mean == pytest.approx(0.7)
@@ -33,19 +33,18 @@ class TestCurveMath:
         assert p.n_trials == 2
 
     def test_lower_better_degrades_upward(self):
-        curve = summarize_curve("c", "RMSE", "lower_better", "level", 0.2,
+        curve = summarize_curve("c", "RMSE", "level", 0.2,
                                 [(1.0, [0.5])])
         assert curve.points[0].degradation_mean == pytest.approx(0.3)
 
     def test_axis_helpers(self):
-        curve = summarize_curve("c", "Acc", "higher_better", "level", 1.0,
+        curve = summarize_curve("c", "Acc", "level", 1.0,
                                 [(0.1, [1.0]), (0.5, [0.9]), (2.0, [0.4])])
         assert xs(curve) == [0.1, 0.5, 2.0]
         assert degradations(curve) == pytest.approx([0.0, 0.1, 0.6])
 
     def test_resolve_metric_falls_back_to_registry(self):
-        fn, orient = resolve_metric("Acc")
-        assert orient == "higher_better"
+        fn = resolve_metric("Acc")
         assert fn(np.array(["a"]), np.array(["a"])) == 1.0
 
     def test_resolve_metric_requires_known_name_or_fn(self):

@@ -14,6 +14,7 @@ from mlsec5g.cli import build_parser, main, resolve
 from mlsec5g.config import (CS2_SCOPES, STAGES, ConfigError, build_config,
                             default_config, validate_config)
 from mlsec5g.scenarios.generators import CQI_PROFILES
+from mlsec5g.scenarios import runner
 from mlsec5g.scenarios.runner import run_case_study
 
 
@@ -422,12 +423,61 @@ def test_an_integer_max_features_wider_than_the_data_is_refused(tmp_path, capsys
     assert validate_config(raw(width + 1)) == [
         f"{key}: must be at most {width}, the number of features the scenario reads, "
         f"got {width + 1}"]
-    assert validate_config(raw(width)) == []
+    # cs2's and cs6's feature-removal retrain reads fewer (see the next test)
+    no_removal = {"defense": {"feature_removal": False}} if scenario in ("cs2", "cs6") else {}
+    assert validate_config({**raw(width), **no_removal}) == []
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(raw(width + 1)))
     out = tmp_path / "r"
     assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 2
     assert f"{key}:" in capsys.readouterr().err and not out.exists()
+
+
+@pytest.mark.parametrize("scenario, width, n, attack, attack_off", [
+    ("cs2", 16, 300, {"multipliers": [1.0], "scopes": ["pktrx_shift"], "replace_levels": 1},
+     {"scopes": ["pktrxbyt_shift"]}),
+    ("cs6", 8, 400, {"multipliers": [1.0]}, {"insider": False})], ids=["cs2", "cs6"])
+def test_max_features_fits_the_feature_removal_retrain(tmp_path, capsys, monkeypatch, scenario,
+                                                       width, n, attack, attack_off):
+    """Where the feature-removal retrain runs (cs2 defending pktrx_shift, cs6
+    defending the insider), the config refuses an integer max_features above
+    the features that retrain keeps and the CLI exits 2 before any stage,
+    instead of failing at the defenses. The bound is the width less the
+    fields the runner's defended spec alters; without the retrain the whole
+    width is accepted."""
+    def raw(m, attack=attack, defense=None):
+        return {"scenario": scenario, "data": {"synthetic": {"n": n}},
+                "model": {"n_trees": 3, "max_features": m}, "attack": attack,
+                "defense": defense or {"feature_removal": True}}
+
+    def run(raw, out):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        return main(["all", "--config", str(cfg), "--out", str(tmp_path / out)])
+
+    removed = []
+    defend = runner._defend
+
+    def spy(report, config, data, tr, va, baseline, spec, *rest):
+        removed.append(runner._affected(spec))
+        return defend(report, config, data, tr, va, baseline, spec, *rest)
+
+    monkeypatch.setattr(runner, "_defend", spy)
+    assert run(raw(width - 2), "kept") == 0
+    assert [len(r) for r in removed] == [2]
+    kept = width - len(removed[0])
+
+    assert validate_config(raw(kept + 1)) == [
+        f"config.model.max_features: must be at most {kept}, the number of features "
+        f"left after defense.feature_removal, got {kept + 1}"]
+    capsys.readouterr()
+    assert run(raw(kept + 1), "refused") == 2
+    assert "config.model.max_features:" in capsys.readouterr().err
+    assert not (tmp_path / "refused").exists()
+
+    assert validate_config(raw(width, defense={"feature_removal": False})) == []
+    assert validate_config(raw(width, attack={**attack, **attack_off})) == []
+    assert run(raw(width, defense={"feature_removal": False}), "whole") == 0
 
 
 @pytest.mark.parametrize("scenario, sections, key", BAD_VALUES)

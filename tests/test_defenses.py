@@ -1,11 +1,16 @@
 """Defense harness: schema projection, hardened retraining, cost accounting."""
 
+import json
+
 import numpy as np
 import pytest
 
+from mlsec5g.config import default_config
 from mlsec5g.defenses import (adversarial_training, evaluate_defense,
                               feature_removal, project_columns)
 from mlsec5g.perturb import ConstraintRule, PerturbationSpec
+from mlsec5g.report import write_report
+from mlsec5g.scenarios.runner import run_case_study
 
 
 class ColumnModel:
@@ -139,9 +144,27 @@ class TestEvaluateDefense:
         hardened = ColumnModel(("a", "b"), "b")
         ev = evaluate_defense(base, hardened, (X, y, ("a", "b")),
                               [(1.0, X.copy())], "Acc", defense="swap")
-        assert ev.baseline_clean == 1.0
-        assert ev.tradeoff.tradeoff == pytest.approx(1.0 / ev.hardened_clean)
+        assert ev.tradeoff.p_base == 1.0
+        assert ev.tradeoff.tradeoff == pytest.approx(1.0 / ev.tradeoff.p_hardened)
         assert ev.defense == "swap"
+
+    def test_the_hardened_model_scores_its_clean_rows_once(self):
+        """One clean prediction, then one per variant: the residual's
+        baseline is the tradeoff's p_hardened, not a second measurement."""
+        X, y = self.make_validation()
+        calls = []
+
+        class Counting(ColumnModel):
+            def predict(self, X):
+                calls.append(len(X))
+                return super().predict(X)
+
+        hardened = Counting(("b", "a"), "a")
+        variants = [X + 0.1, X - 0.1, X - 0.3]
+        ev = evaluate_defense(ColumnModel(("a", "b"), "a"), hardened, (X, y, ("a", "b")),
+                              [(1.0, variants[:2]), (2.0, variants[2])], "Acc")
+        assert calls == [len(X)] * (1 + len(variants))
+        assert ev.residual.baseline == ev.tradeoff.p_hardened == 1.0
 
     def test_residual_is_exactly_zero_outside_the_hardened_schema(self):
         X, y = self.make_validation()
@@ -196,3 +219,15 @@ class TestEvaluateDefense:
         with pytest.raises(ValueError, match="metric"):
             evaluate_defense(base, base, (X, y, ("a", "b")),
                              [(1.0, X.copy())], "Entropy")
+
+
+@pytest.mark.parametrize("scenario", ["cs2", "cs6"])
+def test_stock_defense_scores_are_the_tradeoffs(tmp_path, scenario):
+    """report.json's copied clean scores of every stock defense are the
+    tradeoff's, and the hardened one is its residual's baseline."""
+    write_report(run_case_study(scenario, config=default_config(scenario)), str(tmp_path))
+    defenses = json.loads((tmp_path / "report.json").read_text())["defenses"]
+    assert [d["defense"] for d in defenses] == ["adversarial_training", "feature_removal"]
+    for d in defenses:
+        assert d["hardened_clean"] == d["p_hardened"] == d["residual"]["baseline"]
+        assert d["baseline_clean"] == d["p_base"]

@@ -19,12 +19,11 @@ from mlsec5g.threat import tradeoff
 
 
 def make_report():
-    curve = summarize_curve("sweep", "Acc", "higher_better", "intensity",
+    curve = summarize_curve("sweep", "Acc", "intensity",
                             0.95, [(0.5, [0.9, 0.8]), (1.0, [0.7])])
-    residual = summarize_curve("residual[drop]", "Acc", "higher_better",
+    residual = summarize_curve("residual[drop]", "Acc",
                                "intensity", 0.9, [(0.5, [0.9])])
-    defense = DefenseEvaluation("drop", tradeoff(0.95, 0.90, "Acc"),
-                                residual, 0.95, 0.90)
+    defense = DefenseEvaluation("drop", tradeoff(0.95, 0.90, "Acc"), residual)
     return ExperimentReport(
         scenario="cs2", config_fingerprint="abc123", seed=7, stage="all",
         baseline={"Acc": 0.95, "RMSE": 0.2},
@@ -73,7 +72,7 @@ class TestSerialization:
         rep = make_report()
         residual = rep.defenses[0].residual
         rep.defenses.append(DefenseEvaluation("zeroed", tradeoff(0.95, 0.0, "Acc"),
-                                              residual, 0.95, 0.0))
+                                              residual))
         kept, null = report_to_dict(rep)["defenses"]
         assert "tradeoff_reason" not in kept
         assert null["tradeoff"] is None

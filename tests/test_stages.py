@@ -14,13 +14,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mlsec5g
 from mlsec5g.config import STAGES, build_config
 from mlsec5g.report import report_to_dict, write_report
-from mlsec5g.repro import canonical_json, derive_seed
-from mlsec5g.scenarios.generators import (ATTACKER_IPS, CQI_FEATURES, MODULATIONS,
+from mlsec5g.repro import canonical_json, derive_seed, seeded
+from mlsec5g.scenarios.adapters import ingest_real_dataset
+from mlsec5g.scenarios.generators import (ATTACKER_IPS, CQI_FEATURES, MODULATIONS, SCENARIOS,
                                           SIGNAL_FEATURES, SLICE_FEATURES,
                                           generate_cqi_series, generate_scenario_data)
 from mlsec5g.scenarios import runner
@@ -105,6 +107,16 @@ def test_generate_trains_nothing(scenario, monkeypatch):
         run_case_study(scenario, config=config, stage="train")
 
 
+@pytest.mark.parametrize("seed", [0, -1, 2 ** 63 + 5, derive_seed(9, "data")])
+def test_a_seeded_stream_is_the_folded_seed_and_its_tag(seed):
+    """Every stream of a run is seeded(seed, tag): the Generator of the seed
+    folded to 63 bits, paired with the tag."""
+    want = np.random.default_rng([seed & (2 ** 63 - 1), 0x5117])
+    got = seeded(seed, 0x5117)
+    assert got.integers(0, 2 ** 62, 8).tolist() == want.integers(0, 2 ** 62, 8).tolist()
+    assert got.random() == want.random()
+
+
 def test_cs1_ratio_zero_control_is_exact_for_every_seed():
     raw = {"scenario": "cs1", **REDUCED["cs1"], "attack": {"trials": 3}}
     for seed in range(10):
@@ -131,7 +143,9 @@ def export(scenario: str, data: dict, root: Path) -> dict:
         write_rows(root / "sessions.csv", ("src_ip", "src_port", "label"),
                    [(ip, port, label) for (ip, port), label in data["session_labels"].items()])
         return {"path": str(root), "format": {"attacker_ips": list(ATTACKER_IPS)}}
-    if scenario == "cs4":
+    if scenario == "cs3":
+        write_rows(root / "data.csv", ("CQI",), [[float(v)] for v in data["series"]])
+    elif scenario == "cs4":
         write_rows(root / "data.csv", SIGNAL_FEATURES + ("label",),
                    [[float(v) for v in x] + [MODULATIONS[c]]
                     for x, c in zip(data["X"], data["y"])])
@@ -172,6 +186,26 @@ def test_synthetic_data_read_back_from_files_gives_the_synthetic_run(tmp_path, s
         del want_view["extras"]["top_k_informative_overlap"]
     assert same(got_view, want_view)
     assert got.plot_series == want.plot_series
+
+
+# what each scenario's generator returns; its adapter adds "provenance"
+DATA_KEYS = {"cs1": {"packets", "session_labels", "attacker_ips"},
+             "cs2": {"records", "targets", "schema"},
+             "cs3": {"series", "profile"},
+             "cs4": {"X", "y", "schema", "informative"},
+             "cs5": {"X", "Y", "schema", "topology"},
+             "cs6": {"records", "labels", "schema"}}
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_an_adapter_returns_its_generators_keys_and_provenance(tmp_path, scenario):
+    """The data contract: a file read gives exactly the synthetic data's keys
+    plus the adapter's provenance."""
+    data = generate_scenario_data(scenario, seed=1, **REDUCED[scenario]["data"]["synthetic"])
+    block = export(scenario, data, tmp_path / scenario)
+    read = ingest_real_dataset(scenario, block["path"], block.get("format"))
+    assert set(data) == DATA_KEYS[scenario]
+    assert set(read) == DATA_KEYS[scenario] | {"provenance"}
 
 
 def test_a_cqi_series_read_from_a_file_runs_through_every_stage(tmp_path):
