@@ -19,11 +19,9 @@ from dataclasses import asdict, dataclass
 from functools import reduce
 
 from .attacks import SPOOF_MODES
-from .flows import FEATURE_NAMES
 from .models.base import _BOOL, _COUNT, _POSITIVE, _ROWS, _int, _is_number, _number
 from .repro import fingerprint
-from .scenarios.generators import (CQI_FEATURES, CQI_PROFILES, N_SIGNAL_FEATURES,
-                                   SCENARIOS, SLICE_FEATURES)
+from .scenarios.generators import CQI_PROFILES, N_SIGNAL_FEATURES, SCENARIOS
 
 # each stage and how far it runs: 0 stops after the data, 1 after the
 # baseline, 2 after the attacks, 3 scores the defenses too
@@ -31,9 +29,8 @@ STAGES = {"generate": 0, "train": 1, "attack": 2, "all": 3}
 
 MULTIPLIERS = [0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0]
 
-# the cs2 attacker scopes the runner knows how to perturb, and the one it defends
+# the cs2 attacker scopes the runner knows how to perturb
 CS2_SCOPES = ("rsrp_replace", "pktrxbyt_shift", "pktrx_shift", "both_counters")
-_CS2_DEFENDED = "pktrx_shift"
 
 DEFAULTS: dict[str, dict] = {
     "cs1": {
@@ -228,40 +225,14 @@ def _attackers_exist(ids, ues_per_cell):
                 f"{4 * ues_per_cell}, got {ids!r}")
 
 
-def _mtry_fits(path, width):
-    """Refuse an integer max_features wider than the schema the scenario reads."""
-    def rule(m):
-        if type(m) is int and m > width:
-            return (f"config.{path}: must be at most {width}, the number of features "
-                    f"the scenario reads, got {m!r}")
-    return (path,), rule
-
-
-def _removal_mtry_fits(width, attack_key, attacks=bool):
-    """Refuse an integer max_features above width - 2 when feature removal is on
-    and attacks(attack_key's value) says the defended attack runs: the removal
-    retrain drops the two fields the runner's defended spec alters."""
-    def rule(m, removal, attack):
-        if removal and attacks(attack) and type(m) is int and width - 2 < m <= width:
-            return (f"config.model.max_features: must be at most {width - 2}, the number "
-                    f"of features left after defense.feature_removal, got {m!r}")
-    return ("model.max_features", "defense.feature_removal", attack_key), rule
-
-
 # cross-key rules over the merged config: (the keys each one reads, the rule)
 _RULES = {
-    "cs1": [(("attack.pad_level_index", "attack.multipliers"), _pad_in_range),
-            _mtry_fits("model.max_features", len(FEATURE_NAMES))],
-    "cs2": [_mtry_fits("model.max_features", len(CQI_FEATURES)),
-            _removal_mtry_fits(len(CQI_FEATURES), "attack.scopes", lambda s: _CS2_DEFENDED in s)],
+    "cs1": [(("attack.pad_level_index", "attack.multipliers"), _pad_in_range)],
     "cs3": [(("data.synthetic.length", "attack.period_s"), _live_covers_period),
             (("data.synthetic.length", "model.window"), _warmup_beats_window)],
     "cs5": [(("data.synthetic.min_gnb_distance", "data.synthetic.cell_size"),
              _placement_fits),
             (("attack.attacker_ids", "data.synthetic.ues_per_cell"), _attackers_exist)],
-    "cs4": [_mtry_fits("model.forest.max_features", N_SIGNAL_FEATURES)],
-    "cs6": [_mtry_fits("model.max_features", len(SLICE_FEATURES)),
-            _removal_mtry_fits(len(SLICE_FEATURES), "attack.insider")],
 }
 
 

@@ -58,9 +58,7 @@ _ROWS = {
     "forest": {
         "n_trees": _COUNT, "max_depth": _int(1, null=True), "min_samples_split": _int(2),
         "min_samples_leaf": _COUNT, "bootstrap": _BOOL,
-        "max_features": (lambda v: v in ("sqrt", "third", "all") or _COUNT[0](v) or
-                         (isinstance(v, float) and 0 < v <= 1),
-                         '"sqrt", "third", "all", an integer >= 1 or a fraction in (0, 1]'),
+        "max_features": (lambda v: v in ("sqrt", "third", "all"), '"sqrt", "third" or "all"'),
     },
     "feedforward": {
         "hidden": (lambda v: isinstance(v, list) and all(_COUNT[0](h) for h in v),

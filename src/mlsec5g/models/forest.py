@@ -395,14 +395,7 @@ def _resolve_mtry(hp_value, p: int, classify: bool) -> int:
         return max(1, int(math.sqrt(p)))
     if hp_value == "third":
         return max(1, p // 3)
-    if hp_value == "all":
-        return p
-    if isinstance(hp_value, float) and 0 < hp_value <= 1:
-        return max(1, int(hp_value * p))
-    m = int(hp_value)
-    if not 1 <= m <= p:
-        raise ValueError(f"max_features {hp_value!r} out of range for {p} features")
-    return m
+    return p  # "all"
 
 
 def train_forest(spec: ModelSpec, X, y, schema=None, sample_weight=None) -> ForestModel:

@@ -71,8 +71,6 @@ def defense_to_dict(ev: DefenseEvaluation) -> dict:
         "p_base": float(t.p_base),
         "p_hardened": float(t.p_hardened),
         "tradeoff": None if t.tradeoff is None else float(t.tradeoff),
-        "baseline_clean": float(t.p_base),
-        "hardened_clean": float(t.p_hardened),
         "residual": curve_to_dict(ev.residual),
     }
     if t.tradeoff is None:  # an undefined ratio says why, beside its null

@@ -6,9 +6,10 @@ bookkeeping. Malformed rows are counted, skipped, and logged, never silently
 dropped; a dataset without ground truth is rejected outright, because a
 pipeline cannot measure degradation against labels it does not have. A
 NaN or infinite ground-truth value (cs2's CQI, cs5's powers) makes its row
-malformed; one in a cs3 series refuses the file, because skipping a step
-would shift every later one. Feature cells pass through as read, NaN and
-infinity included.
+malformed. A malformed row of a cs3 series (short, a cell that does not
+parse, NaN or infinity) refuses the file, naming its line, because skipping
+a step would shift every later one. Feature cells pass through as read, NaN
+and infinity included.
 
 Every file is a CSV with a header row of named columns. Header cells are
 stripped of surrounding spaces and then renamed by `format.rename` (their
@@ -68,15 +69,15 @@ def ingest_real_dataset(scenario: str, path: str, fmt: dict | None = None) -> di
     return out
 
 
-def _read(path, fmt, columns, parse, truth=()):
+def _read(path, fmt, columns, parse, truth=(), series=False):
     """parse(values) over each data row of one CSV, where values are the
     row's cells of `columns` in that order. A row that is short or that parse
-    refuses with ValueError is skipped, counted and logged; parse returns
-    None for a row it leaves out on purpose. Returns (parsed rows,
-    provenance counts). An AdapterError from parse refuses the file, naming
-    the line. Every missing column is named at once, the `truth` ones as
-    ground truth, and so is every column read that the header (after
-    `rename`) names more than once."""
+    refuses with ValueError is skipped, counted and logged, or in a series
+    refuses the file, naming the line; parse returns None for a row it
+    leaves out on purpose. Returns (parsed rows, provenance counts). Every
+    missing column is named at once, the `truth` ones as ground truth, and
+    so is every column read that the header (after `rename`) names more
+    than once."""
     rename = fmt.get("rename", {})
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -103,9 +104,9 @@ def _read(path, fmt, columns, parse, truth=()):
                 if len(row) < len(header):
                     raise ValueError(f"{len(row)} of {len(header)} fields")
                 value = parse([row[i] for i in picks])
-            except AdapterError as exc:
-                raise AdapterError(f"{path} line {reader.line_num}: {exc}") from None
             except ValueError as exc:
+                if series:
+                    raise AdapterError(f"{path} line {reader.line_num}: {exc}") from None
                 skipped += 1
                 log.warning("%s line %d skipped: %s", path, reader.line_num, exc)
                 continue
@@ -120,12 +121,11 @@ def _floats(values):
     return [float(v) for v in values]
 
 
-def _truth(cell, what, error=ValueError):
-    """A ground-truth cell as a float. NaN or infinity raises error: by
-    default the row is malformed, an AdapterError refuses the file."""
+def _truth(cell, what):
+    """A ground-truth cell as a float; NaN or infinity makes the row malformed."""
     value = float(cell)
     if not math.isfinite(value):
-        raise error(f"non-finite {what} {cell.strip()!r}")
+        raise ValueError(f"non-finite {what} {cell.strip()!r}")
     return value
 
 
@@ -165,8 +165,8 @@ def _cqi_records(path, fmt):
 
 
 def _cqi_series(path, fmt):
-    rows, prov = _read(path, fmt, ("CQI",), lambda v: _truth(v[0], "CQI", AdapterError),
-                       truth=("CQI",))
+    rows, prov = _read(path, fmt, ("CQI",), lambda v: _truth(v[0], "CQI"), truth=("CQI",),
+                       series=True)
     return {"series": np.asarray(rows, dtype=float), "profile": "real", "provenance": prov}
 
 

@@ -44,7 +44,7 @@ from .. import metrics as M
 from ..attacks import (CurvePoint, DegradationCurve, run_inference_attack,
                        run_online_attacks, run_training_attack, spoof_positions,
                        summarize_curve)
-from ..config import _CS2_DEFENDED, ExperimentConfig, STAGES, default_config
+from ..config import ExperimentConfig, STAGES, default_config
 from ..defenses import adversarial_training, evaluate_defense, feature_removal
 from ..flows import (FEATURE_NAMES, aggregate_flows,
                      extract_feature_matrix, label_flows, pad_payloads,
@@ -345,6 +345,8 @@ def _run_cs1(config: ExperimentConfig, report: ExperimentReport):
 
 # ---------------------------------------------------------------------------
 # cs2: channel-quality regression under measurement perturbations
+
+_CS2_DEFENDED = "pktrx_shift"  # the one scope the defenses harden against
 
 
 def _cs2_specs(records, multipliers, replace_levels):

@@ -27,6 +27,7 @@ from mlsec5g.attacks import run_online_attack, run_online_attacks, run_training_
 from mlsec5g.config import build_config, default_config
 from mlsec5g.flows import (FEATURE_NAMES, aggregate_flows,
                            extract_feature_matrix, pad_payloads)
+from mlsec5g.forkmap import fork_map
 from mlsec5g.metrics import accuracy
 from mlsec5g.models import ModelSpec, init_online
 from mlsec5g.models.forest import train_forest
@@ -206,8 +207,9 @@ def test_criterion_06_position_lies_steal_power_within_every_budget():
 
 
 def test_criterion_07_ten_spoofed_reports_hurt_and_floor_zero_hurts_most():
-    finals = {"floor_zero": [], "jitter": []}
-    for s in range(10):
+    modes = ["floor_zero", "jitter"]
+
+    def finals(s):
         series = G.generate_cqi_series(
             seed=derive_seed(s, "data", "high"), length=1200,
             profile="high")["series"]
@@ -219,16 +221,18 @@ def test_criterion_07_ten_spoofed_reports_hurt_and_floor_zero_hurts_most():
             warmup)
         meta, arrays = base.to_state()
         factory = lambda: type(base).from_state(meta, arrays)
-        modes = list(finals)
         results = run_online_attacks(
             factory, live, modes, period_s=60.0,
             seeds=[derive_seed(s, "spoof", "high", mode) for mode in modes])
-        for mode, res in zip(modes, results):
+        for res in results:
             assert len(res.spoof_steps) == 10
             assert res.t[-1] == 600.0
-            finals[mode].append(float(res.differential[-1]))
-    mean_floor = float(np.mean(finals["floor_zero"]))
-    mean_jitter = float(np.mean(finals["jitter"]))
+        return [float(res.differential[-1]) for res in results]
+
+    # the ten seeds are independent, so they run side by side, in seed order
+    floor_zero, jitter = zip(*fork_map(finals, range(10)))
+    mean_floor = float(np.mean(floor_zero))
+    mean_jitter = float(np.mean(jitter))
     assert mean_floor > 0.0
     assert mean_jitter > 0.0
     assert mean_floor >= mean_jitter
@@ -253,15 +257,17 @@ def test_criterion_09_tradeoff_identity_and_reference_pairs():
 
 def test_criterion_10_top_features_beat_random_features_from_mid_intensity():
     model = {"forest": {"n_trees": 20}, "network": {"hidden": [16], "epochs": 8}}
-    top_by_seed, rand_by_seed = [], []
-    multipliers = None
-    for s in range(10):
+
+    def curves(s):
         cfg = default_config("cs4", seed=s, model=model)
         report = run_case_study("cs4", config=cfg, stage="attack")
         curves = {c.name: c for c in report.curves}
-        top_by_seed.append(degradations(curves["cs4/top25"]))
-        rand_by_seed.append(degradations(curves["cs4/random25"]))
-        multipliers = xs(curves["cs4/top25"])
+        return (degradations(curves["cs4/top25"]), degradations(curves["cs4/random25"]),
+                xs(curves["cs4/top25"]))
+
+    # the ten seeds are independent, so they run side by side, in seed order
+    top_by_seed, rand_by_seed, grids = zip(*fork_map(curves, range(10)))
+    multipliers = grids[-1]
     top_avg = np.mean(top_by_seed, axis=0)
     rand_avg = np.mean(rand_by_seed, axis=0)
     for i in range(2, len(multipliers)):

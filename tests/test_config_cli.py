@@ -14,7 +14,6 @@ from mlsec5g.cli import build_parser, main, resolve
 from mlsec5g.config import (CS2_SCOPES, STAGES, ConfigError, build_config,
                             default_config, validate_config)
 from mlsec5g.scenarios.generators import CQI_PROFILES
-from mlsec5g.scenarios import runner
 from mlsec5g.scenarios.runner import run_case_study
 
 
@@ -375,6 +374,12 @@ BAD_VALUES = [
     ("cs4", {"model": {"network": {"activation": "sigmoid"}}},
      "config.model.network.activation"),
     ("cs6", {"model": {"max_features": 0}}, "config.model.max_features"),
+    # max_features is one of its three names: no integer width, no fraction
+    ("cs1", {"model": {"max_features": 3}}, "config.model.max_features"),
+    ("cs2", {"model": {"max_features": 0.5}}, "config.model.max_features"),
+    ("cs6", {"model": {"max_features": 3}}, "config.model.max_features"),
+    ("cs4", {"model": {"forest": {"max_features": 3}}}, "config.model.forest.max_features"),
+    ("cs4", {"model": {"forest": {"max_features": 0.5}}}, "config.model.forest.max_features"),
     ("cs4", {"model": {"network": [64]}}, "config.model.network"),
     ("cs2", {"defense": {"adversarial_training": True}}, "config.defense.adversarial_training"),
     # past the inscribed radius of a 250 m cell placement slows without bound
@@ -404,80 +409,6 @@ BAD_VALUES = [
     ("cs5", {"data": {"path": "d.csv", "format": {"topology": ""}}},
      "config.data.format.topology"),
 ]
-
-
-@pytest.mark.parametrize("scenario, path, width", [
-    ("cs1", ("model",), 13), ("cs2", ("model",), 16), ("cs6", ("model",), 8),
-    ("cs4", ("model", "forest"), 256)])
-def test_an_integer_max_features_wider_than_the_data_is_refused(tmp_path, capsys, scenario,
-                                                                path, width):
-    """Each scenario's schema fixes its width, so the config refuses an
-    integer max_features above it and the CLI exits 2, before any stage."""
-    def raw(m):
-        section = {"max_features": m}
-        for key in reversed(path):
-            section = {key: section}
-        return {"scenario": scenario, **section}
-
-    key = "config." + ".".join(path) + ".max_features"
-    assert validate_config(raw(width + 1)) == [
-        f"{key}: must be at most {width}, the number of features the scenario reads, "
-        f"got {width + 1}"]
-    # cs2's and cs6's feature-removal retrain reads fewer (see the next test)
-    no_removal = {"defense": {"feature_removal": False}} if scenario in ("cs2", "cs6") else {}
-    assert validate_config({**raw(width), **no_removal}) == []
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(raw(width + 1)))
-    out = tmp_path / "r"
-    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 2
-    assert f"{key}:" in capsys.readouterr().err and not out.exists()
-
-
-@pytest.mark.parametrize("scenario, width, n, attack, attack_off", [
-    ("cs2", 16, 300, {"multipliers": [1.0], "scopes": ["pktrx_shift"], "replace_levels": 1},
-     {"scopes": ["pktrxbyt_shift"]}),
-    ("cs6", 8, 400, {"multipliers": [1.0]}, {"insider": False})], ids=["cs2", "cs6"])
-def test_max_features_fits_the_feature_removal_retrain(tmp_path, capsys, monkeypatch, scenario,
-                                                       width, n, attack, attack_off):
-    """Where the feature-removal retrain runs (cs2 defending pktrx_shift, cs6
-    defending the insider), the config refuses an integer max_features above
-    the features that retrain keeps and the CLI exits 2 before any stage,
-    instead of failing at the defenses. The bound is the width less the
-    fields the runner's defended spec alters; without the retrain the whole
-    width is accepted."""
-    def raw(m, attack=attack, defense=None):
-        return {"scenario": scenario, "data": {"synthetic": {"n": n}},
-                "model": {"n_trees": 3, "max_features": m}, "attack": attack,
-                "defense": defense or {"feature_removal": True}}
-
-    def run(raw, out):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(raw))
-        return main(["all", "--config", str(cfg), "--out", str(tmp_path / out)])
-
-    removed = []
-    defend = runner._defend
-
-    def spy(report, config, data, tr, va, baseline, spec, *rest):
-        removed.append(runner._affected(spec))
-        return defend(report, config, data, tr, va, baseline, spec, *rest)
-
-    monkeypatch.setattr(runner, "_defend", spy)
-    assert run(raw(width - 2), "kept") == 0
-    assert [len(r) for r in removed] == [2]
-    kept = width - len(removed[0])
-
-    assert validate_config(raw(kept + 1)) == [
-        f"config.model.max_features: must be at most {kept}, the number of features "
-        f"left after defense.feature_removal, got {kept + 1}"]
-    capsys.readouterr()
-    assert run(raw(kept + 1), "refused") == 2
-    assert "config.model.max_features:" in capsys.readouterr().err
-    assert not (tmp_path / "refused").exists()
-
-    assert validate_config(raw(width, defense={"feature_removal": False})) == []
-    assert validate_config(raw(width, attack={**attack, **attack_off})) == []
-    assert run(raw(width, defense={"feature_removal": False}), "whole") == 0
 
 
 @pytest.mark.parametrize("scenario, sections, key", BAD_VALUES)
@@ -524,7 +455,7 @@ def _forest(rng):
     return {"n_trees": int(rng.integers(1, 4)), "max_depth": _pick(rng, [None, 1, 3, 8]),
             "min_samples_split": int(rng.integers(2, 6)),
             "min_samples_leaf": int(rng.integers(1, 4)), "bootstrap": bool(rng.integers(2)),
-            "max_features": _pick(rng, ["sqrt", "third", "all", 3, 0.5])}
+            "max_features": _pick(rng, ["sqrt", "third", "all"])}
 
 
 def _network(rng):
@@ -590,7 +521,7 @@ def test_valid_reduced_configs_run_through_every_stage():
     """No drawn config that passes the table fails at run time. On a
     validation split of a few rows a hardened model can score 0 on clean
     data; its tradeoff is then null with a reason, not an error (this seed
-    draws 13 such defenses, in cs1, cs2 and cs6)."""
+    draws 10 such defenses, in cs1, cs2 and cs6)."""
     rng = np.random.default_rng(7)
     undefined = []
     for i in range(300):

@@ -111,6 +111,17 @@ def test_classes_beyond_the_unrolled_sum_match_reference(n_classes, n_trees=3):
     assert_matches_reference(train_forest(spec, X, y), X, y)
 
 
+@pytest.mark.parametrize("task, name, mtry", [("classify", "third", 5), ("regress", "sqrt", 4)])
+def test_the_other_tasks_default_matches_reference(task, name, mtry, n_trees=3):
+    # at 16 columns each name draws a width other than the task's default
+    X, y = _data(task)
+    X = np.hstack([X, np.random.default_rng(8).standard_normal((X.shape[0], 9))])
+    assert forest._resolve_mtry(name, 16, task == "classify") == mtry
+    assert forest._resolve_mtry(None, 16, task == "classify") != mtry
+    spec = ModelSpec("forest", task, {"n_trees": n_trees, "max_features": name}, seed=4)
+    assert_matches_reference(train_forest(spec, X, y), X, y)
+
+
 def test_distilled_student_matches_reference(n_trees=4):
     X, y = _data("classify", n=150, seed=3)
     teacher = train_forest(ModelSpec("forest", "classify", {"n_trees": n_trees}, seed=0), X, y)

@@ -346,6 +346,7 @@ class TestDispatcher:
         ("cs2", "forest", "bootstrap", "no"),
         ("cs2", "forest", "n_trees", 2.5),
         ("cs2", "forest", "max_features", "half"),
+        ("cs2", "forest", "max_features", 3),
         ("cs2", "forest", "min_samples_leaf", 0),
         ("cs2", "forest", "min_samples_split", 1),
         ("cs2", "forest", "max_depth", 0),

@@ -270,11 +270,17 @@ class TestAdapters:
         assert out["provenance"]["rows"] == 25
 
     def test_malformed_rows_are_counted_not_hidden(self, tmp_path):
+        # a series step that does not parse refuses the file: skipped, it would
+        # shift every later step
         path = tmp_path / "series.csv"
         write_csv(path, ["CQI"], [["7.0"], ["bogus"], ["9.0"], [""]])
-        out = ingest_real_dataset("cs3", str(path))
-        assert out["series"].tolist() == [7.0, 9.0]
-        assert out["provenance"]["skipped"] == 2
+        with pytest.raises(AdapterError, match=r"series.csv line 3: .*'bogus'"):
+            ingest_real_dataset("cs3", str(path))
+        for row, error in [(["1", ""], "could not convert string to float: ''"),
+                           (["1"], "1 of 2 fields")]:
+            write_csv(path, ["t", "CQI"], [["0", "7.0"], row, ["2", "9.0"]])
+            with pytest.raises(AdapterError, match=f"series.csv line 3: {error}"):
+                ingest_real_dataset("cs3", str(path))
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_cqi_makes_its_row_malformed(self, tmp_path, caplog, cell):
@@ -295,7 +301,10 @@ class TestAdapters:
     def test_a_non_finite_series_value_refuses_the_file(self, tmp_path):
         path = tmp_path / "series.csv"
         write_csv(path, ["CQI"], [["7.0"], ["bogus"], ["nan"], ["9.0"]])
-        with pytest.raises(AdapterError, match=r"series.csv line 4: non-finite CQI 'nan'"):
+        with pytest.raises(AdapterError, match=r"series.csv line 3: .*'bogus'"):
+            ingest_real_dataset("cs3", str(path))
+        write_csv(path, ["CQI"], [["7.0"], ["nan"], ["9.0"]])
+        with pytest.raises(AdapterError, match=r"series.csv line 3: non-finite CQI 'nan'"):
             ingest_real_dataset("cs3", str(path))
 
     def test_signals_round_trip_with_snr_filter(self, tmp_path):
