@@ -374,12 +374,6 @@ BAD_VALUES = [
     ("cs4", {"model": {"network": {"activation": "sigmoid"}}},
      "config.model.network.activation"),
     ("cs6", {"model": {"max_features": 0}}, "config.model.max_features"),
-    # max_features is one of its three names: no integer width, no fraction
-    ("cs1", {"model": {"max_features": 3}}, "config.model.max_features"),
-    ("cs2", {"model": {"max_features": 0.5}}, "config.model.max_features"),
-    ("cs6", {"model": {"max_features": 3}}, "config.model.max_features"),
-    ("cs4", {"model": {"forest": {"max_features": 3}}}, "config.model.forest.max_features"),
-    ("cs4", {"model": {"forest": {"max_features": 0.5}}}, "config.model.forest.max_features"),
     ("cs4", {"model": {"network": [64]}}, "config.model.network"),
     ("cs2", {"defense": {"adversarial_training": True}}, "config.defense.adversarial_training"),
     # past the inscribed radius of a 250 m cell placement slows without bound
@@ -408,6 +402,12 @@ BAD_VALUES = [
      "config.data.format.attacker_ips"),
     ("cs5", {"data": {"path": "d.csv", "format": {"topology": ""}}},
      "config.data.format.topology"),
+    # max_features is one of its three names: no integer width, no fraction
+    ("cs1", {"model": {"max_features": 3}}, "config.model.max_features"),
+    ("cs2", {"model": {"max_features": 0.5}}, "config.model.max_features"),
+    ("cs6", {"model": {"max_features": 3}}, "config.model.max_features"),
+    ("cs4", {"model": {"forest": {"max_features": 3}}}, "config.model.forest.max_features"),
+    ("cs4", {"model": {"forest": {"max_features": 0.5}}}, "config.model.forest.max_features"),
 ]
 
 
