@@ -12,37 +12,7 @@ import os
 
 # OpenBLAS fixes its thread count when numpy loads, and some results (the
 # network's sums) depend on it: one thread unless the caller chose otherwise.
-# This must run before the imports below load numpy.
+# Importing any submodule loads numpy, and Python runs this file first.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .threat import (
-    FeatureScope,
-    TradeoffReport,
-    attack_success,
-    degradation,
-    tradeoff,
-    validate_scope,
-)
-from .perturb import (
-    ConstraintRule,
-    DependencyGraph,
-    PerturbationSpec,
-    ProvenanceLog,
-    apply_rsp,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ConstraintRule",
-    "DependencyGraph",
-    "FeatureScope",
-    "PerturbationSpec",
-    "ProvenanceLog",
-    "TradeoffReport",
-    "apply_rsp",
-    "attack_success",
-    "degradation",
-    "tradeoff",
-    "validate_scope",
-]

@@ -2,22 +2,16 @@
 
 from __future__ import annotations
 
-from .base import KINDS, TASKS, ModelSpec, TrainedModel, default_schema, load_model, save_model
-from .forest import FeatureImportance, ForestModel, distill_forest, train_forest
+from .base import ModelSpec, load_model, save_model
+from .forest import distill_forest, train_forest
 from .network import FeedforwardModel, train_network
 from .recurrent import OnlineRecurrentModel, init_online
 
 
 __all__ = [
-    "KINDS",
-    "TASKS",
-    "FeatureImportance",
     "FeedforwardModel",
-    "ForestModel",
     "ModelSpec",
     "OnlineRecurrentModel",
-    "TrainedModel",
-    "default_schema",
     "distill_forest",
     "init_online",
     "load_model",

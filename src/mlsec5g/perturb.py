@@ -4,7 +4,9 @@ Perturbations here retroactively simulate, on recorded data, what an attacker
 could have done live. Three things make that simulation honest:
 
 * capability binding: a perturbation may only touch fields the attacker
-  consciously influences (plus their declared side effects);
+  consciously influences (plus their declared side effects). This holds by
+  construction: the runner makes each spec's targets its scope's conscious
+  set and refuses an invalid scope;
 * integrity: values that depend on a perturbed field are recomputed through
   an explicit dependency graph rather than left stale;
 * constraints: physical bounds are enforced, by clamping where the medium
@@ -211,13 +213,8 @@ class PerturbationSpec:
                 if len(values) != len(pool):
                     raise ValueError(f"linked column {fname!r} not aligned with donor_pool")
 
-    def bind(self, record_fields: Sequence[str], allowed_fields: Sequence[str] | None = None) -> None:
-        """Check the spec against an actual record schema before any work.
-
-        allowed_fields, when given, is the raw-space image of the attacker's
-        conscious set; targets outside it mean the declaration exceeds the
-        attacker's capabilities and the run must not proceed.
-        """
+    def bind(self, record_fields: Sequence[str]) -> None:
+        """Check the spec against an actual record schema before any work."""
         fields = set(record_fields)
         missing = [f for f in self.target_fields if f not in fields]
         if missing:
@@ -226,13 +223,6 @@ class PerturbationSpec:
         missing = sorted(f for f in graph_fields if f not in fields)
         if missing:
             raise ValueError(f"perturbation {self.name!r} dependency graph names unknown fields {missing}")
-        if allowed_fields is not None:
-            allowed = set(allowed_fields)
-            outside = [f for f in self.target_fields if f not in allowed]
-            if outside:
-                raise ValueError(
-                    f"perturbation {self.name!r} targets fields outside the attacker's "
-                    f"conscious scope: {outside}")
         if self.mode == "replace_random":
             linked = self.params.get("linked", {})
             unknown = sorted(set(linked) - fields)
@@ -333,8 +323,7 @@ def derive_stream(seed: int, level_index: int) -> int:
 
 
 def apply_rsp(records: Sequence[Mapping], spec: PerturbationSpec, level_index: int,
-              seed: int, allowed_fields: Sequence[str] | None = None
-              ) -> tuple[list[dict], ProvenanceLog]:
+              seed: int) -> tuple[list[dict], ProvenanceLog]:
     """Apply one perturbation level to every record.
 
     Deterministic for equal (records, spec, level_index, seed).
@@ -350,7 +339,7 @@ def apply_rsp(records: Sequence[Mapping], spec: PerturbationSpec, level_index: i
         raise ValueError(
             f"level_index {level_index} out of range for {len(spec.intensity_levels)} levels")
     if records:
-        spec.bind(records[0].keys(), allowed_fields)
+        spec.bind(records[0].keys())
     level_value = spec.intensity_levels[level_index]
     log = ProvenanceLog(spec.name, level_index, level_value, n_input=len(records))
 

@@ -10,6 +10,9 @@ with this layout:
         cs4.csv         iq_000..iq_255 + label + snr
         cs6.csv         8 subscription columns + Slice
 
+A last test writes this layout from synthetic data and runs each of those
+criteria on it to `generate`, so the layout is read without real data.
+
 Run with -v for one pass/fail line per criterion.
 """
 
@@ -21,7 +24,8 @@ import pytest
 
 from flow_oracle import handwritten_packets, naive_aggregate, naive_features
 from test_models import central_difference, probe_network, rel_error
-from views import degradations, xs
+from test_stages import write_rows
+from views import degradations, packets_to_text, xs
 
 from mlsec5g.attacks import run_online_attack, run_online_attacks, run_training_attack
 from mlsec5g.config import build_config, default_config
@@ -316,3 +320,57 @@ def test_criterion_14_real_slice_assignment_and_removal_cost():
     assert report.baseline["Acc"] == 1.0
     removal = [d for d in report.defenses if d.defense == "feature_removal"]
     assert removal and abs(removal[0].tradeoff.tradeoff - 1.50) <= 0.02
+
+
+class _Generated(Exception):
+    """Stops a criterion once its data is read."""
+
+
+def test_the_replication_layout_is_what_criteria_11_to_14_read(tmp_path, monkeypatch):
+    """Reduced synthetic data, written in the layout of this file's docstring,
+    runs each real-data criterion's own config to `generate`: every entry is
+    found and every row is read, and cs4 keeps only its snr-10 rows. The
+    paper's thresholds need the real datasets, so the criteria keep them."""
+    traffic = G.generate_traffic(seed=1, n_hosts=20, sessions_per_host=3)
+    sessions = traffic["session_labels"]
+    (tmp_path / "cs1").mkdir()
+    (tmp_path / "cs1" / "packets.csv").write_text(packets_to_text(traffic["packets"]))
+    write_rows(tmp_path / "cs1" / "sessions.csv", ("src_ip", "src_port", "label"),
+               [(ip, port, label) for (ip, port), label in sessions.items()])
+    cqi = G.generate_cqi_records(seed=1, n=300)
+    write_rows(tmp_path / "cs2.csv", G.CQI_FEATURES + ("CQI",),
+               [[r[c] for c in G.CQI_FEATURES] + [t]
+                for r, t in zip(cqi["records"], cqi["targets"])])
+    signals = G.generate_signals(seed=1, n_per_class=10)
+    n_signals = len(signals["y"])
+    write_rows(tmp_path / "cs4.csv", G.SIGNAL_FEATURES + ("label", "snr"),
+               [[float(v) for v in x] + [G.MODULATIONS[c], 10 * (i % 2)]
+                for i, (x, c) in enumerate(zip(signals["X"], signals["y"]))])
+    subs = G.generate_subscriptions(seed=1, n=400)
+    write_rows(tmp_path / "cs6.csv", G.SLICE_FEATURES + ("Slice",),
+               [[r[c] for c in G.SLICE_FEATURES] + [t]
+                for r, t in zip(subs["records"], subs["labels"])])
+
+    # each criterion runs as written, with its run stopped after `generate`
+    reports, run = {}, run_case_study
+
+    def generate(scenario, config, stage):
+        reports[scenario] = run(scenario, config=config, stage="generate")
+        raise _Generated
+
+    monkeypatch.setitem(globals(), "REPLICATION_DIR", str(tmp_path))
+    monkeypatch.setitem(globals(), "run_case_study", generate)
+    for criterion in (test_criterion_11_real_cqi_regression_and_hardening_cost,
+                      test_criterion_12_real_traffic_classification_and_distillation_cost,
+                      test_criterion_13_real_modulation_accuracy_at_snr_10,
+                      test_criterion_14_real_slice_assignment_and_removal_cost):
+        with pytest.raises(_Generated):
+            criterion()
+    read = {s: r.data_provenance for s, r in reports.items()}
+    assert read["cs1"]["path"] == str(tmp_path / "cs1")
+    assert read["cs1"]["packets"] == {"rows": len(traffic["packets"]), "skipped": 0}
+    assert read["cs1"]["sessions"] == {"rows": len(sessions), "skipped": 0}
+    for scenario, rows in (("cs2", 300), ("cs4", n_signals), ("cs6", 400)):
+        assert read[scenario]["path"] == str(tmp_path / f"{scenario}.csv")
+        assert (read[scenario]["rows"], read[scenario]["skipped"]) == (rows, 0)
+    assert reports["cs4"].extras["n_samples"] == n_signals // 2

@@ -128,11 +128,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="unknown fields"):
             spec.bind(("a", "b"))
 
-    def test_bind_rejects_targets_outside_conscious_scope(self):
-        spec = PerturbationSpec("s", ("a",), "additive_std", (1.0,))
-        with pytest.raises(ValueError, match="conscious"):
-            spec.bind(("a", "b"), allowed_fields=("b",))
-
     def test_bind_rejects_graph_fields_missing_from_schema(self):
         spec = PerturbationSpec("s", ("a",), "additive_std", (1.0,),
                                 derived=DependencyGraph({"a": (DerivedField("gone"),)}))

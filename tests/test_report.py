@@ -134,10 +134,14 @@ def test_importing_the_package_pins_blas_unless_the_caller_chose(chosen):
     if chosen is not None:
         env["OPENBLAS_NUM_THREADS"] = chosen
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(mlsec5g.__file__))
-    code = ("import os, mlsec5g; from mlsec5g.forkmap import blas_threads; "
-            "print(os.environ['OPENBLAS_NUM_THREADS'], blas_threads())")
-    variable, threads = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                                       capture_output=True, text=True).stdout.split()
+    # numpy loads only after the package, as it does for a submodule import
+    code = ("import os, sys, mlsec5g; early = 'numpy' in sys.modules; import numpy; "
+            "from mlsec5g.forkmap import blas_threads; "
+            "print(early, os.environ['OPENBLAS_NUM_THREADS'], blas_threads())")
+    early, variable, threads = subprocess.run([sys.executable, "-c", code], env=env,
+                                              check=True, capture_output=True,
+                                              text=True).stdout.split()
+    assert early == "False"  # importing the package loads no numpy
     assert variable == (chosen or "1")
     if chosen is None:
         assert threads in ("1", "None")  # None: numpy links no OpenBLAS
