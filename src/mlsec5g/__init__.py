@@ -8,11 +8,4 @@ learners, attack and defense harnesses, six case-study drivers, and a CLI that
 turns configs into deterministic reports.
 """
 
-import os
-
-# OpenBLAS fixes its thread count when numpy loads, and some results (the
-# network's sums) depend on it: one thread unless the caller chose otherwise.
-# Importing any submodule loads numpy, and Python runs this file first.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
 __version__ = "0.1.0"

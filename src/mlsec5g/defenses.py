@@ -63,7 +63,7 @@ def adversarial_training(trainer: Callable, records: Sequence[dict], y,
         for level in range(len(spec.intensity_levels)):
             variants, log = apply_rsp(subset, spec, level,
                                       derive_seed(seed, "aug", spec.name, level))
-            rejected = {e.record_index for e in log.entries if e.verdict.kind == "rejected"}
+            rejected = {e.record_index for e in log.entries if e.verdict == "rejected"}
             keep = np.array([i for i in range(len(subset)) if i not in rejected], dtype=int)
             if keep.size == 0:
                 continue

@@ -1,4 +1,5 @@
-"""Forked workers: one ordered fork map, and one lockstep helper.
+"""Forked workers: one ordered fork map, one lockstep helper, and the BLAS
+thread count they run beside.
 
 `fork_map(fn, items)` returns fn(item) for every item, in item order. With
 two or more items, two or more usable CPUs and no other Python thread alive,
@@ -21,6 +22,7 @@ from __future__ import annotations
 import mmap
 import os
 import threading
+from contextlib import contextmanager
 
 _workers = None  # worker processes when forking; None: the usable CPUs, 0: never fork
 _SPINS = 5000  # polls of a semaphore before a lockstep wait blocks
@@ -34,9 +36,9 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def blas_threads() -> int | None:
-    """Thread count of the OpenBLAS that numpy loaded, asked of the library;
-    None where no OpenBLAS shows in /proc/self/maps."""
+def _openblas(verb: str):
+    """The `verb`_num_threads function (get or set) of the OpenBLAS that numpy
+    loaded; None where no OpenBLAS shows in /proc/self/maps or it lacks one."""
     import ctypes
     try:
         with open("/proc/self/maps") as fh:
@@ -48,13 +50,38 @@ def blas_threads() -> int | None:
             lib = ctypes.CDLL(path)  # the loaded library, not a second copy
         except OSError:
             continue
-        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                       "openblas_get_num_threads"):
+        for symbol in (f"scipy_openblas_{verb}_num_threads64_",
+                       f"openblas_{verb}_num_threads64_", f"openblas_{verb}_num_threads"):
             fn = getattr(lib, symbol, None)
             if fn is not None:
-                fn.argtypes, fn.restype = [], ctypes.c_int
-                return int(fn())
+                fn.argtypes, fn.restype = (([], ctypes.c_int) if verb == "get"
+                                           else ([ctypes.c_int], None))
+                return fn
     return None
+
+
+def blas_threads() -> int | None:
+    """Thread count of the OpenBLAS that numpy loaded, asked of the library;
+    None where no OpenBLAS shows in /proc/self/maps."""
+    get = _openblas("get")
+    return None if get is None else int(get())
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block on a one-thread OpenBLAS, then give the caller back its
+    count, also when the block raises. Forked workers inherit the one thread.
+    Where numpy's OpenBLAS has no thread setter, nothing changes."""
+    get, put = _openblas("get"), _openblas("set")
+    if get is None or put is None:
+        yield
+        return
+    saved = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(saved)
 
 
 def may_fork() -> bool:

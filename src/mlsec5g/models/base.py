@@ -5,9 +5,7 @@ All learners are self-contained numpy implementations, bit-for-bit
 reproducible under a fixed seed. Forest trees, cs3's profiles and cs1's
 poisoning cells run in forked workers gathered in item order, and cs5's
 network fit shares its epochs with one forked helper only where a check shows
-the split keeps every bit. The BLAS runs one thread unless
-OPENBLAS_NUM_THREADS says otherwise (stock cs5 takes other bits at other
-counts). That is what lets zero-intensity controls be compared with ==
+the split keeps every bit. So zero-intensity controls compare with ==
 instead of tolerances.
 """
 

@@ -7,8 +7,9 @@ could have done live. Three things make that simulation honest:
   consciously influences (plus their declared side effects). This holds by
   construction: the runner makes each spec's targets its scope's conscious
   set and refuses an invalid scope;
-* integrity: values that depend on a perturbed field are recomputed through
-  an explicit dependency graph rather than left stale;
+* integrity: values that depend on a perturbed field are recomputed rather
+  than left stale, through an explicit dependency graph that maps each source
+  field to the names of the fields derived from it;
 * constraints: physical bounds are enforced, by clamping where the medium
   would clamp and by rejection where the record could not have existed.
 
@@ -67,56 +68,35 @@ class ConstraintRule:
 
 
 @dataclass(frozen=True)
-class DerivedField:
-    """A field recomputed when its source changes.
-
-    The one rule is inverse_scale: new = old * old_source / new_source. It
-    models quantities averaged over a fixed window, e.g. a mean inter-arrival
-    time when the packet count changes. Zero old or new source leaves the
-    value unchanged.
-    """
-
-    name: str
-    rule: str = "inverse_scale"
-
-    def __post_init__(self):
-        if self.rule != "inverse_scale":
-            raise ValueError(f"unknown derived-field rule {self.rule!r}")
-
-    def recompute(self, old_record: Mapping, new_record: Mapping, source: str):
-        old_src = old_record[source]
-        new_src = new_record[source]
-        if old_src == 0 or new_src == 0:
-            return old_record[self.name]
-        return new_record[self.name] * old_src / new_src
-
-
-@dataclass(frozen=True)
 class DependencyGraph:
-    """Directed edges from perturbed fields to the fields they drag along.
+    """Directed edges from perturbed fields to the names of the fields they
+    drag along, e.g. {"pktRx": ("pktRxAiat",)}.
+
+    A derived field is recomputed by inverse scaling: new = old * old_source
+    / new_source. It models quantities averaged over a fixed window, e.g. a
+    mean inter-arrival time when the packet count changes. Zero old or new
+    source leaves the value unchanged.
 
     Must be acyclic, and each derived field may appear under exactly one
-    source: two competing recompute rules for the same field would make the
-    result order-dependent.
+    source: two competing recomputes of the same field would make the result
+    order-dependent.
     """
 
-    edges: Mapping[str, tuple[DerivedField, ...]] = field(default_factory=dict)
+    edges: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
         normalized = {str(k): tuple(v) for k, v in dict(self.edges).items()}
         object.__setattr__(self, "edges", normalized)
-        self.validate()
-
-    def validate(self) -> None:
         seen: dict[str, str] = {}
-        for src, derived in self.edges.items():
-            for d in derived:
-                if d.name in seen:
+        for src, derived in normalized.items():
+            for name in derived:
+                if not isinstance(name, str):
+                    raise ValueError(f"derived field under {src!r} must be a field name, "
+                                     f"got {name!r}")
+                if name in seen:
                     raise ValueError(
-                        f"derived field {d.name!r} has rules under both {seen[d.name]!r} and {src!r}")
-                seen[d.name] = src
-        # cycle check over src -> derived edges
-        adjacency = {src: [d.name for d in derived] for src, derived in self.edges.items()}
+                        f"derived field {name!r} has rules under both {seen[name]!r} and {src!r}")
+                seen[name] = src
         state: dict[str, int] = {}
 
         def visit(node: str, trail: tuple[str, ...]) -> None:
@@ -125,19 +105,12 @@ class DependencyGraph:
             if state.get(node) == 2:
                 return
             state[node] = 1
-            for nxt in adjacency.get(node, ()):
+            for nxt in normalized.get(node, ()):
                 visit(nxt, trail + (node,))
             state[node] = 2
 
-        for src in adjacency:
-            if state.get(src) != 2:
-                visit(src, ())
-
-    def all_fields(self) -> set[str]:
-        out = set(self.edges)
-        for derived in self.edges.values():
-            out.update(d.name for d in derived)
-        return out
+        for src in normalized:
+            visit(src, ())
 
     def propagate(self, old_record: Mapping, new_record: dict, changed: set[str]) -> set[str]:
         """Recompute dependents of changed fields, in dependency order.
@@ -150,12 +123,16 @@ class DependencyGraph:
         while frontier:
             next_frontier: set[str] = set()
             for src in sorted(frontier):
-                for d in self.edges.get(src, ()):
-                    value = d.recompute(old_record, new_record, src)
-                    if value != new_record[d.name]:
-                        new_record[d.name] = value
-                        touched.add(d.name)
-                        next_frontier.add(d.name)
+                old_src, new_src = old_record[src], new_record[src]
+                for name in self.edges.get(src, ()):
+                    if old_src == 0 or new_src == 0:
+                        value = old_record[name]
+                    else:
+                        value = new_record[name] * old_src / new_src
+                    if value != new_record[name]:
+                        new_record[name] = value
+                        touched.add(name)
+                        next_frontier.add(name)
             frontier = next_frontier
         return touched
 
@@ -169,8 +146,9 @@ class PerturbationSpec:
     additive_std:   multiplier of the per-field population std
     replace_random: index of an independent seeded draw (magnitude-free)
 
-    params carries the replace_random extras, donor_pool and linked, and
-    nothing else.
+    replace_random copies one donor row into each record: donor_pool holds
+    the target field's donor values, and linked maps each companion field to
+    its donor column, aligned with donor_pool.
     An empty intensity_levels list is permitted at construction so defense
     code can express a degenerate no-op schedule, but apply_rsp refuses it.
     """
@@ -181,19 +159,16 @@ class PerturbationSpec:
     intensity_levels: tuple[float, ...]
     constraints: tuple[ConstraintRule, ...] = ()
     derived: DependencyGraph = field(default_factory=DependencyGraph)
-    params: Mapping = field(default_factory=dict)
+    donor_pool: Sequence = ()
+    linked: Mapping[str, Sequence] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "target_fields", tuple(str(f) for f in self.target_fields))
         object.__setattr__(self, "intensity_levels", tuple(float(v) for v in self.intensity_levels))
         object.__setattr__(self, "constraints", tuple(self.constraints))
-        object.__setattr__(self, "params", dict(self.params))
+        object.__setattr__(self, "linked", dict(self.linked))
         if self.mode not in MODES:
             raise ValueError(f"unknown perturbation mode {self.mode!r}; expected one of {MODES}")
-        unknown = sorted(set(self.params) - {"donor_pool", "linked"})
-        if unknown:
-            raise ValueError(f"unknown perturbation params {unknown}; "
-                             "expected donor_pool and linked")
         if not self.target_fields:
             raise ValueError("perturbation needs at least one target field")
         if len(set(self.target_fields)) != len(self.target_fields):
@@ -204,13 +179,11 @@ class PerturbationSpec:
         if self.mode == "replace_random":
             if len(self.target_fields) != 1:
                 raise ValueError("replace_random takes exactly one target field; "
-                                 "companions ride in params['linked']")
-            pool = self.params.get("donor_pool")
-            if pool is None or len(pool) == 0:
-                raise ValueError("replace_random needs a non-empty params['donor_pool']")
-            linked = self.params.get("linked", {})
-            for fname, values in dict(linked).items():
-                if len(values) != len(pool):
+                                 "companions ride in linked")
+            if len(self.donor_pool) == 0:
+                raise ValueError("replace_random needs a non-empty donor_pool")
+            for fname, values in self.linked.items():
+                if len(values) != len(self.donor_pool):
                     raise ValueError(f"linked column {fname!r} not aligned with donor_pool")
 
     def bind(self, record_fields: Sequence[str]) -> None:
@@ -219,54 +192,42 @@ class PerturbationSpec:
         missing = [f for f in self.target_fields if f not in fields]
         if missing:
             raise ValueError(f"perturbation {self.name!r} targets unknown fields {missing}")
-        graph_fields = self.derived.all_fields()
-        missing = sorted(f for f in graph_fields if f not in fields)
+        missing = sorted(set(self.derived.edges).union(*self.derived.edges.values()) - fields)
         if missing:
             raise ValueError(f"perturbation {self.name!r} dependency graph names unknown fields {missing}")
         if self.mode == "replace_random":
-            linked = self.params.get("linked", {})
-            unknown = sorted(set(linked) - fields)
+            unknown = sorted(set(self.linked) - fields)
             if unknown:
                 raise ValueError(f"perturbation {self.name!r} links unknown fields {unknown}")
-
-
-@dataclass(frozen=True)
-class IntegrityVerdict:
-    """Outcome of constraint checking for one record."""
-
-    kind: str  # "ok" | "clamped" | "rejected"
-    fields: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
 class ProvenanceEntry:
     record_index: int
     changes: tuple[tuple[str, object, object], ...]  # (field, old, new)
-    level_value: float
-    verdict: IntegrityVerdict
+    verdict: str  # "ok" | "clamped" | "rejected"
 
 
 @dataclass
 class ProvenanceLog:
-    """One entry per perturbed record; rejected records are flagged, not lost."""
+    """One entry per input record; rejected records are flagged, not lost."""
 
     spec_name: str
     level_index: int
     level_value: float
-    n_input: int = 0
     entries: list[ProvenanceEntry] = field(default_factory=list)
 
     @property
     def n_rejected(self) -> int:
-        return sum(1 for e in self.entries if e.verdict.kind == "rejected")
+        return sum(1 for e in self.entries if e.verdict == "rejected")
 
     @property
     def n_clamped(self) -> int:
-        return sum(1 for e in self.entries if e.verdict.kind == "clamped")
+        return sum(1 for e in self.entries if e.verdict == "clamped")
 
     def counts(self) -> dict[str, int]:
         return {
-            "input": self.n_input,
+            "input": len(self.entries),
             "perturbed": len(self.entries),
             "clamped": self.n_clamped,
             "rejected": self.n_rejected,
@@ -284,37 +245,20 @@ def population_std(records: Sequence[Mapping], field_name: str) -> float:
     return float(np.std(values))
 
 
-def verify_integrity(record: Mapping, constraints: Sequence[ConstraintRule]) -> IntegrityVerdict:
-    """Classify a record against constraints without modifying it.
-
-    Rejection dominates clamping: if any reject-action rule is violated the
-    record could not exist, regardless of what else is fixable.
-    """
-    clamp_fields: list[str] = []
-    reject_fields: list[str] = []
+def _enforce(record: dict, constraints: Sequence[ConstraintRule]) -> str:
+    """The record's verdict against constraints, in one pass: "rejected" if
+    it violates a reject rule (it could not exist, whatever else is fixable),
+    else "clamped" once each violated clamp rule has pulled its field back in
+    place, else "ok". A rule on a field the record lacks is ignored."""
+    clamps = []
     for rule in constraints:
-        if rule.field not in record:
-            continue
-        if rule.violated(record[rule.field]):
-            if rule.action == "clamp":
-                clamp_fields.append(rule.field)
-            else:
-                reject_fields.append(rule.field)
-    if reject_fields:
-        return IntegrityVerdict("rejected", tuple(reject_fields))
-    if clamp_fields:
-        return IntegrityVerdict("clamped", tuple(clamp_fields))
-    return IntegrityVerdict("ok")
-
-
-def _enforce(record: dict, constraints: Sequence[ConstraintRule]) -> IntegrityVerdict:
-    """Apply clamp-action rules in place; report the overall verdict."""
-    verdict = verify_integrity(record, constraints)
-    if verdict.kind == "clamped":
-        for rule in constraints:
-            if rule.action == "clamp" and rule.field in record and rule.violated(record[rule.field]):
-                record[rule.field] = rule.clamped(record[rule.field])
-    return verdict
+        if rule.field in record and rule.violated(record[rule.field]):
+            if rule.action == "reject":
+                return "rejected"
+            clamps.append(rule)
+    for rule in clamps:
+        record[rule.field] = rule.clamped(record[rule.field])
+    return "clamped" if clamps else "ok"
 
 
 def derive_stream(seed: int, level_index: int) -> int:
@@ -341,15 +285,14 @@ def apply_rsp(records: Sequence[Mapping], spec: PerturbationSpec, level_index: i
     if records:
         spec.bind(records[0].keys())
     level_value = spec.intensity_levels[level_index]
-    log = ProvenanceLog(spec.name, level_index, level_value, n_input=len(records))
+    log = ProvenanceLog(spec.name, level_index, level_value)
 
     # mode-wide precomputation
     deltas: dict[str, float] = {}
     if spec.mode == "additive_std":
         for fname in spec.target_fields:
             deltas[fname] = level_value * population_std(records, fname)
-    donor_pool = spec.params.get("donor_pool", ())
-    linked = dict(spec.params.get("linked", {}))
+    columns = [(spec.target_fields[0], spec.donor_pool), *spec.linked.items()]
 
     output: list[dict] = []
     for i, original in enumerate(records):
@@ -363,9 +306,8 @@ def apply_rsp(records: Sequence[Mapping], spec: PerturbationSpec, level_index: i
                     changed.add(fname)
         else:  # replace_random
             # per-record stream so that any partitioning of the input agrees
-            j = int(seeded(derive_stream(seed, level_index), i).integers(0, len(donor_pool)))
-            for fname, pool in [(spec.target_fields[0], donor_pool)] + \
-                    [(lf, lv) for lf, lv in linked.items()]:
+            j = int(seeded(derive_stream(seed, level_index), i).integers(0, len(spec.donor_pool)))
+            for fname, pool in columns:
                 if new[fname] != pool[j]:
                     new[fname] = pool[j]
                     changed.add(fname)
@@ -376,7 +318,7 @@ def apply_rsp(records: Sequence[Mapping], spec: PerturbationSpec, level_index: i
         # identity check first so untouched NaN-valued fields never show as diffs
         diff = tuple((f, original[f], new[f]) for f in sorted(new)
                      if new[f] is not original[f] and new[f] != original[f])
-        log.entries.append(ProvenanceEntry(i, diff, level_value, verdict))
-        if verdict.kind != "rejected":
+        log.entries.append(ProvenanceEntry(i, diff, verdict))
+        if verdict != "rejected":
             output.append(new)
     return output, log

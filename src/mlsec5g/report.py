@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .attacks import DegradationCurve
 from .defenses import DefenseEvaluation
-from .forkmap import blas_threads, usable_cpus
+from .forkmap import usable_cpus
 from .repro import _jsonable, atomic_write_text, canonical_json
 
 
@@ -39,6 +39,8 @@ class ExperimentReport:
     # the adapter's file, row and skip counts of a data.path run; it names a
     # local path, so it goes to run_meta.json, not report.json
     data_provenance: dict | None = None
+    # the OpenBLAS thread count the run used, read inside it, for run_meta.json
+    blas_threads: int | None = None
 
 
 def curve_to_dict(curve: DegradationCurve) -> dict:
@@ -178,7 +180,7 @@ def write_report(report: ExperimentReport, out_dir: str) -> dict:
         "seed": int(report.seed),
         "stage": report.stage,
         "timings_s": {k: float(v) for k, v in sorted(report.timings.items())},
-        "blas_threads": blas_threads(),
+        "blas_threads": report.blas_threads,
         "nproc": usable_cpus(),
     }
     if report.data_provenance is not None:

@@ -49,13 +49,12 @@ from ..defenses import adversarial_training, evaluate_defense, feature_removal
 from ..flows import (FEATURE_NAMES, aggregate_flows,
                      extract_feature_matrix, label_flows, pad_payloads,
                      poison_training_set)
-from ..forkmap import fork_map
+from ..forkmap import blas_threads, fork_map, one_blas_thread
 from ..models import ModelSpec
 from ..models.forest import distill_forest, train_forest
 from ..models.network import train_network
 from ..models.recurrent import OnlineRecurrentModel, init_online
-from ..perturb import (ConstraintRule, DependencyGraph, DerivedField,
-                       PerturbationSpec, apply_rsp)
+from ..perturb import ConstraintRule, DependencyGraph, PerturbationSpec, apply_rsp
 from ..report import ExperimentReport
 from ..repro import derive_seed, fingerprint, seeded
 from ..threat import FeatureScope, validate_scope
@@ -81,9 +80,9 @@ def _split(n: int, train_frac: float, seed: int) -> tuple[np.ndarray, np.ndarray
 def _affected(spec: PerturbationSpec) -> list[str]:
     """The fields a perturbation spec alters: its targets, its linked fields,
     then every field the derived graph reaches from those, in graph order."""
-    affected = [*spec.target_fields, *spec.params.get("linked", {})]
+    affected = [*spec.target_fields, *spec.linked]
     for name in affected:  # the list grows as the loop reaches derived fields
-        affected += [d.name for d in spec.derived.edges.get(name, ()) if d.name not in affected]
+        affected += [d for d in spec.derived.edges.get(name, ()) if d not in affected]
     return affected
 
 
@@ -112,7 +111,8 @@ def run_case_study(scenario: str, config: ExperimentConfig | None = None,
     """Execute one scenario to the depth of its stage and return its report.
 
     config defaults to the scenario's stock configuration at seed 0. The
-    report's artifacts are written by the caller.
+    report's artifacts are written by the caller. The run holds numpy's
+    OpenBLAS at one thread and gives the caller back its count.
     """
     if stage not in STAGES:
         raise ValueError(f"unknown stage {stage!r}; expected one of {tuple(STAGES)}")
@@ -127,12 +127,14 @@ def run_case_study(scenario: str, config: ExperimentConfig | None = None,
     }[scenario]
     report = ExperimentReport(scenario=scenario, config_fingerprint=config.fingerprint(),
                               seed=config.seed, stage=stage)
-    start = time.perf_counter()
-    for depth, segment in enumerate(driver(config, report)):
-        end = time.perf_counter()
-        report.timings[segment], start = end - start, end
-        if depth == STAGES[stage]:
-            break
+    with one_blas_thread():  # the network's sums depend on the count
+        report.blas_threads = blas_threads()
+        start = time.perf_counter()
+        for depth, segment in enumerate(driver(config, report)):
+            end = time.perf_counter()
+            report.timings[segment], start = end - start, end
+            if depth == STAGES[stage]:
+                break
     return report
 
 
@@ -353,14 +355,12 @@ def _cs2_specs(records, multipliers, replace_levels):
     """The four attacker perturbations, by name."""
     rsrp_pool = tuple(float(r["RSRP"]) for r in records)
     rsrq_pool = tuple(float(r["RSRQ"]) for r in records)
-    aiat_graph = DependencyGraph({
-        "pktRx": (DerivedField("pktRxAiat", rule="inverse_scale"),),
-    })
+    aiat_graph = DependencyGraph({"pktRx": ("pktRxAiat",)})
     return {
         "rsrp_replace": PerturbationSpec(
             "rsrp_replace", ("RSRP",), "replace_random",
             tuple(float(i) for i in range(1, replace_levels + 1)),
-            params={"donor_pool": rsrp_pool, "linked": {"RSRQ": rsrq_pool}}),
+            donor_pool=rsrp_pool, linked={"RSRQ": rsrq_pool}),
         "pktrxbyt_shift": PerturbationSpec(
             "pktrxbyt_shift", ("pktRxByt",), "additive_std", tuple(multipliers),
             constraints=(ConstraintRule("pktRxByt", lo=0.0, action="clamp"),)),

@@ -35,8 +35,7 @@ from mlsec5g.forkmap import fork_map
 from mlsec5g.metrics import accuracy
 from mlsec5g.models import ModelSpec, init_online
 from mlsec5g.models.forest import train_forest
-from mlsec5g.perturb import (ConstraintRule, DependencyGraph, DerivedField,
-                             PerturbationSpec, apply_rsp)
+from mlsec5g.perturb import ConstraintRule, DependencyGraph, PerturbationSpec, apply_rsp
 from mlsec5g.repro import derive_seed
 from mlsec5g.scenarios import generators as G
 from mlsec5g.scenarios.generators import records_to_matrix
@@ -61,8 +60,7 @@ def test_criterion_01_controls_reproduce_the_baseline_exactly():
         "null_shift", ("pktRx",), "additive_std", (0.0, 1.0),
         constraints=(ConstraintRule("pktRx", lo=1.0, action="clamp"),
                      ConstraintRule("pktRxAiat", lo=0.0, action="clamp")),
-        derived=DependencyGraph({"pktRx": (DerivedField("pktRxAiat",
-                                                        rule="inverse_scale"),)}))
+        derived=DependencyGraph({"pktRx": ("pktRxAiat",)}))
     out, log = apply_rsp(records, spec, 0, derive_seed(5, "rsp"))
     assert out == records
     assert log.counts()["rejected"] == 0

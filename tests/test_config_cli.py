@@ -13,6 +13,7 @@ from mlsec5g.attacks import SPOOF_MODES
 from mlsec5g.cli import build_parser, main, resolve
 from mlsec5g.config import (CS2_SCOPES, STAGES, ConfigError, build_config,
                             default_config, validate_config)
+from mlsec5g.forkmap import fork_map
 from mlsec5g.scenarios.generators import CQI_PROFILES
 from mlsec5g.scenarios.runner import run_case_study
 
@@ -523,15 +524,20 @@ def test_valid_reduced_configs_run_through_every_stage():
     data; its tradeoff is then null with a reason, not an error (this seed
     draws 10 such defenses, in cs1, cs2 and cs6)."""
     rng = np.random.default_rng(7)
-    undefined = []
+    raws = []
     for i in range(300):
         scenario = f"cs{i % 6 + 1}"
-        raw = {"scenario": scenario, "seed": int(rng.integers(1000)),
-               **_reduced_config(scenario, rng)}
-        assert validate_config(raw) == [], raw
-        report = run_case_study(scenario, build_config(raw), stage="all")
-        undefined += [(scenario, d.tradeoff.reason) for d in report.defenses
-                      if d.tradeoff.tradeoff is None]
+        raws.append({"scenario": scenario, "seed": int(rng.integers(1000)),
+                     **_reduced_config(scenario, rng)})
+        assert validate_config(raws[-1]) == [], raws[-1]
+
+    def undefined_tradeoffs(raw):
+        report = run_case_study(raw["scenario"], build_config(raw), stage="all")
+        return [(raw["scenario"], d.tradeoff.reason) for d in report.defenses
+                if d.tradeoff.tradeoff is None]
+
+    # the configs are independent, so they run side by side, in draw order
+    undefined = [u for found in fork_map(undefined_tradeoffs, raws) for u in found]
     assert undefined
     assert all("is 0 on clean data" in reason for _, reason in undefined)
 

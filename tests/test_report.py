@@ -128,20 +128,71 @@ class TestArtifacts:
         assert lines == ["series,x,mean,std", "s,0.25,1.0,0.0"]
 
 
-@pytest.mark.parametrize("chosen", [None, "2"])
-def test_importing_the_package_pins_blas_unless_the_caller_chose(chosen):
+def _python(code: str, threads: str | None) -> subprocess.Popen:
+    """`python -c code`, started with OPENBLAS_NUM_THREADS unset or at threads."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    if chosen is not None:
-        env["OPENBLAS_NUM_THREADS"] = chosen
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(mlsec5g.__file__))
-    # numpy loads only after the package, as it does for a submodule import
-    code = ("import os, sys, mlsec5g; early = 'numpy' in sys.modules; import numpy; "
-            "from mlsec5g.forkmap import blas_threads; "
-            "print(early, os.environ['OPENBLAS_NUM_THREADS'], blas_threads())")
-    early, variable, threads = subprocess.run([sys.executable, "-c", code], env=env,
-                                              check=True, capture_output=True,
-                                              text=True).stdout.split()
-    assert early == "False"  # importing the package loads no numpy
-    assert variable == (chosen or "1")
-    if chosen is None:
-        assert threads in ("1", "None")  # None: numpy links no OpenBLAS
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    return subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
+                            text=True)
+
+
+def _stdout(proc: subprocess.Popen) -> str:
+    out, _ = proc.communicate()
+    assert proc.returncode == 0
+    return out
+
+
+# stock cs5 data at 20 epochs, where a 2-thread BLAS changes the network's last bits
+_CS5_DIGEST = """
+import hashlib, sys
+import mlsec5g
+print('numpy' in sys.modules)
+from mlsec5g.config import default_config
+from mlsec5g.report import report_to_dict
+from mlsec5g.repro import canonical_json
+from mlsec5g.scenarios.runner import run_case_study
+report = run_case_study("cs5", default_config("cs5", model={"epochs": 20}), stage="train")
+print(hashlib.sha256(canonical_json(report_to_dict(report)).encode()).hexdigest())
+"""
+
+
+def test_cs5_numbers_do_not_depend_on_the_callers_blas_threads():
+    procs = [_python(_CS5_DIGEST, threads) for threads in (None, "1", "2")]
+    outs = {_stdout(p) for p in procs}
+    assert len(outs) == 1
+    assert outs.pop().startswith("False")  # importing the package loads no numpy
+
+
+def test_a_run_after_a_bare_numpy_import_gives_the_one_thread_digest():
+    # OpenBLAS then starts at its own count, as under a caller that imported numpy first
+    procs = [_python("import numpy" + _CS5_DIGEST, None), _python(_CS5_DIGEST, "1")]
+    first, pinned = (_stdout(p).split()[1] for p in procs)
+    assert first == pinned
+
+
+def test_a_run_gives_the_caller_back_its_blas_count():
+    code = """
+import json
+from mlsec5g.forkmap import blas_threads
+from mlsec5g.scenarios import runner
+seen = [blas_threads()]
+def driver(config, report):
+    seen.append(blas_threads())
+    yield "data"
+    raise RuntimeError("stage failed")
+runner._run_cs4 = driver
+seen.append(runner.run_case_study("cs4", stage="generate").blas_threads)
+seen.append(blas_threads())
+try:
+    runner.run_case_study("cs4", stage="train")
+except RuntimeError:
+    seen.append(blas_threads())
+print(json.dumps(seen))
+"""
+    seen = json.loads(_stdout(_python(code, "2")))
+    if seen[0] in (None, 1):
+        pytest.skip(f"OpenBLAS started at {seen[0]} threads, not 2")
+    # inside the run, in run_meta.json, after it, inside a run that raises, after it
+    assert seen == [2, 1, 1, 2, 1, 2]

@@ -5,11 +5,12 @@ what `all` reports about data and the baseline, `attack` exactly its curves,
 and so on. Dict sections keep every value they had; list sections (curves,
 defenses, provenance, plot rows) only grow at the end. The artifacts are a
 function of config and seed alone: not of the output directory, nor of the
-BLAS thread count at these sizes.
+BLAS thread count.
 """
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -282,22 +283,27 @@ def test_a_real_data_run_names_its_file_in_run_meta(tmp_path):
 
 
 def test_cli_artifacts_ignore_out_dir_and_blas_threads(tmp_path):
-    """Every scenario through the CLI, with BLAS threads left to the package
-    (which pins 1), pinned to 1, and at 2, each into its own --out. Stock cs5
-    at 2 threads still differs from 1; these sizes do not show that."""
-    src = os.path.dirname(os.path.dirname(mlsec5g.__file__))
-    digests: dict[str, set[str]] = {}
+    """Every scenario through the CLI, with BLAS threads unset, pinned to 1
+    and at 2, each into its own --out; the three chains run side by side."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(mlsec5g.__file__))
+    for scenario, sizes in REDUCED.items():
+        (tmp_path / f"{scenario}.json").write_text(
+            json.dumps({"scenario": scenario, "seed": 2, **sizes}))
+    chains = {}
     for threads in (None, "1", "2"):
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-        env["PYTHONPATH"] = src
-        if threads is not None:
-            env["OPENBLAS_NUM_THREADS"] = threads
         out = tmp_path / f"out-{threads}"
-        for scenario, sizes in sorted(REDUCED.items()):
-            config = tmp_path / f"{scenario}.json"
-            config.write_text(json.dumps({"scenario": scenario, "seed": 2, **sizes}))
-            subprocess.run([sys.executable, "-m", "mlsec5g.cli", "all", "--config",
-                            str(config), "--out", str(out)],
-                           env=env, check=True, capture_output=True)
+        chain = " && ".join(
+            shlex.join([sys.executable, "-m", "mlsec5g.cli", "all", "--config",
+                        str(tmp_path / f"{scenario}.json"), "--out", str(out)])
+            for scenario in sorted(REDUCED))
+        chains[out] = subprocess.Popen(
+            chain, shell=True, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            env=env if threads is None else {**env, "OPENBLAS_NUM_THREADS": threads})
+    digests: dict[str, set[str]] = {}
+    for out, proc in chains.items():
+        _, err = proc.communicate()
+        assert proc.returncode == 0, err
+        for scenario in REDUCED:
             digests.setdefault(scenario, set()).add(artifact_digest(out / scenario))
     assert {s: len(d) for s, d in digests.items()} == dict.fromkeys(REDUCED, 1)

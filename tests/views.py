@@ -24,7 +24,7 @@ def provenance_rows(log) -> list[tuple]:
     rows = []
     for e in log.entries:
         for fname, old, new in e.changes:
-            rows.append((e.record_index, fname, old, new, e.level_value, e.verdict.kind))
+            rows.append((e.record_index, fname, old, new, log.level_value, e.verdict))
     return rows
 
 
