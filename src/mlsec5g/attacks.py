@@ -14,6 +14,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import metrics as M
+from .config import SPOOF_MODES
 from .forkmap import fork_map
 from .models.recurrent import OnlineRecurrentModel
 from .repro import derive_seed, seeded
@@ -194,7 +195,6 @@ def run_training_attack(trainer: Callable, T, V, ratios: Sequence[float],
 # ---------------------------------------------------------------------------
 # online attacks
 
-SPOOF_MODES = ("floor_zero", "jitter")
 JITTER_MAX_OFFSET = 3
 
 

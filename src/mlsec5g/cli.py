@@ -6,7 +6,8 @@ Environment variables mirror the flags: MLSEC5G_CONFIG, MLSEC5G_SCENARIO,
 MLSEC5G_SEED, MLSEC5G_OUT.
 
 Exit codes: 0 success, 2 configuration error (every violation listed on
-stderr), 3 runtime failure.
+stderr), 3 runtime failure. Config errors and --help return before numpy
+loads: the stage modules load only once a config has resolved.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import os
 import sys
 
 from .config import STAGES, ConfigError, build_config
-from .report import write_report
-from .scenarios.runner import run_case_study
 
 ENV_PREFIX = "MLSEC5G_"
 
@@ -111,6 +110,8 @@ def main(argv=None) -> int:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG
 
+    from .report import write_report
+    from .scenarios.runner import run_case_study
     try:
         report = run_case_study(config.scenario, config=config, stage=stage)
         out_dir = os.path.join(config.out_dir, config.scenario)

@@ -10,6 +10,9 @@ before failing and a config is fixed in one pass. The fingerprint hashes the
 fully merged effective config (defaults included) except out_dir, which says
 where the artifacts land, not what produced them: two runs share a
 fingerprint exactly when they ran the same experiment.
+
+It imports only the standard library and owns the vocabulary it checks, the
+models' hyperparameter rows included, so a bad config fails before numpy loads.
 """
 
 from __future__ import annotations
@@ -18,10 +21,15 @@ import math
 from dataclasses import asdict, dataclass
 from functools import reduce
 
-from .attacks import SPOOF_MODES
-from .models.base import _BOOL, _COUNT, _POSITIVE, _ROWS, _int, _is_number, _number
-from .repro import fingerprint
-from .scenarios.generators import CQI_PROFILES, N_SIGNAL_FEATURES, SCENARIOS
+SCENARIOS = ("cs1", "cs2", "cs3", "cs4", "cs5", "cs6")
+SPOOF_MODES = ("floor_zero", "jitter")  # how attacks.spoof_value forges a report
+# cs3 series profile -> (step sigma, floor, ceiling, start)
+CQI_PROFILES = {
+    "static": (0.35, 0.0, 15.0, 10.0),
+    "driving": (1.0, 0.0, 15.0, 8.0),
+    "high": (0.35, 7.0, 15.0, 12.0),
+}
+N_SIGNAL_FEATURES = 256  # cs4's I/Q samples per signal
 
 # each stage and how far it runs: 0 stops after the data, 1 after the
 # baseline, 2 after the attacks, 3 scores the defenses too
@@ -91,7 +99,42 @@ class ConfigError(ValueError):
 
 
 # A row is (check, what the value must be); a dict of rows is a subsection.
-# The model sections are the models' own hyperparameter rows.
+# The model sections are the rows models.base checks a ModelSpec against.
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _int(lo: int, hi: int | None = None, null: bool = False):
+    what = f"an integer >= {lo}" if hi is None else f"an integer in [{lo}, {hi}]"
+    return (lambda v: (null and v is None) or
+            (type(v) is int and lo <= v and (hi is None or v <= hi)),
+            what + (" or null" if null else ""))
+
+
+def _number(test, what: str):
+    return lambda v: _is_number(v) and test(v), what
+
+
+_COUNT = _int(1)
+_BOOL = (lambda v: isinstance(v, bool), "true or false")
+_POSITIVE = _number(lambda v: 0 < v < math.inf, "a positive number")
+
+# the one hyperparameter table: each name a model kind reads, and its row
+_ROWS = {
+    "forest": {
+        "n_trees": _COUNT, "max_depth": _int(1, null=True), "min_samples_split": _int(2),
+        "min_samples_leaf": _COUNT, "bootstrap": _BOOL,
+        "max_features": (lambda v: v in ("sqrt", "third", "all"), '"sqrt", "third" or "all"'),
+    },
+    "feedforward": {
+        "hidden": (lambda v: isinstance(v, list) and all(_COUNT[0](h) for h in v),
+                   "a list of integers >= 1"),
+        "epochs": _COUNT, "lr": _POSITIVE,
+    },
+    "recurrent": {"window": _COUNT, "hidden_size": _COUNT, "epochs": _COUNT, "lr": _POSITIVE},
+}
+
 
 def _names(allowed):
     allowed = tuple(allowed)
@@ -295,6 +338,7 @@ class ExperimentConfig:
     defense: dict
 
     def fingerprint(self) -> str:
+        from .repro import fingerprint  # here, so that validating loads no numpy
         return fingerprint({k: v for k, v in asdict(self).items() if k != "out_dir"})
 
 

@@ -23,6 +23,7 @@ import mmap
 import os
 import threading
 from contextlib import contextmanager
+from functools import cache
 
 _workers = None  # worker processes when forking; None: the usable CPUs, 0: never fork
 _SPINS = 5000  # polls of a semaphore before a lockstep wait blocks
@@ -36,10 +37,13 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+@cache  # once per verb and process: numpy's OpenBLAS stays once loaded, workers inherit it
 def _openblas(verb: str):
     """The `verb`_num_threads function (get or set) of the OpenBLAS that numpy
     loaded; None where no OpenBLAS shows in /proc/self/maps or it lacks one."""
     import ctypes
+
+    import numpy  # noqa: F401 - the library is mapped before the one lookup reads the maps
     try:
         with open("/proc/self/maps") as fh:
             libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})

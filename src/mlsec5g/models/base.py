@@ -1,5 +1,5 @@
-"""Model contracts: the hyperparameter table, specs, the trained-model
-surface and its container, save/load, and the Adam step.
+"""Model contracts: specs checked against config's hyperparameter table, the
+trained-model surface and its container, save/load, and the Adam step.
 
 All learners are self-contained numpy implementations, bit-for-bit
 reproducible under a fixed seed. Forest trees, cs3's profiles and cs1's
@@ -12,12 +12,12 @@ instead of tolerances.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from ..config import _ROWS
 from ..repro import _jsonable, canonical_json, fingerprint_arrays
 
 KINDS = ("forest", "feedforward", "recurrent")
@@ -27,43 +27,6 @@ _VALID = {
     "forest": ("classify", "regress"),
     "feedforward": ("classify", "regress", "vector_regress"),
     "recurrent": ("regress",),
-}
-
-
-# A row is (check, what the value must be); the config's table uses these too.
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _int(lo: int, hi: int | None = None, null: bool = False):
-    what = f"an integer >= {lo}" if hi is None else f"an integer in [{lo}, {hi}]"
-    return (lambda v: (null and v is None) or
-            (type(v) is int and lo <= v and (hi is None or v <= hi)),
-            what + (" or null" if null else ""))
-
-
-def _number(test, what: str):
-    return lambda v: _is_number(v) and test(v), what
-
-
-_COUNT = _int(1)
-_BOOL = (lambda v: isinstance(v, bool), "true or false")
-_POSITIVE = _number(lambda v: 0 < v < math.inf, "a positive number")
-
-# the one hyperparameter table: each name a kind reads, and its row
-_ROWS = {
-    "forest": {
-        "n_trees": _COUNT, "max_depth": _int(1, null=True), "min_samples_split": _int(2),
-        "min_samples_leaf": _COUNT, "bootstrap": _BOOL,
-        "max_features": (lambda v: v in ("sqrt", "third", "all"), '"sqrt", "third" or "all"'),
-    },
-    "feedforward": {
-        "hidden": (lambda v: isinstance(v, list) and all(_COUNT[0](h) for h in v),
-                   "a list of integers >= 1"),
-        "epochs": _COUNT, "lr": _POSITIVE,
-    },
-    "recurrent": {"window": _COUNT, "hidden_size": _COUNT, "epochs": _COUNT, "lr": _POSITIVE},
 }
 
 

@@ -97,7 +97,7 @@ class _Grower:
     def __init__(self, XT, y, w, *, classify: bool, n_classes: int, max_depth: int,
                  min_split: int, min_leaf: int, mtry: int, rng: np.random.Generator):
         p, n = XT.shape
-        self.XT = XT  # (p, n): one contiguous row per feature
+        self.XT = XT  # (p, n), F-ordered from XT[:, rows]: a feature's values stride by p
         self.y = y
         self.w = w
         self.classify = classify

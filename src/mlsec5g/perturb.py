@@ -85,6 +85,9 @@ class DependencyGraph:
     edges: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
+        for src, derived in dict(self.edges).items():
+            if isinstance(derived, str):  # would read as one name per character
+                raise ValueError(f"{src!r} must map to a sequence of field names, got {derived!r}")
         normalized = {str(k): tuple(v) for k, v in dict(self.edges).items()}
         object.__setattr__(self, "edges", normalized)
         seen: dict[str, str] = {}

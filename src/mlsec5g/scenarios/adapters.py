@@ -40,9 +40,9 @@ import os
 
 import numpy as np
 
+from ..config import N_SIGNAL_FEATURES
 from ..flows import PACKET_HEADER, parse_packet
-from .generators import (CQI_FEATURES, MODULATIONS, N_SIGNAL_FEATURES,
-                         SIGNAL_FEATURES, SLICE_CLASSES, SLICE_FEATURES)
+from .generators import CQI_FEATURES, MODULATIONS, SIGNAL_FEATURES, SLICE_CLASSES, SLICE_FEATURES
 from .mimo import MimoTopology
 
 log = logging.getLogger("mlsec5g.adapters")

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..config import CQI_PROFILES, N_SIGNAL_FEATURES, SCENARIOS
 from ..flows import PacketRecord
 from ..repro import seeded
 from .mimo import grid_topology, ground_truth_power, place_terminals
-
-SCENARIOS = ("cs1", "cs2", "cs3", "cs4", "cs5", "cs6")
 
 # Radio measurement report fields, in canonical column order.
 CQI_FEATURES = (
@@ -39,7 +38,6 @@ SLICE_RULE_FEATURES = ("UseCase", "GuaranteedBitRate",
 SLICE_CLASSES = ("URLLC", "eMBB", "mMTC")
 
 MODULATIONS = ("BPSK", "QPSK", "8PSK", "CPFSK", "GFSK", "WBFM")
-N_SIGNAL_FEATURES = 256
 SIGNAL_FEATURES = tuple(f"iq_{i:03d}" for i in range(N_SIGNAL_FEATURES))
 
 ATTACKER_IPS = tuple(f"10.0.0.{i}" for i in range(1, 7))
@@ -193,14 +191,6 @@ def records_to_matrix(records, schema) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # cs3: channel-quality time series
-
-
-# series profile -> (step sigma, floor, ceiling, start)
-CQI_PROFILES = {
-    "static": (0.35, 0.0, 15.0, 10.0),
-    "driving": (1.0, 0.0, 15.0, 8.0),
-    "high": (0.35, 7.0, 15.0, 12.0),
-}
 
 
 def generate_cqi_series(seed: int = 0, length: int = 900,

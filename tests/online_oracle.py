@@ -12,7 +12,8 @@ match it bit for bit.
 import numpy as np
 
 from mlsec5g import metrics as M
-from mlsec5g.attacks import SPOOF_MODES, OnlineAttackResult, spoof_value
+from mlsec5g.attacks import OnlineAttackResult, spoof_value
+from mlsec5g.config import SPOOF_MODES
 
 _PARAM_ORDER = ("Wz", "Uz", "bz", "Wr", "Ur", "br", "Wh", "Uh", "bh", "Wy", "by")
 

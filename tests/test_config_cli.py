@@ -4,17 +4,17 @@ import importlib
 import json
 import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mlsec5g.attacks import SPOOF_MODES
 from mlsec5g.cli import build_parser, main, resolve
-from mlsec5g.config import (CS2_SCOPES, STAGES, ConfigError, build_config,
-                            default_config, validate_config)
+from mlsec5g.config import (CQI_PROFILES, CS2_SCOPES, SPOOF_MODES, STAGES, ConfigError,
+                            build_config, default_config, validate_config)
 from mlsec5g.forkmap import fork_map
-from mlsec5g.scenarios.generators import CQI_PROFILES
 from mlsec5g.scenarios.runner import run_case_study
 
 
@@ -589,3 +589,36 @@ def test_every_exported_name_resolves(package):
     exec(f"from {package} import *", namespace)
     assert [name for name in importlib.import_module(package).__all__
             if name not in namespace] == []
+
+
+_FRONT_END = """
+import json, sys
+from mlsec5g.cli import main
+from mlsec5g.config import build_config
+for n in range(1, 7):
+    build_config(json.load(open(f"configs/cs{n}.json")))
+codes = [main(["all", "--config", sys.argv[1]])]
+try:
+    main(["--help"])
+except SystemExit as exc:
+    codes.append(exc.code)
+print(json.dumps([codes, sorted(m for m in sys.modules
+                                if m == "numpy" or m.split(".")[0] == "mlsec5g")]))
+"""
+
+
+def test_config_errors_and_help_answer_before_numpy_loads(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"scenario": "cs2", "model": {"n_tree": 3},
+                               "attack": {"replace_levels": 0}}))
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", _FRONT_END, str(bad)], cwd=ROOT, env=env,
+                          capture_output=True, text=True, check=True)
+    codes, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [2, 0]
+    assert proc.stderr.splitlines() == [
+        "invalid configuration:",
+        "  - config.model.n_tree: unknown key (allowed: bootstrap, max_depth, max_features, "
+        "min_samples_leaf, min_samples_split, n_trees)",
+        "  - config.attack.replace_levels: must be an integer >= 1, got 0"]
+    assert modules == ["mlsec5g", "mlsec5g.cli", "mlsec5g.config"]

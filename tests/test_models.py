@@ -5,10 +5,10 @@ import pytest
 from online_oracle import _sigmoid as masked_sigmoid
 
 from mlsec5g import config
+from mlsec5g.config import _ROWS
 from mlsec5g.metrics import accuracy, rmse
 from mlsec5g.models import (ModelSpec, distill_forest, init_online, load_model,
                             save_model, train_forest, train_network)
-from mlsec5g.models.base import _ROWS
 from mlsec5g.models.recurrent import _sigmoid
 
 

@@ -95,6 +95,11 @@ class TestDependencyGraph:
         with pytest.raises(ValueError, match="rules under both"):
             DependencyGraph({"a": ("c",), "b": ("c",)})
 
+    @pytest.mark.parametrize("derived", ["pktRxAiat", "ab"])
+    def test_a_bare_string_is_not_read_as_its_characters(self, derived):
+        with pytest.raises(ValueError, match=f"'pktRx' must map to .*, got '{derived}'"):
+            DependencyGraph({"pktRx": derived})
+
 
 class TestSpecValidation:
     def test_unknown_mode(self):

@@ -172,6 +172,32 @@ def test_a_run_after_a_bare_numpy_import_gives_the_one_thread_digest():
     assert first == pinned
 
 
+def test_the_openblas_lookup_reads_the_maps_once_per_verb():
+    # numpy's OpenBLAS stays once loaded, and forked workers inherit the lookup
+    code = """
+import builtins, json
+from mlsec5g import forkmap
+reads, real_open = [], builtins.open
+def counted(path, *args, **kwargs):
+    reads.append(path == "/proc/self/maps")
+    return real_open(path, *args, **kwargs)
+builtins.open = counted
+seen = [forkmap.blas_threads()]
+for _ in range(2):
+    with forkmap.one_blas_thread():
+        seen.append(forkmap.blas_threads())
+    seen.append(forkmap.blas_threads())
+forkmap._workers = 2
+workers = forkmap.fork_map(lambda _: (forkmap.blas_threads(), sum(reads)), [0, 1])
+print(json.dumps([seen, sum(reads), workers]))
+"""
+    seen, reads, workers = json.loads(_stdout(_python(code, "2")))
+    assert reads == 2  # get and set
+    assert workers == [[seen[0], 2]] * 2
+    if seen[0] is not None:  # before, inside, after, inside, after
+        assert seen == [seen[0], 1, seen[0], 1, seen[0]]
+
+
 def test_a_run_gives_the_caller_back_its_blas_count():
     code = """
 import json

@@ -19,11 +19,11 @@ import numpy as np
 import pytest
 
 import mlsec5g
-from mlsec5g.config import STAGES, build_config
+from mlsec5g.config import SCENARIOS, STAGES, build_config
 from mlsec5g.report import report_to_dict, write_report
 from mlsec5g.repro import canonical_json, derive_seed, seeded
 from mlsec5g.scenarios.adapters import ingest_real_dataset
-from mlsec5g.scenarios.generators import (ATTACKER_IPS, CQI_FEATURES, MODULATIONS, SCENARIOS,
+from mlsec5g.scenarios.generators import (ATTACKER_IPS, CQI_FEATURES, MODULATIONS,
                                           SIGNAL_FEATURES, SLICE_FEATURES,
                                           generate_cqi_series, generate_scenario_data)
 from mlsec5g.scenarios import runner
