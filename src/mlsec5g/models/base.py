@@ -20,7 +20,6 @@ import numpy as np
 from ..config import _ROWS
 from ..repro import _jsonable, canonical_json, fingerprint_arrays
 
-KINDS = ("forest", "feedforward", "recurrent")
 TASKS = ("classify", "regress", "vector_regress")
 
 _VALID = {
@@ -41,8 +40,8 @@ class ModelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "hyperparameters", dict(self.hyperparameters))
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown model kind {self.kind!r}; expected one of {KINDS}")
+        if self.kind not in _ROWS:
+            raise ValueError(f"unknown model kind {self.kind!r}; expected one of {tuple(_ROWS)}")
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}; expected one of {TASKS}")
         if self.task not in _VALID[self.kind]:

@@ -7,12 +7,12 @@ from the model seed, so retraining on identical data reproduces the forest
 exactly. Sample weights are first-class (bootstrap duplication and soft-label
 distillation both ride on them).
 
-A fit sorts every column once. Its trees are independent: when its rows
-times trees reach `_FORK_MIN_WORK`, every tree grows through `fork_map`, in
-forked worker processes (one per usable CPU) that hand back tree arrays, and
-a smaller fit grows them in the calling process. Trees are gathered and
-importances summed in tree order, so the forest has the same bits for any
-worker count.
+Every node sorts its candidate columns over its own rows. A fit's trees are
+independent: when its rows times trees reach `_FORK_MIN_WORK`, every tree
+grows through `fork_map`, in forked worker processes (one per usable CPU)
+that hand back tree arrays, and a smaller fit grows them in the calling
+process. Trees are gathered and importances summed in tree order, so the
+forest has the same bits for any worker count.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from .base import ModelSpec, TrainedModel, default_schema
 _EPS_GAIN = 1e-12
 _SPLIT_BLOCK = 1 << 12  # sorted values scored per pass: bounds the working set
 _ROUTE_BLOCK = 1 << 12  # (tree, row) pairs routed together: bounds the working set
-_ORDER_BLOCK = 1 << 14  # sorted row ids expanded per pass: bounds the working set
-_SMALL_NODE = 64  # nodes of at most this many rows sort their candidates themselves
 _DRAW_BLOCK = 1 << 11  # feature ids drawn per pass: bounds the draws a small tree wastes
 # rows times trees from which growing the trees in forked workers pays for
 # their start and for shipping the trees back
@@ -78,26 +76,20 @@ def _draws(rng: np.random.Generator, p: int, mtry: int):
 class _Grower:
     """Grows one tree; accumulates weighted impurity decreases per feature.
 
-    `grow` takes the tree's sample presorted: a (p, n) matrix of row ids whose
-    rows each hold the sample ordered by one feature, ties by row id (see
-    `_tree_order`). A node of more than `_SMALL_NODE` rows owns a column range
-    of that matrix. Node rows stay in ascending id order, so the stable boolean
-    partition of the range at a split hands each child exactly the order a
-    stable argsort of the child's own values would give; a smaller node takes
-    that argsort of its candidates itself and keeps no range.
-
-    The split search scores a block of candidate features at once. Prefix sums
-    run along the sorted axis, which numpy accumulates sequentially.
-    Regression scores every cut, both sides in one buffer; classification
-    scores its valid cuts only. Cuts that may not be taken score +inf, and one
-    flat argmin picks the first candidate drawn, then the first cut, with the
-    lowest score. A candidate with a NaN score drops out.
+    The split search gathers a block of candidate features over the node's
+    rows and stable-argsorts it; node rows stay in ascending id order, so ties
+    go by row id. The block is scored at once. Prefix sums run along the
+    sorted axis, which numpy accumulates sequentially. Regression scores every
+    cut, both sides in one buffer; classification scores its valid cuts only.
+    Cuts that may not be taken score +inf, and one flat argmin picks the first
+    candidate drawn, then the first cut, with the lowest score. A candidate
+    with a NaN score drops out.
     """
 
     def __init__(self, XT, y, w, *, classify: bool, n_classes: int, max_depth: int,
                  min_split: int, min_leaf: int, mtry: int, rng: np.random.Generator):
         p, n = XT.shape
-        self.XT = XT  # (p, n), F-ordered from XT[:, rows]: a feature's values stride by p
+        self.XT = XT  # (p, n) sample columns, which each node gathers over its own rows
         self.y = y
         self.w = w
         self.classify = classify
@@ -114,7 +106,6 @@ class _Grower:
         else:
             wy = w * y
             self.sums = np.stack([w, wy, wy * y])  # a side's weight, and weighted y and y**2
-        self.in_left = np.zeros(n, dtype=bool)
         self.feature: list[int] = []
         self.threshold: list[float] = []
         self.left: list[int] = []
@@ -146,17 +137,17 @@ class _Grower:
         self.value.append(value)
         return node, total, (None if imp <= _EPS_GAIN else imp)
 
-    def grow(self, order: np.ndarray) -> _Tree:
+    def grow(self) -> _Tree:
         rows = np.arange(self.XT.shape[1])
         stack = []
         root = self._new_node(rows, 0)
         if root[2] is not None:
-            stack.append((root, rows, order if rows.size > _SMALL_NODE else None, 0))
+            stack.append((root, rows, 0))
         # an overflowing score loses by rule, and cuts never taken are scored too
         with np.errstate(over="ignore", invalid="ignore"):
             while stack:
-                (node, total, imp), rows, order, depth = stack.pop()
-                split = self._best_split(rows, order, imp)
+                (node, total, imp), rows, depth = stack.pop()
+                split = self._best_split(rows, imp)
                 if split is None:
                     continue
                 f, thr, gain = split
@@ -169,18 +160,10 @@ class _Grower:
                 right = self._new_node(right_rows, depth + 1)
                 self.left[node] = left[0]
                 self.right[node] = right[0]
-                n_left = left_rows.size
-                # a child that splits and is not small takes its part of the range
-                big_left = left[2] is not None and n_left > _SMALL_NODE
-                big_right = right[2] is not None and right_rows.size > _SMALL_NODE
-                if big_left or big_right:
-                    self._partition(order, rows, go_left, n_left)
                 if right[2] is not None:
-                    stack.append((right, right_rows, order[:, n_left:] if big_right else None,
-                                  depth + 1))
+                    stack.append((right, right_rows, depth + 1))
                 if left[2] is not None:
-                    stack.append((left, left_rows, order[:, :n_left] if big_left else None,
-                                  depth + 1))
+                    stack.append((left, left_rows, depth + 1))
         return _Tree(np.asarray(self.feature, dtype=np.int64),
                      np.asarray(self.threshold, dtype=float),
                      np.asarray(self.left, dtype=np.int64),
@@ -188,17 +171,7 @@ class _Grower:
                      np.vstack(self.value) if self.classify
                      else np.array(self.value)[:, None])
 
-    def _partition(self, order, rows, go_left, n_left):
-        """Stable partition of every feature's row order, in place: the rows
-        going left first, each part still in sorted order."""
-        self.in_left[rows] = go_left
-        mask = self.in_left[order]
-        p, n = order.shape
-        to_left, to_right = order[mask], order[~mask]
-        order[:, :n_left] = to_left.reshape(p, n_left)
-        order[:, n_left:] = to_right.reshape(p, n - n_left)
-
-    def _best_split(self, rows: np.ndarray, order, node_imp: float):
+    def _best_split(self, rows: np.ndarray, node_imp: float):
         n = rows.size
         feats = next(self.draws)
         best = None
@@ -206,11 +179,8 @@ class _Grower:
         step = max(1, _SPLIT_BLOCK // (n * self.K))
         for lo in range(0, feats.size, step):
             block = feats[lo:lo + step]
-            if order is None:  # rows in id order: a stable sort breaks ties as the range does
-                vs = self.XT[block[:, None], rows]
-                idx = rows[vs.argsort(axis=1, kind="stable")]
-            else:
-                idx = order[block]
+            vs = self.XT[block[:, None], rows]
+            idx = rows[vs.argsort(axis=1, kind="stable")]
             vs = self.XT[block[:, None], idx]  # each candidate's values, sorted
             valid = vs[:, 1:] > vs[:, :-1]
             if self.min_leaf > 1:  # each side keeps min_leaf rows
@@ -437,16 +407,14 @@ def train_forest(spec: ModelSpec, X, y, schema=None, sample_weight=None) -> Fore
         raise ValueError("X and y row counts differ")
 
     n = X.shape[0]
-    XT = np.ascontiguousarray(X.T)
-    order = np.argsort(XT, axis=1, kind="stable")  # the fit's only sort
 
     def grow(t: int):
         rng = seeded(spec.seed, t)
         rows = np.sort(rng.integers(0, n, size=n)) if bootstrap else np.arange(n)
-        grower = _Grower(XT[:, rows], target[rows], w[rows], classify=classify, n_classes=K,
+        grower = _Grower(X[rows].T, target[rows], w[rows], classify=classify, n_classes=K,
                          max_depth=max_depth, min_split=min_split, min_leaf=min_leaf,
                          mtry=mtry, rng=rng)
-        return grower.grow(_tree_order(order, rows)), np.array(grower.importance)
+        return grower.grow(), np.array(grower.importance)
 
     spread = fork_map if n * n_trees >= _FORK_MIN_WORK else map
     trees = []
@@ -457,26 +425,6 @@ def train_forest(spec: ModelSpec, X, y, schema=None, sample_weight=None) -> Fore
 
     fp = spec.fingerprint_with(X, np.asarray(y))
     return ForestModel(spec, schema, fp, trees, classes, importance)
-
-
-def _tree_order(order: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The fit's sorted row ids expanded to a tree's sorted sample `rows`.
-
-    A row drawn c times holds c adjacent sample positions, which follow row id
-    order. So replacing each row id of `order` by its run of positions gives
-    exactly the stable argsort of the sample's own columns, without sorting.
-    """
-    p, n = order.shape
-    counts = np.bincount(rows, minlength=n)
-    first = np.cumsum(counts) - counts  # sample position of each row's first copy
-    out = np.empty_like(order)
-    step = max(1, _ORDER_BLOCK // n)
-    for lo in range(0, p, step):
-        c = counts[order[lo:lo + step]]
-        # position i of a run that starts at i0 holds first + (i - i0)
-        shift = first[order[lo:lo + step]] - np.cumsum(c, axis=1) + c
-        out[lo:lo + step] = np.repeat(shift.ravel(), c.ravel()).reshape(c.shape) + np.arange(n)
-    return out
 
 
 def distill_forest(teacher: ForestModel, X, seed: int | None = None) -> ForestModel:

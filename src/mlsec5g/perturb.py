@@ -86,9 +86,11 @@ class DependencyGraph:
 
     def __post_init__(self):
         for src, derived in dict(self.edges).items():
+            if not isinstance(src, str):
+                raise ValueError(f"source field must be a field name, got {src!r}")
             if isinstance(derived, str):  # would read as one name per character
                 raise ValueError(f"{src!r} must map to a sequence of field names, got {derived!r}")
-        normalized = {str(k): tuple(v) for k, v in dict(self.edges).items()}
+        normalized = {k: tuple(v) for k, v in dict(self.edges).items()}
         object.__setattr__(self, "edges", normalized)
         seen: dict[str, str] = {}
         for src, derived in normalized.items():

@@ -1,10 +1,11 @@
 """Reference CART grower and per-tree prediction for the forest tests.
 
-The plain form of the forest's algorithm: every node argsorts each candidate
-column of its own rows, and every tree is routed on its own. Tests grow trees
-with it from the same bootstrap rows and generator streams as `train_forest`
-and require the production forest, which sorts once per tree and routes all
-trees together, to match it bit for bit.
+The plain form of the forest's algorithm: every node argsorts and scores its
+candidate columns one at a time, and every tree is routed on its own. Tests
+grow trees with it from the same bootstrap rows and generator streams as
+`train_forest` and require the production forest, which sorts and scores a
+block of candidates at once and routes all trees together, to match it bit
+for bit.
 """
 
 from dataclasses import dataclass

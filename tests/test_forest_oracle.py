@@ -1,7 +1,6 @@
-"""The presorted forest grower and the stacked predict match the reference
-per-node-argsort grower and per-tree predict bit for bit, with trees grown in
-the calling process or in forked workers, and with the split search on the
-presorted order or on each small node's own sort.
+"""The forest grower and the stacked predict match the reference grower and
+per-tree predict bit for bit, with trees grown in the calling process or in
+forked workers.
 
 A test case takes `n_trees` as a defaulted argument, which pytest leaves
 alone, so the matrix of every case can run again with more trees.
@@ -122,6 +121,17 @@ def test_the_other_tasks_default_matches_reference(task, name, mtry, n_trees=3):
     assert_matches_reference(train_forest(spec, X, y), X, y)
 
 
+def test_wide_data_matches_reference(n_trees=3):
+    # cs4's shape: 256 columns, of which each node reads 16, and six classes
+    X, y = _data("classify", n_classes=6)
+    wide = np.random.default_rng(8).standard_normal((X.shape[0], 249))
+    wide[:, ::3] = np.round(wide[:, ::3] * 2)  # ties in a third of the columns
+    X = np.hstack([X, wide])
+    assert forest._resolve_mtry(None, X.shape[1], True) == 16
+    spec = ModelSpec("forest", "classify", {"n_trees": n_trees}, seed=4)
+    assert_matches_reference(train_forest(spec, X, y), X, y)
+
+
 def test_distilled_student_matches_reference(n_trees=4):
     X, y = _data("classify", n=150, seed=3)
     teacher = train_forest(ModelSpec("forest", "classify", {"n_trees": n_trees}, seed=0), X, y)
@@ -148,10 +158,9 @@ def test_non_finite_values_match_reference(target, n_trees=4):
 
 @pytest.mark.parametrize("task", TASKS)
 def test_small_work_blocks_match_reference(task, monkeypatch, n_trees=3):
-    # split search, routing and order expansion in many small blocks, not one pass
+    # split search and routing in many small blocks, not one pass
     monkeypatch.setattr(forest, "_SPLIT_BLOCK", 64)
     monkeypatch.setattr(forest, "_ROUTE_BLOCK", 64)
-    monkeypatch.setattr(forest, "_ORDER_BLOCK", 64)
     X, y = _data(task)
     spec = ModelSpec("forest", task, {"n_trees": n_trees, "max_features": "all"}, seed=3)
     assert_matches_reference(train_forest(spec, X, y), X, y)
@@ -179,14 +188,6 @@ def _every_case(monkeypatch, tmp_path, n_trees):
     test_saved_forest_predicts_like_reference(tmp_path, n_trees=n_trees)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("small_node", [0, 100_000], ids=["presorted", "own-sort"])
-def test_both_split_paths_match_reference(small_node, monkeypatch, tmp_path):
-    # every node searches the presorted order, or every node sorts its own rows
-    monkeypatch.setattr(forest, "_SMALL_NODE", small_node)
-    _every_case(monkeypatch, tmp_path, n_trees=3)
-
-
 @pytest.mark.parametrize("p", [1, 2, 3, 7, 16, 64, 257])
 def test_chunked_draws_follow_the_per_node_permutation(p):
     for mtry in sorted({1, max(1, p // 3), p}):
@@ -203,7 +204,7 @@ def test_a_grown_tree_frees_its_grower_at_once():
     grower = forest._Grower(X.T.copy(), y, np.ones(y.size), classify=False, n_classes=1,
                             max_depth=3, min_split=2, min_leaf=1, mtry=2,
                             rng=np.random.default_rng(0))
-    grower.grow(np.argsort(X.T, axis=1, kind="stable"))
+    grower.grow()
     alive = weakref.ref(grower)
     gc.disable()
     try:
@@ -255,9 +256,9 @@ def _grown_here(monkeypatch) -> list:
     """The trees grown in this process from now on, one pid each."""
     pids, grow = [], forest._Grower.grow
 
-    def recorded(self, order):
+    def recorded(self):
         pids.append(os.getpid())
-        return grow(self, order)
+        return grow(self)
 
     monkeypatch.setattr(forest._Grower, "grow", recorded)
     return pids
@@ -292,10 +293,10 @@ def test_fit_beside_other_threads_stays_serial(fork, started):
 def _fail_in_workers(monkeypatch, fail):
     parent, grow = os.getpid(), forest._Grower.grow
 
-    def grow_here_only(self, order):
+    def grow_here_only(self):
         if os.getpid() != parent:
             fail()
-        return grow(self, order)
+        return grow(self)
 
     monkeypatch.setattr(forest._Grower, "grow", grow_here_only)
 

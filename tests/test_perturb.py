@@ -100,6 +100,12 @@ class TestDependencyGraph:
         with pytest.raises(ValueError, match=f"'pktRx' must map to .*, got '{derived}'"):
             DependencyGraph({"pktRx": derived})
 
+    @pytest.mark.parametrize("source", [1, None, ("pktRx",)], ids=["int", "None", "tuple"])
+    def test_a_source_that_is_not_a_name_is_refused(self, source):
+        # not renamed to its str(): a graph reads only the keys it was given
+        with pytest.raises(ValueError, match=r"source field must be a field name, got "):
+            DependencyGraph({source: ("a",)})
+
 
 class TestSpecValidation:
     def test_unknown_mode(self):
