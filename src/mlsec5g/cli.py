@@ -38,15 +38,15 @@ def _env(name: str) -> str | None:
     return value if value else None
 
 
-def _env_int(name: str) -> int | None:
+def _env_int(name: str, violations: list[str]) -> int | None:
     value = _env(name)
     if value is None:
         return None
     try:
         return int(value)
     except ValueError:
-        raise ConfigError(
-            [f"{ENV_PREFIX}{name}: must be an integer, got {value!r}"])
+        violations.append(f"{ENV_PREFIX}{name}: must be an integer, got {value!r}")
+        return None
 
 
 def _load_raw(path: str) -> dict:
@@ -86,20 +86,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def resolve(args: argparse.Namespace):
     """Merge flags, environment and config file into a frozen config; the
-    subcommand is the stage."""
+    subcommand is the stage. The environment's and the config's violations
+    are raised together."""
+    violations: list[str] = []
     config_path = args.config or _env("CONFIG")
     scenario = args.scenario or _env("SCENARIO")
-    seed = args.seed if args.seed is not None else _env_int("SEED")
+    seed = args.seed if args.seed is not None else _env_int("SEED", violations)
     out_dir = args.out or _env("OUT")
-
-    raw = _load_raw(config_path) if config_path else {}
-    if scenario is None and "scenario" not in raw:
-        raise ConfigError(
-            ["config.scenario: required (pass --scenario, set "
-             "MLSEC5G_SCENARIO, or put it in the config file)"])
-
-    overrides = {"scenario": scenario, "seed": seed, "out_dir": out_dir}
-    return build_config(raw, overrides), args.command
+    try:
+        raw = _load_raw(config_path) if config_path else {}
+        config = build_config(raw, {"scenario": scenario, "seed": seed, "out_dir": out_dir})
+    except ConfigError as exc:
+        violations += exc.violations
+    if violations:
+        raise ConfigError(violations)
+    return config, args.command
 
 
 def main(argv=None) -> int:

@@ -745,6 +745,8 @@ def _run_cs6(config: ExperimentConfig, report: ExperimentReport):
             Xa = X[va].copy()
             Xa[:, day_col] = float(d)
             Xa[:, hour_col] = float(h)
+            # a changed prediction is a success whatever the truth: the attacker
+            # never sees outputs, so a wrong label flipped to another counts
             flips = int(np.sum(baseline.predict(Xa) != pred_clean))
             successes += flips
             report.plot_series.append(("cs6_outsider", "prediction_flips",

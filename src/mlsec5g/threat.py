@@ -1,4 +1,4 @@
-"""Core threat-model contracts: feature scopes, attack success, tradeoffs.
+"""Core threat-model contracts: feature scopes, tradeoffs, degradation.
 
 The attacker modeled here is deliberately weak. She controls only her own
 equipment, knows a subset of the features the defender computes, consciously
@@ -11,7 +11,6 @@ by FeatureScope.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Real
 
 from .metrics import _orientation
 
@@ -76,32 +75,6 @@ def validate_scope(scope: FeatureScope) -> list[str]:
         extra = sorted(conscious - affected)
         violations.append(f"conscious not a subset of affected: {extra}")
     return violations
-
-
-def attack_success(clean_prediction, adversarial_prediction, ground_truth,
-                   task: str, tau: float = 0.0) -> bool:
-    """Decide whether a perturbation counts as a successful attack.
-
-    Classification: success iff the prediction changed. Ground truth is not
-    consulted; flipping an already-wrong prediction to a different wrong label
-    still counts, per the threat model's output-blind attacker.
-
-    Regression: success iff the absolute error grew by more than tau, i.e.
-    |adv - truth| > |clean - truth| + tau. tau defaults to 0 (any worsening).
-    """
-    if task == "classify":
-        return adversarial_prediction != clean_prediction
-    if task == "regress":
-        if tau < 0:
-            raise ValueError("tau must be non-negative")
-        for name, v in (("clean_prediction", clean_prediction),
-                        ("adversarial_prediction", adversarial_prediction),
-                        ("ground_truth", ground_truth)):
-            if not isinstance(v, Real):
-                raise TypeError(f"regression attack_success needs numeric {name}, got {type(v).__name__}")
-        return abs(float(adversarial_prediction) - float(ground_truth)) > \
-            abs(float(clean_prediction) - float(ground_truth)) + float(tau)
-    raise ValueError(f"unknown task {task!r}; expected 'classify' or 'regress'")
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,7 @@ import pytest
 
 from flow_oracle import handwritten_packets, naive_aggregate, naive_features
 from test_models import central_difference, probe_network, rel_error
-from test_stages import write_rows
-from views import degradations, packets_to_text, xs
+from views import degradations, packets_to_text, write_rows, xs
 
 from mlsec5g.attacks import run_online_attack, run_online_attacks, run_training_attack
 from mlsec5g.config import build_config, default_config

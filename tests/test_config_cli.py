@@ -270,11 +270,16 @@ class TestCli:
         assert validate_config({"scenario": "cs3",
                                 "data": {"synthetic": {"length": 119}}}) == []
 
-    def test_missing_scenario_is_a_config_error(self, capsys):
-        code = main(["all"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "config.scenario: required" in captured.err
+    def test_missing_scenario_is_a_config_error(self, tmp_path, capsys):
+        assert main(["all"]) == 2
+        assert "config.scenario: required" in capsys.readouterr().err
+        # listed beside the config file's own violations
+        path = tmp_path / "bogus.json"
+        path.write_text(json.dumps({"bogus": 1}))
+        assert main(["all", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config.scenario: required" in err
+        assert "config.bogus: unknown key" in err
 
     def test_runtime_failures_exit_3(self, tmp_path, capsys):
         cfg = tiny_cs6(tmp_path, data={"path": str(tmp_path / "nope.csv")})
@@ -294,13 +299,18 @@ class TestCli:
         assert "stage=train seed=5" in captured.out
         assert os.path.exists(os.path.join(str(tmp_path / "env_runs"), "cs6"))
 
-    def test_bad_env_integer_is_a_config_error(self, capsys, monkeypatch):
+    def test_bad_env_integer_is_a_config_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("MLSEC5G_SEED", "three")
         monkeypatch.setenv("MLSEC5G_SCENARIO", "cs6")
-        code = main(["train"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "MLSEC5G_SEED" in captured.err
+        assert main(["train"]) == 2
+        assert "MLSEC5G_SEED" in capsys.readouterr().err
+        # listed beside the config file's own violations
+        path = tmp_path / "extra.json"
+        path.write_text(json.dumps({"model": {"n_tree": 3}}))
+        assert main(["train", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "MLSEC5G_SEED: must be an integer, got 'three'" in err
+        assert "config.model.n_tree: unknown key" in err
 
     def test_there_is_no_stage_flag(self, tmp_path, capsys):
         cfg = tiny_cs6(tmp_path)

@@ -224,8 +224,11 @@ class TestEvaluateDefense:
 @pytest.mark.parametrize("scenario", ["cs2", "cs6"])
 def test_stock_defense_scores_are_the_tradeoffs(tmp_path, scenario):
     """report.json states each stock defense's clean scores once, as the
-    tradeoff's, and the hardened one is its residual's baseline."""
-    write_report(run_case_study(scenario, config=default_config(scenario)), str(tmp_path))
+    tradeoff's, and the hardened one is its residual's baseline. The stock
+    defenses at reduced data and forest sizes show the stock layout."""
+    n = {"cs2": 300, "cs6": 400}[scenario]
+    config = default_config(scenario, data={"synthetic": {"n": n}}, model={"n_trees": 3})
+    write_report(run_case_study(scenario, config=config), str(tmp_path))
     defenses = json.loads((tmp_path / "report.json").read_text())["defenses"]
     assert [d["defense"] for d in defenses] == ["adversarial_training", "feature_removal"]
     for d in defenses:

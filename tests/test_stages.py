@@ -13,7 +13,6 @@ import os
 import shlex
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,12 +22,10 @@ from mlsec5g.config import SCENARIOS, STAGES, build_config
 from mlsec5g.report import report_to_dict, write_report
 from mlsec5g.repro import canonical_json, derive_seed, seeded
 from mlsec5g.scenarios.adapters import ingest_real_dataset
-from mlsec5g.scenarios.generators import (ATTACKER_IPS, CQI_FEATURES, MODULATIONS,
-                                          SIGNAL_FEATURES, SLICE_FEATURES,
-                                          generate_cqi_series, generate_scenario_data)
+from mlsec5g.scenarios.generators import generate_cqi_series, generate_scenario_data
 from mlsec5g.scenarios import runner
 from mlsec5g.scenarios.runner import run_case_study
-from views import artifact_digest, packets_to_text
+from views import artifact_digest, export, write_rows
 
 STAGE_ORDER = ("generate", "train", "attack", "all")
 LIST_SECTIONS = ("curves", "defenses", "provenance", "plot_series")
@@ -127,44 +124,6 @@ def test_cs1_ratio_zero_control_is_exact_for_every_seed():
         zero = curve.points[0]
         assert zero.x == 0.0 and zero.n_trials == 3
         assert (zero.degradation_mean, zero.degradation_std) == (0.0, 0.0), f"seed {seed}"
-
-
-def write_rows(path: Path, header, rows) -> None:
-    lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
-
-
-def export(scenario: str, data: dict, root: Path) -> dict:
-    """A scenario's synthetic data as the files its adapter reads, and the
-    `data` block that points at them. str() writes the shortest digits that
-    read back as the same float."""
-    root.mkdir()
-    if scenario == "cs1":
-        (root / "packets.csv").write_text(packets_to_text(data["packets"]))
-        write_rows(root / "sessions.csv", ("src_ip", "src_port", "label"),
-                   [(ip, port, label) for (ip, port), label in data["session_labels"].items()])
-        return {"path": str(root), "format": {"attacker_ips": list(ATTACKER_IPS)}}
-    if scenario == "cs3":
-        write_rows(root / "data.csv", ("CQI",), [[float(v)] for v in data["series"]])
-    elif scenario == "cs4":
-        write_rows(root / "data.csv", SIGNAL_FEATURES + ("label",),
-                   [[float(v) for v in x] + [MODULATIONS[c]]
-                    for x, c in zip(data["X"], data["y"])])
-    elif scenario == "cs5":
-        topo = data["topology"]
-        write_rows(root / "data.csv", data["schema"] + tuple(f"p{k}" for k in range(topo.n_ues)),
-                   [[float(v) for v in (*x, *p)] for x, p in zip(data["X"], data["Y"])])
-        (root / "data.csv.topology.json").write_text(json.dumps({
-            "gnb_positions": topo.gnb_positions.tolist(),
-            "cell_bounds": [list(b) for b in topo.cell_bounds],
-            "ue_positions": topo.ue_positions.tolist(),
-            "serving": topo.serving.tolist(), "power_budget": topo.power_budget}))
-    else:
-        schema, label, truth = {"cs2": (CQI_FEATURES, "CQI", data.get("targets")),
-                                "cs6": (SLICE_FEATURES, "Slice", data.get("labels"))}[scenario]
-        write_rows(root / "data.csv", schema + (label,),
-                   [[r[c] for c in schema] + [t] for r, t in zip(data["records"], truth)])
-    return {"path": str(root / "data.csv")}
 
 
 @pytest.mark.parametrize("scenario", ["cs1", "cs2", "cs4", "cs5", "cs6"])

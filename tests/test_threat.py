@@ -1,10 +1,8 @@
-"""Feature scopes, attack-success decisions, tradeoff and degradation math."""
+"""Feature scopes, tradeoff and degradation math."""
 
-import numpy as np
 import pytest
 
-from mlsec5g.threat import (FeatureScope, attack_success, degradation, tradeoff,
-                            validate_scope)
+from mlsec5g.threat import FeatureScope, degradation, tradeoff, validate_scope
 
 
 def scope(full=("a", "b", "c", "d"), known=("a", "b", "c"),
@@ -54,41 +52,6 @@ class TestScopeValidation:
         s = FeatureScope([1, 2], [1], [1], [1])
         assert s.full_set == ("1", "2")
         assert validate_scope(s) == []
-
-
-class TestAttackSuccess:
-    def test_classification_success_is_any_flip(self):
-        assert attack_success("cat", "dog", "cat", task="classify")
-
-    def test_classification_flip_to_another_wrong_label_counts(self):
-        # the attacker never sees outputs, so wrong->wrong is still a change
-        assert attack_success("dog", "bird", "cat", task="classify")
-
-    def test_classification_unchanged_prediction_fails(self):
-        assert not attack_success("dog", "dog", "cat", task="classify")
-
-    def test_regression_success_needs_error_growth(self):
-        assert attack_success(10.0, 13.0, 10.0, task="regress")
-        assert not attack_success(10.0, 10.0, 10.0, task="regress")
-
-    def test_regression_error_shrink_is_not_success(self):
-        assert not attack_success(13.0, 11.0, 10.0, task="regress")
-
-    def test_regression_tau_sets_the_bar(self):
-        assert not attack_success(10.0, 10.5, 10.0, task="regress", tau=1.0)
-        assert attack_success(10.0, 11.5, 10.0, task="regress", tau=1.0)
-
-    def test_negative_tau_rejected(self):
-        with pytest.raises(ValueError):
-            attack_success(1.0, 2.0, 1.0, task="regress", tau=-0.1)
-
-    def test_unknown_task_rejected(self):
-        with pytest.raises(ValueError):
-            attack_success(1, 2, 1, task="rank")
-
-    def test_regression_requires_numbers(self):
-        with pytest.raises(TypeError):
-            attack_success("a", "b", "c", task="regress")
 
 
 class TestTradeoff:
