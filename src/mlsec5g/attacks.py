@@ -103,7 +103,8 @@ def run_inference_attack(model, clean_eval, adversarial_sets, metric_name: str,
     random and was re-drawn per trial). Both may be generators: variants are
     drawn one at a time, checked, predicted and dropped, and only their
     predictions are kept, so a streamed sweep holds one perturbed copy at a
-    time. Degradation is signed so positive always means the attacker hurt
+    time (cs4's top-25 sweeps, forest and network, and its random-25 sweep
+    stream). Degradation is signed so positive always means the attacker hurt
     the defender. group_by, when given, holds one group id per row and yields
     additional per-group curves.
     """

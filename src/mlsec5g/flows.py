@@ -48,9 +48,17 @@ FEATURE_NAMES = (
 )
 
 
-@dataclass(frozen=True)
+# the one shared frozenset of each subset of TCP_FLAGS (at most 32)
+_FLAG_SETS: dict[frozenset, frozenset] = {}
+
+
+@dataclass(frozen=True, slots=True)
 class PacketRecord:
-    """One observed packet. Payload length is the transported byte count."""
+    """One observed packet. Payload length is the transported byte count.
+
+    Packets with the same flags share one tcp_flags set, and a packet carries
+    no per-instance dict.
+    """
 
     timestamp: float
     src_ip: str
@@ -63,7 +71,7 @@ class PacketRecord:
     tos: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "tcp_flags", frozenset(self.tcp_flags))
+        flags = frozenset(self.tcp_flags)
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
         if not 0 <= self.payload_len <= MAX_PAYLOAD:
@@ -71,11 +79,12 @@ class PacketRecord:
         for p in (self.src_port, self.dst_port):
             if not 0 <= p <= 65535:
                 raise ValueError(f"port {p} outside [0, 65535]")
-        bad = self.tcp_flags - set(TCP_FLAGS)
+        bad = flags.difference(TCP_FLAGS)
         if bad:
             raise ValueError(f"unknown tcp flags {sorted(bad)}")
-        if self.protocol != "TCP" and self.tcp_flags:
+        if self.protocol != "TCP" and flags:
             raise ValueError("tcp_flags must be empty for non-TCP packets")
+        object.__setattr__(self, "tcp_flags", _FLAG_SETS.setdefault(flags, flags))
 
 
 PACKET_HEADER = "timestamp,src_ip,src_port,dst_ip,dst_port,protocol,flags,payload_len,tos"
@@ -90,7 +99,7 @@ def parse_packet(fields) -> PacketRecord:
                         proto, int(plen), flagset, int(tos))
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowRecord:
     """One bidirectional flow, oriented by its first packet (the initiator).
 

@@ -60,13 +60,14 @@ def fingerprint(obj: Any) -> str:
 
 
 def fingerprint_arrays(*arrays: np.ndarray, extra: str = "") -> str:
-    """sha256 over raw array bytes plus an optional context string."""
+    """sha256 over raw array bytes plus an optional context string. A
+    C-contiguous array is hashed from its own buffer, without a copy."""
     h = hashlib.sha256()
     for a in arrays:
         a = np.ascontiguousarray(a)
         h.update(str(a.dtype).encode())
         h.update(str(a.shape).encode())
-        h.update(a.tobytes())
+        h.update(a.data)
     h.update(extra.encode("utf-8"))
     return h.hexdigest()
 

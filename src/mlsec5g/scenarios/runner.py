@@ -549,8 +549,11 @@ def _run_cs4(config: ExperimentConfig, report: ExperimentReport):
         out[:, cols] += mult * stds[cols]
         return out
 
-    top_sets = [(m, shifted(X[va], top_idx, m)) for m in multipliers]
-    top_curve = run_inference_attack(forest, (X[va], y[va]), top_sets, "Acc",
+    def top_sets():
+        """The top-k shifted copies, built as the sweep reaches each one."""
+        return ((m, shifted(X[va], top_idx, m)) for m in multipliers)
+
+    top_curve = run_inference_attack(forest, (X[va], y[va]), top_sets(), "Acc",
                                      name="cs4/top25",
                                      x_label="multiplier").aggregate
     report.curves.append(top_curve)
@@ -568,7 +571,7 @@ def _run_cs4(config: ExperimentConfig, report: ExperimentReport):
                                       x_label="multiplier").aggregate
     report.curves.append(rand_curve)
 
-    net_curve = run_inference_attack(network, (X[va], y[va]), top_sets, "Acc",
+    net_curve = run_inference_attack(network, (X[va], y[va]), top_sets(), "Acc",
                                      name="cs4/top25_network",
                                      x_label="multiplier").aggregate
     report.curves.append(net_curve)

@@ -4,12 +4,13 @@ against another revision.
     python tests/parent_diff.py [<rev>]
 
 The script runs the six stock configs at seed 0 at `generate`, `train` and
-`all` from the tree that holds it: one `python -m mlsec5g.cli` process per
-run, with `PYTHONPATH` set to the tree's `src` and BLAS at one thread. It
-compares `report.json`, `curves.csv`, `defenses.csv`, `plots/*.csv` and the
-`timings_s` keys of `run_meta.json`, and prints each differing file with its
-first differing line, after the name of the check that found it. Two more
-runs of this tree must match that run's `all` artifacts:
+`all`, and at seed 1 at `all`, from the tree that holds it: one
+`python -m mlsec5g.cli` process per run, with `PYTHONPATH` set to the tree's
+`src` and BLAS at one thread. It compares `report.json`, `curves.csv`,
+`defenses.csv`, `plots/*.csv` and the `timings_s` keys of `run_meta.json`,
+and prints each differing file with its first differing line, after the
+name of the check that found it. Two more runs of this tree must match the
+seed-0 `all` artifacts:
 
 - one CPU: the six configs again, each process bound to one usable CPU, so
   nothing forks;
@@ -19,12 +20,12 @@ runs of this tree must match that run's `all` artifacts:
 
 With `<rev>` (an empty argument counts as none), read from the git
 repository of the current directory and extracted with `git archive`, the
-six configs also run at the three stages from that tree, and a change that
-means to move numbers lists the files it moves in `parent_diff_expected.txt`,
-beside this script, one path per line as printed after the check's name
-(`all/cs1/report.json`). The exit status is 1 when the one-CPU or CSV run
-differs, or when the files that differ from `<rev>` are not exactly that
-list, and 0 otherwise.
+six configs also run at the same seeds and stages from that tree, and a
+change that means to move numbers lists the files it moves in
+`parent_diff_expected.txt`, beside this script, one path per line as printed
+after the check's name, seed first (`seed1/all/cs1/report.json`). The exit
+status is 1 when the one-CPU or CSV run differs, or when the files that
+differ from `<rev>` are not exactly that list, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -49,7 +50,9 @@ from views import export
 
 EXPECTED = Path(__file__).with_name("parent_diff_expected.txt")
 SCENARIOS = [f"cs{i}" for i in range(1, 7)]
-STAGES = ["generate", "train", "all"]
+# (seed, stage): every stage at seed 0, and `all` at a second seed
+RUNS = [(0, "generate"), (0, "train"), (0, "all"), (1, "all")]
+STOCK_ALL = [(0, "all")]
 CSV_SCENARIOS = ["cs2", "cs6"]
 ARTIFACTS = ["report.json", "curves.csv", "defenses.csv", "plots/*.csv"]
 
@@ -63,17 +66,18 @@ def extract(rev: str, dest: Path) -> Path:
     return dest
 
 
-def run(tree: Path, out: Path, stages: list[str], configs: dict[str, Path],
+def run(tree: Path, out: Path, runs: list[tuple[int, str]], configs: dict[str, Path],
         preexec_fn=None) -> None:
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OPENBLAS_NUM_THREADS": "1"}
-    for stage in stages:
+    for seed, stage in runs:
         for scenario, config in configs.items():
             cmd = [sys.executable, "-m", "mlsec5g.cli", stage, "--config", str(config),
-                   "--seed", "0", "--out", str(out / stage)]
+                   "--seed", str(seed), "--out", str(out / f"seed{seed}" / stage)]
             done = subprocess.run(cmd, env=env, cwd=tree, capture_output=True, text=True,
                                   preexec_fn=preexec_fn)
             if done.returncode != 0:
-                sys.exit(f"{tree}: {stage} {scenario} exited {done.returncode}\n{done.stderr}")
+                sys.exit(f"{tree}: seed {seed} {stage} {scenario} exited "
+                         f"{done.returncode}\n{done.stderr}")
 
 
 def stock(tree: Path) -> dict[str, Path]:
@@ -117,11 +121,11 @@ def first_difference(a: list[str], b: list[str]) -> str:
     return f"line {i + 1}: only in {'the reference' if len(a) > i else 'this run'}"
 
 
-def compare(check: str, ref: Path, new: Path, stages: list[str],
+def compare(check: str, ref: Path, new: Path, runs: list[tuple[int, str]],
             scenarios: list[str]) -> list[str]:
     """The paths under which new's artifacts differ from ref's, each printed
     after the check's name with its first differing line."""
-    dirs = [f"{stage}/{scenario}" for stage in stages for scenario in scenarios]
+    dirs = [f"seed{seed}/{stage}/{scenario}" for seed, stage in runs for scenario in scenarios]
 
     def artifacts(root: Path) -> set[str]:
         return {p.relative_to(root).as_posix()
@@ -156,18 +160,19 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="parent-diff-") as tmp:
         tmp = Path(tmp)
         if rev:
-            run(extract(rev, tmp / "tree"), tmp / "base", STAGES, stock(tmp / "tree"))
-        run(HERE, tmp / "head", STAGES, stock(HERE))
-        run(HERE, tmp / "one-cpu", ["all"], stock(HERE),
+            run(extract(rev, tmp / "tree"), tmp / "base", RUNS, stock(tmp / "tree"))
+        run(HERE, tmp / "head", RUNS, stock(HERE))
+        run(HERE, tmp / "one-cpu", STOCK_ALL, stock(HERE),
             preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
-        run(HERE, tmp / "csv", ["all"], csv_configs(tmp / "csv-data"))
+        run(HERE, tmp / "csv", STOCK_ALL, csv_configs(tmp / "csv-data"))
         for scenario in CSV_SCENARIOS:
-            take_fingerprint(tmp / "csv" / "all" / scenario, tmp / "head" / "all" / scenario)
-        failed = bool(compare("one CPU", tmp / "head", tmp / "one-cpu", ["all"], SCENARIOS)
-                      + compare("CSV", tmp / "head", tmp / "csv", ["all"], CSV_SCENARIOS))
+            take_fingerprint(tmp / "csv" / "seed0" / "all" / scenario,
+                             tmp / "head" / "seed0" / "all" / scenario)
+        failed = bool(compare("one CPU", tmp / "head", tmp / "one-cpu", STOCK_ALL, SCENARIOS)
+                      + compare("CSV", tmp / "head", tmp / "csv", STOCK_ALL, CSV_SCENARIOS))
         if rev:
             differing = set(compare(f"base {rev}", tmp / "base", tmp / "head",
-                                    STAGES, SCENARIOS))
+                                    RUNS, SCENARIOS))
     print(f"one CPU and CSV: {'differ' if failed else 'the same bits as the stock run'}")
     if not rev:
         return int(failed)

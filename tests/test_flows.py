@@ -1,14 +1,20 @@
-"""Packet parsing, flow aggregation vs a naive reference, padding, poisoning."""
+"""Packet parsing, compact records, flow aggregation vs a naive reference,
+padding, poisoning."""
+
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from flow_oracle import handwritten_packets, naive_aggregate, naive_features
-from mlsec5g.flows import (FEATURE_NAMES, MAX_PAYLOAD, FlowRecord, PacketRecord,
+from mlsec5g import flows as F
+from mlsec5g.flows import (FEATURE_NAMES, MAX_PAYLOAD, TCP_FLAGS, FlowRecord, PacketRecord,
                            aggregate_flows, extract_feature_matrix, flow_identity,
-                           label_flows, pad_payloads, poison_training_set,
+                           label_flows, pad_payloads, parse_packet, poison_training_set,
                            port_category)
 from mlsec5g.scenarios.adapters import ingest_real_dataset
+from mlsec5g.scenarios.generators import generate_traffic
 from views import packets_to_text
 
 PREFIXES = ("10.0.0.0/8", "172.16.0.0/12", "192.168.0.0/16")
@@ -82,6 +88,37 @@ class TestPacketParsing:
     def test_timeouts_must_be_positive(self):
         with pytest.raises(ValueError, match="timeout"):
             aggregate_flows([], idle_timeout=0.0)
+
+
+class TestCompactRecords:
+    def test_stock_packets_share_one_flag_set_per_combination(self):
+        packets = generate_traffic(seed=1)["packets"]
+        assert len({id(p.tcp_flags) for p in packets}) == len({p.tcp_flags for p in packets})
+
+    def test_records_carry_no_instance_dict(self):
+        packets = handwritten_packets()
+        flows = aggregate_flows(packets, idle_timeout=IDLE_S, active_timeout=ACTIVE_S)
+        assert not any(hasattr(r, "__dict__") for r in [*packets, *flows])
+
+    def test_parsed_rows_with_the_same_flags_share_the_set(self):
+        row = ["1.0", "10.0.0.1", "40000", "8.8.8.8", "443", "TCP", "SYN+ACK", "0", "0"]
+        a = parse_packet(row)
+        b = parse_packet(row[:6] + ["ACK+SYN"] + row[7:])
+        assert a.tcp_flags is b.tcp_flags == frozenset({"SYN", "ACK"})
+
+    def test_copies_by_replace_and_pickle_stay_equal_and_compact(self):
+        p = handwritten_packets()[0]
+        f = make_flows()[0]
+        for record in (p, f):
+            for copy in (replace(record), pickle.loads(pickle.dumps(record))):
+                assert copy == record and not hasattr(copy, "__dict__")
+        assert replace(p, payload_len=7).tcp_flags is p.tcp_flags
+
+    def test_an_unknown_flag_is_refused_before_it_is_shared(self):
+        with pytest.raises(ValueError, match="unknown tcp flags"):
+            PacketRecord(0.0, "a", 1, "b", 2, "TCP", 0, ("SYN", "URG"))
+        assert frozenset({"SYN", "URG"}) not in F._FLAG_SETS
+        assert all(flags <= set(TCP_FLAGS) for flags in F._FLAG_SETS)
 
 
 class TestPortsAndPrefixes:

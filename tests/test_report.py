@@ -1,5 +1,6 @@
 """Report artifacts: deterministic serialization, plot data, file layout."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -14,7 +15,7 @@ from mlsec5g.defenses import DefenseEvaluation
 from mlsec5g.report import (ExperimentReport, curves_csv_text,
                             defenses_csv_text, emit_plot_data,
                             report_to_dict, write_report)
-from mlsec5g.repro import canonical_json
+from mlsec5g.repro import canonical_json, fingerprint_arrays
 from mlsec5g.threat import tradeoff
 
 
@@ -50,6 +51,13 @@ class TestSerialization:
 
     def test_canonical_json_is_key_order_independent(self):
         assert canonical_json({"b": 1, "a": 2}) == canonical_json({"a": 2, "b": 1})
+
+    def test_an_array_fingerprint_hashes_the_c_ordered_bytes(self):
+        X = np.arange(24, dtype=float).reshape(4, 6) / 7
+        for a in (X, np.asfortranarray(X), X[::2, 1:5]):
+            want = hashlib.sha256(f"{a.dtype}{a.shape}".encode()
+                                  + np.ascontiguousarray(a).tobytes() + b"ctx")
+            assert fingerprint_arrays(a, extra="ctx") == want.hexdigest()
 
     def test_curve_points_survive_the_round_trip(self):
         d = report_to_dict(make_report())

@@ -13,6 +13,7 @@ import os
 import shlex
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -124,6 +125,46 @@ def test_cs1_ratio_zero_control_is_exact_for_every_seed():
         zero = curve.points[0]
         assert zero.x == 0.0 and zero.n_trials == 3
         assert (zero.degradation_mean, zero.degradation_std) == (0.0, 0.0), f"seed {seed}"
+
+
+def test_cs4_sweeps_hold_at_most_two_perturbed_copies(monkeypatch):
+    """Every cs4 sweep streams its shifted copies: when the attack draws
+    variant k, variants up to k-2 are gone (its loop may still hold k-1)."""
+    inner = runner.run_inference_attack
+    drawn: dict[str, int] = {}
+    alive: dict[str, list[int]] = {}
+
+    def note(name, refs, v):
+        refs.append(weakref.ref(v))
+        alive[name] += [k for k, r in enumerate(refs[:-2]) if r() is not None]
+
+    def watched(model, clean_eval, adversarial_sets, *args, name, **kwargs):
+        refs = []
+        alive[name] = []
+
+        def variants_of(variants):
+            for v in variants:
+                note(name, refs, v)
+                yield v
+
+        def sets():
+            for x, variants in adversarial_sets:
+                if isinstance(variants, np.ndarray):
+                    note(name, refs, variants)
+                else:
+                    variants = variants_of(variants)
+                yield x, variants
+
+        result = inner(model, clean_eval, sets(), *args, name=name, **kwargs)
+        drawn[name] = len(refs)
+        return result
+
+    monkeypatch.setattr(runner, "run_inference_attack", watched)
+    config = build_config({"scenario": "cs4", "seed": 3, **REDUCED["cs4"]})
+    run_case_study("cs4", config=config, stage="attack")
+    n = len(config.attack["multipliers"])
+    assert drawn == {"cs4/top25": n, "cs4/random25": 2 * n, "cs4/top25_network": n}
+    assert alive == {name: [] for name in drawn}
 
 
 @pytest.mark.parametrize("scenario", ["cs1", "cs2", "cs4", "cs5", "cs6"])
