@@ -3,10 +3,10 @@ trained-model surface and its container, save/load, and the Adam step.
 
 All learners are self-contained numpy implementations, bit-for-bit
 reproducible under a fixed seed. Forest trees, cs3's profiles and cs1's
-poisoning cells run in forked workers gathered in item order, and cs5's
-network fit shares its epochs with one forked helper only where a check shows
-the split keeps every bit. So zero-intensity controls compare with ==
-instead of tolerances.
+poisoning cells run in forked workers gathered in item order, and a large
+network fit (cs5's) runs the second of its two fixed row halves in one forked
+helper, with the same calls as in one process. So zero-intensity controls
+compare with == instead of tolerances.
 """
 
 from __future__ import annotations

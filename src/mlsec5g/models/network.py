@@ -19,20 +19,18 @@ to it.
 An epoch has two parts. The row-local part (`_rows`) is the forward pass,
 the head's delta and every hidden layer's delta; each row depends on that row
 alone. The reductions (`_reduce`) are the weight and bias gradients, which
-sum over rows. A large enough fit (`_SPLIT_MIN_EPOCH`, `_SPLIT_MIN_FIT`)
-runs its epochs in two processes where it may fork (`forkmap.may_fork`) and
-the BLAS runs one thread: the caller and one forked `forkmap.Lockstep` helper. Each process runs the
-row-local part on its own half of the rows, then each gradient is computed
-whole by one of them: the caller takes the first layer's weights, the helper
-the rest. No sum changes its order. Whether a matmul over half the rows gives the same bits as those
-rows of the whole one depends on the BLAS and the shapes, so before its first
-epoch a fit runs the row-local part both ways and trains in one process if
-any bit differs. Adam stays in the caller.
+sum over rows. Every fit runs the row-local part on two fixed halves of the
+rows, `[0, n//2)` and `[n//2, n)`, then computes each gradient whole over all
+rows. A large enough fit (`_SPLIT_MIN_EPOCH`, `_SPLIT_MIN_FIT`) runs the
+second half in one forked `forkmap.Lockstep` helper where it may fork
+(`forkmap.may_fork`) and the BLAS runs one thread; the helper then also takes
+every gradient but the first layer's weights. Either way the same calls run
+on the same operands, so the bits do not depend on where the second half
+runs. Adam stays in the caller.
 """
 
 from __future__ import annotations
 
-import hashlib
 import mmap
 from contextlib import nullcontext
 
@@ -42,12 +40,12 @@ from .. import forkmap
 from ..repro import seeded
 from .base import ModelSpec, TrainedModel, _adam, default_schema
 
-# A fit splits its epochs only from these sizes on, both measured on a 2-core
-# x86-64 VM. Rows x parameters of one epoch: two semaphore handoffs cost about
-# 0.17 ms, so 100 rows of cs5's network ran 1.26x slower split, 300 rows 0.78x.
-# Epochs x rows x parameters: the fork, the exactness check and a start on a
-# shared CPU cost up to a few hundred ms, so cs4's 150-epoch classifier
-# (6e8) stays in one process and cs5's 2000-epoch fit (2.1e10) splits.
+# A fit forks its helper only from these sizes on, both measured on a 2-core
+# x86-64 VM; they move speed only, never a bit. Rows x parameters of one epoch:
+# two semaphore handoffs cost about 0.17 ms, so 100 rows of cs5's network ran
+# 1.26x slower split, 300 rows 0.78x. Epochs x rows x parameters: the fork and
+# a start on a shared CPU cost up to a few hundred ms, so cs4's 150-epoch
+# classifier (6e8) stays in one process and cs5's 2000-epoch fit (2.1e10) splits.
 _SPLIT_MIN_EPOCH = 2_000_000
 _SPLIT_MIN_FIT = 4_000_000_000
 
@@ -194,24 +192,19 @@ class FeedforwardModel(TrainedModel):
         return self.loss_grad(X, y)[0]
 
     def loss_grad(self, X, y):
-        """Mean loss over rows; gradient as a flat vector."""
+        """Mean loss over rows; gradient as a flat vector. The row-local part
+        runs on all rows at once."""
         X = self._check_width(np.asarray(X, dtype=float))
         Xs = self._standardize(X)
-        return self._loss_grad(Xs, self._encode_targets(y),
-                               _Workspace(self, Xs.shape[0]), with_loss=True)
-
-    def _loss_grad(self, Xs: np.ndarray, targets: np.ndarray, ws: _Workspace,
-                   with_loss: bool):
-        """loss_grad on standardized inputs and encoded targets. The gradient
-        is ws.grad; the loss is None unless with_loss."""
-        loss = self._rows(Xs, targets, ws, slice(None), with_loss)
+        ws = _Workspace(self, Xs.shape[0])
+        loss = self._rows(Xs, self._encode_targets(y), ws, slice(None), with_loss=True)
         layers = range(len(self.weights))
         self._reduce(Xs, ws, layers, layers)
         return loss, ws.grad
 
     def _rows(self, Xs: np.ndarray, targets: np.ndarray, ws: _Workspace, rows: slice,
               with_loss: bool = False):
-        """The row-local part of _loss_grad for rows `rows` of the batch: layer
+        """The row-local part of loss_grad for rows `rows` of the batch: layer
         outputs, the head's delta and every hidden delta, into those rows of
         ws. With with_loss, the mean loss over those rows."""
         n = Xs.shape[0]
@@ -258,7 +251,7 @@ class FeedforwardModel(TrainedModel):
         return loss
 
     def _reduce(self, Xs: np.ndarray, ws: _Workspace, weights, biases) -> None:
-        """The part of _loss_grad that sums over rows: the gradients of the
+        """The part of loss_grad that sums over rows: the gradients of the
         weights of layers `weights` and the biases of layers `biases`, each
         whole, into ws.grad."""
         for i in weights:
@@ -349,9 +342,7 @@ def train_network(spec: ModelSpec, X, y, schema=None) -> FeedforwardModel:
              and forkmap.may_fork() and forkmap.blas_threads() == 1)
     ws = _Workspace(model, n, shared=split)
     model.weights, model.biases = ws.weights, ws.biases  # each epoch writes ws.theta
-    ws.theta[:] = theta
     halves = (slice(0, n // 2), slice(n // 2, n))
-    split = split and _split_is_exact(model, Xs, targets, ws, halves)
     layers = range(len(model.weights))
 
     def helper(task: int) -> None:
@@ -362,34 +353,17 @@ def train_network(spec: ModelSpec, X, y, schema=None) -> FeedforwardModel:
 
     adam = {"m": np.zeros_like(theta), "v": np.zeros_like(theta), "t": 0}
     with forkmap.Lockstep(helper) if split else nullcontext() as lockstep:
+        # one process runs the helper's share in place of handing it over
+        post, wait = ((helper, lambda: None) if lockstep is None
+                      else (lockstep.post, lockstep.wait))
         for _ in range(epochs):
             ws.theta[:] = theta
-            if lockstep is None:
-                model._loss_grad(Xs, targets, ws, with_loss=False)
-            else:
-                lockstep.post(0)
-                model._rows(Xs, targets, ws, halves[0])
-                lockstep.wait()
-                lockstep.post(1)
-                model._reduce(Xs, ws, layers[:1], ())
-                lockstep.wait()
+            post(0)
+            model._rows(Xs, targets, ws, halves[0])
+            wait()
+            post(1)
+            model._reduce(Xs, ws, layers[:1], ())
+            wait()
             theta = _adam(theta, ws.grad, adam, lr)
     model.set_flat_params(theta)
     return model
-
-
-def _split_is_exact(model: FeedforwardModel, Xs: np.ndarray, targets: np.ndarray,
-                    ws: _Workspace, halves) -> bool:
-    """Whether the row-local part run on each half of the rows writes the
-    same bits into ws as run on all of them at once."""
-    def digest() -> bytes:
-        h = hashlib.sha256()
-        for buf in ws.out + ws.delta:
-            h.update(buf)
-        return h.digest()
-
-    model._rows(Xs, targets, ws, slice(None))
-    whole = digest()
-    for rows in halves:
-        model._rows(Xs, targets, ws, rows)
-    return digest() == whole

@@ -520,6 +520,7 @@ def _run_cs4(config: ExperimentConfig, report: ExperimentReport):
     yield "data"
 
     tr, va = _split(X.shape[0], 0.5, derive_seed(seed, "split"))
+    X_va = X[va]
     forest = train_forest(
         ModelSpec("forest", "classify", config.model.get("forest", {}),
                   seed=derive_seed(seed, "model", "forest")),
@@ -529,8 +530,8 @@ def _run_cs4(config: ExperimentConfig, report: ExperimentReport):
                   seed=derive_seed(seed, "model", "network")),
         X[tr], y[tr], schema)
     report.baseline.update({
-        "Acc_forest": M.accuracy(y[va], forest.predict(X[va])),
-        "Acc_network": M.accuracy(y[va], network.predict(X[va])),
+        "Acc_forest": M.accuracy(y[va], forest.predict(X_va)),
+        "Acc_network": M.accuracy(y[va], network.predict(X_va)),
     })
     yield "train"
 
@@ -544,16 +545,16 @@ def _run_cs4(config: ExperimentConfig, report: ExperimentReport):
     name_to_col = {n: i for i, n in enumerate(schema)}
     top_idx = np.array([name_to_col[n] for n in top_names], dtype=int)
 
-    def shifted(rows_X, cols, mult):
-        out = rows_X.copy()
+    def shifted(cols, mult):
+        out = X_va.copy()
         out[:, cols] += mult * stds[cols]
         return out
 
     def top_sets():
         """The top-k shifted copies, built as the sweep reaches each one."""
-        return ((m, shifted(X[va], top_idx, m)) for m in multipliers)
+        return ((m, shifted(top_idx, m)) for m in multipliers)
 
-    top_curve = run_inference_attack(forest, (X[va], y[va]), top_sets(), "Acc",
+    top_curve = run_inference_attack(forest, (X_va, y[va]), top_sets(), "Acc",
                                      name="cs4/top25",
                                      x_label="multiplier").aggregate
     report.curves.append(top_curve)
@@ -563,15 +564,15 @@ def _run_cs4(config: ExperimentConfig, report: ExperimentReport):
         for t in range(random_trials):
             cols = seeded(derive_seed(seed, "rand25", t), 0x24).choice(
                 X.shape[1], size=top_k, replace=False)
-            yield shifted(X[va], cols, m)
+            yield shifted(cols, m)
 
-    rand_curve = run_inference_attack(forest, (X[va], y[va]),
+    rand_curve = run_inference_attack(forest, (X_va, y[va]),
                                       ((m, random_variants(m)) for m in multipliers),
                                       "Acc", name="cs4/random25",
                                       x_label="multiplier").aggregate
     report.curves.append(rand_curve)
 
-    net_curve = run_inference_attack(network, (X[va], y[va]), top_sets(), "Acc",
+    net_curve = run_inference_attack(network, (X_va, y[va]), top_sets(), "Acc",
                                      name="cs4/top25_network",
                                      x_label="multiplier").aggregate
     report.curves.append(net_curve)

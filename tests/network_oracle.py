@@ -1,9 +1,11 @@
 """Reference feedforward network and training loop for the network tests.
 
-The plain form of the network's algorithm: every epoch calls the public
-loss-and-gradient, which checks, standardizes and encodes its batch afresh,
-builds every layer output, head and gradient as a new array, and returns the
-loss it also computes. Tests train it from the same seed and data as
+The plain form of the network's algorithm: every epoch standardizes and
+encodes its batch afresh, runs the row-local part (layer outputs and deltas)
+on the rows [0, n//2) and on [n//2, n), stacks the two, and takes each
+gradient over all rows, every result a new array. The public
+loss-and-gradient runs the row-local part on all rows at once and also
+returns the loss. Tests train it from the same seed and data as
 `train_network` and require the production network, which prepares the data
 once and computes into reused buffers, to match it bit for bit.
 """
@@ -97,36 +99,59 @@ class ReferenceNetwork:
             t = t.reshape(-1, 1)
         return t
 
+    def _rows(self, Xs: np.ndarray, targets: np.ndarray, n: int):
+        """The row-local part for some rows of an n-row batch: every layer's
+        input, then the output pre-activation, and every layer's delta."""
+        acts = self._forward(Xs)
+        z_out = acts[-1]
+        if self.task == "classify":
+            delta = (_softmax(z_out) - targets) / n
+        else:
+            diff = self._head(z_out) - targets
+            delta = 2.0 * diff / (n * diff.shape[1])
+            if self.task == "vector_regress":
+                delta = delta * _sigmoid(z_out)
+
+        deltas = [None] * len(self.weights)
+        for i in range(len(self.weights) - 1, -1, -1):
+            deltas[i] = delta
+            if i > 0:
+                delta = (delta @ self.weights[i].T) * (1.0 - acts[i] * acts[i])
+        return acts, deltas
+
+    @staticmethod
+    def _grads(acts, deltas) -> np.ndarray:
+        """Each weight and bias gradient, summed over all rows."""
+        return np.concatenate([g.ravel() for a_prev, delta in zip(acts, deltas)
+                               for g in (a_prev.T @ delta, delta.sum(axis=0))])
+
     def loss_grad(self, X, y):
+        """Mean loss and gradient, the row-local part on all rows at once."""
         Xs = self._standardize(np.asarray(X, dtype=float))
         targets = self._encode_targets(y)
         n = Xs.shape[0]
-        acts = self._forward(Xs)
+        acts, deltas = self._rows(Xs, targets, n)
         z_out = acts[-1]
-
         if self.task == "classify":
-            proba = _softmax(z_out)
             logp = z_out - z_out.max(axis=1, keepdims=True)
             logp = logp - np.log(np.exp(logp).sum(axis=1, keepdims=True))
             loss = float(-np.sum(targets * logp) / n)
-            delta = (proba - targets) / n
-        elif self.task == "vector_regress":
-            out = _softplus(z_out)
-            diff = out - targets
-            loss = float(np.mean(diff ** 2))
-            delta = (2.0 * diff / diff.size) * _sigmoid(z_out)
         else:
-            diff = z_out - targets
-            loss = float(np.mean(diff ** 2))
-            delta = 2.0 * diff / diff.size
+            loss = float(np.mean((self._head(z_out) - targets) ** 2))
+        return loss, self._grads(acts, deltas)
 
-        grads = [None] * len(self.weights)
-        for i in range(len(self.weights) - 1, -1, -1):
-            a_prev = acts[i]
-            grads[i] = (a_prev.T @ delta, delta.sum(axis=0))
-            if i > 0:
-                delta = (delta @ self.weights[i].T) * (1.0 - a_prev * a_prev)
-        return loss, np.concatenate([g.ravel() for pair in grads for g in pair])
+    def halves_grad(self, X, y) -> np.ndarray:
+        """The gradient as training takes it: the row-local part on the rows
+        [0, n//2) and on [n//2, n), then each gradient over all rows. No
+        loss: an empty half has no mean."""
+        Xs = self._standardize(np.asarray(X, dtype=float))
+        targets = self._encode_targets(y)
+        n = Xs.shape[0]
+        first, second = (self._rows(Xs[rows], targets[rows], n)
+                         for rows in (slice(0, n // 2), slice(n // 2, n)))
+        acts = [np.vstack(pair) for pair in zip(first[0], second[0])]
+        deltas = [np.vstack(pair) for pair in zip(first[1], second[1])]
+        return self._grads(acts, deltas)
 
 
 def _build(spec, in_dim, out_dim, classes, x_mean, x_std) -> ReferenceNetwork:
@@ -143,8 +168,8 @@ def _build(spec, in_dim, out_dim, classes, x_mean, x_std) -> ReferenceNetwork:
 
 
 def reference_network(spec, X, y) -> ReferenceNetwork:
-    """Train per spec with full-batch Adam, one public loss-and-gradient call
-    per epoch."""
+    """Train per spec with full-batch Adam, one gradient over the two row
+    halves per epoch."""
     X = np.asarray(X, dtype=float)
     hp = spec.hyperparameters
     if spec.task == "classify":
@@ -170,7 +195,7 @@ def reference_network(spec, X, y) -> ReferenceNetwork:
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     for step in range(1, epochs + 1):
         model.set_flat_params(theta)
-        _, grad = model.loss_grad(X, y)
+        grad = model.halves_grad(X, y)
         m = beta1 * m + (1 - beta1) * grad
         v = beta2 * v + (1 - beta2) * grad * grad
         mhat = m / (1 - beta1 ** step)
