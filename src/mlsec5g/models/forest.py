@@ -28,7 +28,9 @@ from .base import ModelSpec, TrainedModel, default_schema
 
 _EPS_GAIN = 1e-12
 _SPLIT_BLOCK = 1 << 12  # sorted values scored per pass: bounds the working set
-_ROUTE_BLOCK = 1 << 12  # (tree, row) pairs routed together: bounds the working set
+# (tree, row) pairs routed together: bounds the working set, and routes each
+# stock sweep predict in one pass (cs1 168 rows x 30 trees, cs4 240 x 20, cs6 400 x 15)
+_ROUTE_BLOCK = 1 << 13
 _DRAW_BLOCK = 1 << 11  # feature ids drawn per pass: bounds the draws a small tree wastes
 # rows times trees from which growing the trees in forked workers pays for
 # their start and for shipping the trees back
@@ -58,11 +60,11 @@ def _stack(trees: list[_Tree], fields=_TREE_FIELDS) -> tuple[np.ndarray, dict]:
 
 
 def _gini(class_w: np.ndarray) -> float:
-    total = class_w.sum()
+    total = np.add.reduce(class_w)
     if total <= 0:
         return 0.0
     p = class_w / total
-    return float(1.0 - np.sum(p * p))
+    return float(1.0 - np.add.reduce(p * p))
 
 
 def _draws(rng: np.random.Generator, p: int, mtry: int):
@@ -81,6 +83,11 @@ class _Grower:
     go by row id. The block is scored at once. Prefix sums run along the
     sorted axis, which numpy accumulates sequentially. Regression scores every
     cut, both sides in one buffer; classification scores its valid cuts only.
+    Classification keeps its weighted one-hot class-major, as a C-ordered
+    (K, n) array, so the sorted axis of a gathered block is its contiguous
+    last one. Every sum over the K classes reads contiguous classes:
+    numpy sums 8 or more contiguous values pairwise but strided ones in
+    sequence, and the scores must keep the bits of a row-major kernel.
     Cuts that may not be taken score +inf, and one flat argmin picks the first
     candidate drawn, then the first cut, with the lowest score. A candidate
     with a NaN score drops out.
@@ -102,7 +109,8 @@ class _Grower:
         if classify:
             self.onehot = np.zeros((n, n_classes))
             self.onehot[np.arange(n), y] = 1.0
-            self.w_onehot = self.onehot * w[:, None]
+            self.w_onehot = np.zeros((n_classes, n))  # class-major, C-ordered
+            self.w_onehot[y, np.arange(n)] = w
         else:
             wy = w * y
             self.sums = np.stack([w, wy, wy * y])  # a side's weight, and weighted y and y**2
@@ -116,7 +124,7 @@ class _Grower:
         """Append a leaf holding rows; return its id, its weight total and its
         impurity, or None in place of the impurity where the leaf may not split."""
         w = self.w[rows]
-        total = w.sum()
+        total = np.add.reduce(w)
         n = rows.size
         splits = not (depth >= self.max_depth or n < self.min_split or n < 2 * self.min_leaf)
         imp = 0.0  # what a leaf that may not split reads as
@@ -229,21 +237,34 @@ class _Grower:
 
     def _gini_scores(self, idx, valid) -> np.ndarray:
         """Weighted child Gini impurity of every cut after each sorted
-        position of the rows idx, computed at valid cuts only; +inf elsewhere."""
+        position of the rows idx, computed at valid cuts only; +inf elsewhere.
+
+        The class-major weights gather into a (K, m, n) block, prefix-summed
+        along its contiguous last axis. The class totals are copied into a
+        C-ordered (m, K) block and both sides of every valid cut into one
+        C-ordered (2, cuts, K) buffer, so each sum over K reads contiguous
+        classes, as the sums of a row-major (m, n, K) prefix sum do.
+        """
         score = np.full(valid.shape, np.inf)
         r, c = np.nonzero(valid)
         if r.size == 0:
             return score
-        cw = np.cumsum(self.w_onehot[idx], axis=1)
-        tot = cw[:, -1]
-        total_w = tot.sum(axis=1)[r]
-        lc = cw[r, c]
-        lw = np.maximum(lc.sum(axis=1), 1e-300)
-        rw = np.maximum(total_w - lw, 1e-300)
-        rc = tot[r] - lc
-        gini_l = 1.0 - np.sum((lc / lw[:, None]) ** 2, axis=1)
-        gini_r = 1.0 - np.sum((rc / rw[:, None]) ** 2, axis=1)
-        score[r, c] = (lw * gini_l + rw * gini_r) / total_w
+        acc = self.w_onehot.take(idx, axis=1)
+        np.add.accumulate(acc, axis=-1, out=acc)
+        tot = acc[:, :, -1].T.copy()
+        total_w = np.add.reduce(tot, axis=1)[r]
+        sides = np.empty((2, r.size, self.K))  # left and right class weights of each cut
+        sides[0] = acc[:, r, c].T
+        np.subtract(tot[r], sides[0], out=sides[1])
+        w = np.add.reduce(sides, axis=2)
+        np.maximum(w[0], 1e-300, out=w[0])
+        np.subtract(total_w, w[0], out=w[1])
+        np.maximum(w[1], 1e-300, out=w[1])
+        sides /= w[:, :, None]
+        gini = np.add.reduce(np.square(sides, out=sides), axis=2)
+        np.subtract(1.0, gini, out=gini)
+        gini *= w
+        score[r, c] = np.add(gini[0], gini[1], out=gini[0]) / total_w
         return score
 
 

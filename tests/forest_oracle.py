@@ -1,4 +1,5 @@
-"""Reference CART grower and per-tree prediction for the forest tests.
+"""Reference CART grower, Gini kernel and per-tree prediction for the forest
+tests.
 
 The plain form of the forest's algorithm: every node argsorts and scores its
 candidate columns one at a time, and every tree is routed on its own. Tests
@@ -6,6 +7,11 @@ grow trees with it from the same bootstrap rows and generator streams as
 `train_forest` and require the production forest, which sorts and scores a
 block of candidates at once and routes all trees together, to match it bit
 for bit.
+
+`reference_gini_scores` is the block Gini kernel in its row-major form: a
+(m, n, K) gather of the weighted one-hot, prefix-summed along the sorted
+axis at a stride of K. Tests require the production kernel, which keeps the
+weights class-major, to give its bits on any candidate block.
 """
 
 from dataclasses import dataclass
@@ -176,6 +182,26 @@ class _Grower:
                 thr = (vs[b] + vs[b + 1]) / 2.0
                 best = (int(f), float(thr), node_imp - best_child)
         return best
+
+
+def reference_gini_scores(w_onehot, idx, valid):
+    """Weighted child Gini impurity of every cut of the candidate block idx,
+    from the row-major (n, K) weighted one-hot; +inf where valid is false."""
+    score = np.full(valid.shape, np.inf)
+    r, c = np.nonzero(valid)
+    if r.size == 0:
+        return score
+    cw = np.cumsum(w_onehot[idx], axis=1)
+    tot = cw[:, -1]
+    total_w = tot.sum(axis=1)[r]
+    lc = cw[r, c]
+    lw = np.maximum(lc.sum(axis=1), 1e-300)
+    rw = np.maximum(total_w - lw, 1e-300)
+    rc = tot[r] - lc
+    gini_l = 1.0 - np.sum((lc / lw[:, None]) ** 2, axis=1)
+    gini_r = 1.0 - np.sum((rc / rw[:, None]) ** 2, axis=1)
+    score[r, c] = (lw * gini_l + rw * gini_r) / total_w
+    return score
 
 
 def reference_forest(spec, X, y, sample_weight=None):

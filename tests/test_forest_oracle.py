@@ -14,7 +14,8 @@ from itertools import product
 
 import numpy as np
 import pytest
-from forest_oracle import reference_forest, reference_predict, reference_predict_proba
+from forest_oracle import (reference_forest, reference_gini_scores, reference_predict,
+                           reference_predict_proba)
 
 from mlsec5g import forkmap
 from mlsec5g.models import ModelSpec, distill_forest, load_model, save_model, train_forest
@@ -158,12 +159,74 @@ def test_non_finite_values_match_reference(target, n_trees=4):
 
 @pytest.mark.parametrize("task", TASKS)
 def test_small_work_blocks_match_reference(task, monkeypatch, n_trees=3):
-    # split search and routing in many small blocks, not one pass
+    # split search in many small blocks, not one pass; routing one tree per
+    # pass, a few per pass, and every (tree, row) pair in one pass
     monkeypatch.setattr(forest, "_SPLIT_BLOCK", 64)
-    monkeypatch.setattr(forest, "_ROUTE_BLOCK", 64)
     X, y = _data(task)
     spec = ModelSpec("forest", task, {"n_trees": n_trees, "max_features": "all"}, seed=3)
-    assert_matches_reference(train_forest(spec, X, y), X, y)
+    model = train_forest(spec, X, y)
+    few = X[:24]  # 64 pairs route two trees of these rows per pass
+    routed = []
+    for block in (1, 64, (X.shape[0] + 40) * n_trees + 1):  # the last above the probe's pairs
+        monkeypatch.setattr(forest, "_ROUTE_BLOCK", block)
+        assert_matches_reference(model, X, y)
+        out = [np.stack(list(model._leaves(few))), model.predict(few)]
+        if task == "classify":
+            out.append(model.predict_proba(few))
+        routed.append([a.tobytes() for a in out])
+    assert routed[1] == routed[0] and routed[2] == routed[0]
+
+
+@pytest.mark.parametrize("rows, n_trees", [(168, 30), (240, 20), (400, 15)],
+                         ids=["cs1", "cs4", "cs6"])
+def test_a_sweep_predict_routes_in_one_block(rows, n_trees, monkeypatch):
+    # the stock sweeps' predicts: every (tree, row) pair descends in one pass
+    X, y = _data("classify", n=rows)
+    spec = ModelSpec("forest", "classify", {"n_trees": n_trees, "max_depth": 3}, seed=0)
+    model = train_forest(spec, X, y)
+    stacked, stack = [], forest._stack
+
+    def counted(*args):
+        stacked.append(1)
+        return stack(*args)
+
+    monkeypatch.setattr(forest, "_stack", counted)
+    model.predict(X)
+    assert len(stacked) == 1
+
+
+@pytest.mark.parametrize("min_leaf", [1, 3])
+@pytest.mark.parametrize("weights", WEIGHTS)
+@pytest.mark.parametrize("n_classes", [2, 3, 9])
+def test_gini_kernel_matches_row_major_reference(n_classes, weights, min_leaf):
+    # candidate blocks formed as the split search forms them, over random node rows;
+    # at 9 classes numpy sums contiguous classes pairwise, strided ones in sequence
+    rng = np.random.default_rng([n_classes, min_leaf])
+    n = 180
+    XT = rng.standard_normal((6, n))
+    XT[1] = np.round(XT[1])                # heavy ties
+    XT[2] = 0.5                            # constant: no cut
+    XT[3, rng.random(n) < 0.2] = np.nan    # NaN sorts last and bounds no cut
+    XT[4] = np.round(XT[4] * 2) / 2
+    y = rng.integers(0, n_classes, n)
+    w = np.ones(n) if weights == "none" else _weights(weights, n)
+    grower = forest._Grower(XT, y, w, classify=True, n_classes=n_classes, max_depth=8,
+                            min_split=2, min_leaf=min_leaf, mtry=6,
+                            rng=np.random.default_rng(0))
+    w_onehot = grower.onehot * w[:, None]  # row-major
+    for size in (n, 41, 7):
+        rows = np.sort(rng.choice(n, size, replace=False))
+        block = rng.permutation(6)
+        vs = XT[block[:, None], rows]
+        idx = rows[vs.argsort(axis=1, kind="stable")]
+        vs = XT[block[:, None], idx]
+        valid = vs[:, 1:] > vs[:, :-1]
+        valid[:, :min_leaf - 1] = False
+        valid[:, size - min_leaf:] = False
+        with np.errstate(divide="ignore", invalid="ignore"):  # a node may weigh 0
+            got = grower._gini_scores(idx, valid)
+            want = reference_gini_scores(w_onehot, idx, valid)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_saved_forest_predicts_like_reference(tmp_path, n_trees=3):
