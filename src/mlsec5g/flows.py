@@ -121,7 +121,6 @@ class FlowRecord:
     src_tos: int = 0
     dst_tos: int = 0
     state: str = "INT"
-    label: str | None = None
 
     @property
     def tot_bytes(self) -> int:
@@ -330,50 +329,39 @@ def pad_payloads(packets: Sequence[PacketRecord], attacker_ues: Sequence[str],
     return out
 
 
-def flow_identity(flow: FlowRecord) -> tuple:
-    """Pairing key for clean/padded twins: endpoints plus first timestamp.
+def poison_training_set(X: np.ndarray, X_twins: np.ndarray, attacker_rows,
+                        ratio: float, seed: int) -> np.ndarray:
+    """A copy of the feature rows X in which a ratio of the attacker's rows
+    take their padded twins' rows.
 
-    Padding preserves packet counts and timing, so the padded trace aggregates
-    into flows with identical identities.
-    """
-    return (flow.key(), flow.first_ts)
-
-
-def poison_training_set(training_flows: Sequence[FlowRecord], attacker_ues: Sequence[str],
-                        ratio: float, adversarial_flows: Sequence[FlowRecord],
-                        seed: int) -> list[FlowRecord]:
-    """Replace a ratio of the attacker-owned training flows with their padded twins.
-
-    ceil(ratio * |attacker flows in T|) flows are drawn uniformly (pooled
-    across attacker hosts) and swapped for the adversarial flow with the same
-    identity; the replacement keeps the original label. Non-attacker flows are
-    never touched; the output has the same length and order as the input.
+    Row i of X_twins is the twin of row i of X, and attacker_rows is the
+    boolean mask of the attacker's rows. ceil(ratio * |attacker rows|) of them
+    are drawn uniformly (pooled across attacker hosts); no other row changes.
+    Labels stay with the caller, so a swapped row keeps its row's label.
     """
     if not 0.0 <= ratio <= 1.0:
         raise ValueError(f"poison ratio must be in [0, 1], got {ratio}")
-    attackers = set(attacker_ues)
-    variants = {flow_identity(f): f for f in adversarial_flows}
-    attacker_idx = [i for i, f in enumerate(training_flows) if f.src_ip in attackers]
-    out = list(training_flows)
-    if ratio == 0.0 or not attacker_idx:
+    if X_twins.shape != X.shape:
+        raise ValueError(f"twin rows have shape {X_twins.shape}, the training rows "
+                         f"{X.shape}; row i must be the twin of row i")
+    attacker_idx = np.flatnonzero(attacker_rows)
+    out = X.copy()
+    if ratio == 0.0 or not attacker_idx.size:
         return out
-    k = math.ceil(ratio * len(attacker_idx))
-    chosen = seeded(seed, 0xB0150).choice(len(attacker_idx), size=k, replace=False)
-    for c in sorted(int(x) for x in np.atleast_1d(chosen)):
-        i = attacker_idx[c]
-        ident = flow_identity(training_flows[i])
-        if ident not in variants:
-            raise ValueError(f"no adversarial twin for training flow {ident}")
-        out[i] = replace(variants[ident], label=training_flows[i].label)
+    k = math.ceil(ratio * attacker_idx.size)
+    rows = attacker_idx[seeded(seed, 0xB0150).choice(attacker_idx.size, size=k,
+                                                     replace=False)]
+    out[rows] = X_twins[rows]
     return out
 
 
-def label_flows(flows: Sequence[FlowRecord], label_of) -> list[FlowRecord]:
-    """Set each flow's label to label_of(flow); a flow it returns None for is
-    an error."""
+def label_flows(flows: Sequence[FlowRecord], label_of) -> np.ndarray:
+    """The array of label_of(flow) over the flows; a flow it returns None for
+    is an error. The flows keep no label: the caller holds the array."""
+    labels = []
     for f in flows:
         label = label_of(f)
         if label is None:
             raise ValueError(f"no label for flow {f.key()} at {f.first_ts}")
-        f.label = label
-    return list(flows)
+        labels.append(label)
+    return np.array(labels)

@@ -131,7 +131,8 @@ def emit_plot_data(report: ExperimentReport, out_dir: str) -> list[str]:
     """One delimited file per figure with columns (series, x, mean, std).
 
     Rows keep the order the scenario driver emitted them (stable). A figure
-    exists only through its rows, so one with no rows writes no file.
+    exists only through its rows, so one with no rows writes no file, and a
+    `*.csv` an earlier run left in out_dir is removed.
     """
     os.makedirs(out_dir, exist_ok=True)
     figures: dict[str, list] = {}
@@ -145,6 +146,10 @@ def emit_plot_data(report: ExperimentReport, out_dir: str) -> list[str]:
         path = os.path.join(out_dir, f"{figure}.csv")
         atomic_write_text(path, "\n".join(lines) + "\n")
         written.append(path)
+    for name in os.listdir(out_dir):
+        path = os.path.join(out_dir, name)
+        if name.endswith(".csv") and path not in written:
+            os.remove(path)
     return written
 
 

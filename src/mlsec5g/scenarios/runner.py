@@ -50,7 +50,7 @@ from ..flows import (FEATURE_NAMES, aggregate_flows,
                      extract_feature_matrix, label_flows, pad_payloads,
                      poison_training_set)
 from ..forkmap import blas_threads, fork_map, one_blas_thread
-from ..models import ModelSpec
+from ..models.base import ModelSpec
 from ..models.forest import distill_forest, train_forest
 from ..models.network import train_network
 from ..models.recurrent import OnlineRecurrentModel, init_online
@@ -241,9 +241,9 @@ def _run_cs1(config: ExperimentConfig, report: ExperimentReport):
     def label_of(f):
         return session_labels.get((f.src_ip, f.src_port))
 
-    flows = label_flows(aggregate_flows(packets), label_of)
+    flows = aggregate_flows(packets)
+    y = label_flows(flows, label_of)
     X = extract_feature_matrix(flows, INTERNAL_PREFIXES)
-    y = np.array([f.label for f in flows])
     attacker_row = np.array([f.src_ip in set(attackers) for f in flows])
 
     extractor_fp = fingerprint({"extractor": "flow13",
@@ -286,17 +286,21 @@ def _run_cs1(config: ExperimentConfig, report: ExperimentReport):
         if data_payloads else 0.0
     pad_seed = derive_seed(seed, "pad")
     bounds = [int(round(m * pay_std)) for m in multipliers]
+    # the inference sweep and the poisoning pair row i of a padded matrix with
+    # row i of X, so every level must give back the clean flows in order
+    identities = [(f.key(), f.first_ts) for f in flows]
     adversarial_sets = []
     for level, (m, bound) in enumerate(zip(multipliers, bounds)):
         padded = pad_payloads(packets, attackers, bound, pad_seed)
         n_padded = sum(1 for a, b in zip(packets, padded)
                        if a.payload_len != b.payload_len)
-        adv_flows = label_flows(aggregate_flows(padded), label_of)
-        if len(adv_flows) != len(flows):
-            raise RuntimeError("padding changed the flow count; twin pairing broken")
+        adv_flows = aggregate_flows(padded)
+        if [(f.key(), f.first_ts) for f in adv_flows] != identities:
+            raise RuntimeError(f"padding at {bound} bytes changed the flows; "
+                               "twin pairing broken")
         X_adv = extract_feature_matrix(adv_flows, INTERNAL_PREFIXES)
         if level == attack_cfg["pad_level_index"]:
-            poison_twins = adv_flows  # the only padded flows the poisoning reuses
+            poison_twins = X_adv[tr]  # the only padded rows the poisoning reuses
         adversarial_sets.append((m, X_adv[va]))
         report.provenance.append({"operation": "pad_payload", "bound_bytes": bound,
                                   "packets_padded": n_padded})
@@ -312,24 +316,19 @@ def _run_cs1(config: ExperimentConfig, report: ExperimentReport):
     for curve in report.curves:
         _plot_rows(report, "cs1_inference", curve.name.split("cs1/", 1)[1], curve)
 
-    T_flows = [flows[i] for i in tr]
-
-    def trainer(flow_list, train_seed):
-        Xp = extract_feature_matrix(flow_list, INTERNAL_PREFIXES)
-        yp = np.array([f.label for f in flow_list])
+    def trainer(Xp, train_seed):
         return train_forest(ModelSpec("forest", "classify", config.model,
-                                      seed=train_seed), Xp, yp, FEATURE_NAMES)
+                                      seed=train_seed), Xp, y[tr], FEATURE_NAMES)
 
-    def poison_fn(T, adversarial_flows, ratio, poison_seed):
-        return poison_training_set(T, attackers, ratio, adversarial_flows,
-                                   poison_seed)
+    def poison_fn(T, twins, ratio, poison_seed):
+        return poison_training_set(T, twins, attacker_row[tr], ratio, poison_seed)
 
     def evaluator(model, V):
         Xv, yv = V
         return M.accuracy(yv, model.predict(Xv))
 
     poison_curve = run_training_attack(
-        trainer, T_flows, (X[va], y[va]), [float(r) for r in attack_cfg["ratios"]],
+        trainer, X[tr], (X[va], y[va]), [float(r) for r in attack_cfg["ratios"]],
         poison_twins, int(attack_cfg["trials"]), derive_seed(seed, "poison-stage"),
         poison_fn, evaluator, "Acc", name="cs1/poisoning")
     report.curves.append(poison_curve)

@@ -8,7 +8,8 @@ import pytest
 from mlsec5g.attacks import (resolve_metric, run_inference_attack, run_online_attack,
                              run_online_attacks, run_training_attack, spoof_positions,
                              spoof_value, summarize_curve)
-from mlsec5g.models import ModelSpec, init_online
+from mlsec5g.models.base import ModelSpec
+from mlsec5g.models.recurrent import init_online
 from views import degradations, xs
 
 

@@ -1,6 +1,7 @@
 """Packet parsing, compact records, flow aggregation vs a naive reference,
 padding, poisoning."""
 
+import math
 import pickle
 from dataclasses import replace
 
@@ -10,9 +11,9 @@ import pytest
 from flow_oracle import handwritten_packets, naive_aggregate, naive_features
 from mlsec5g import flows as F
 from mlsec5g.flows import (FEATURE_NAMES, MAX_PAYLOAD, TCP_FLAGS, FlowRecord, PacketRecord,
-                           aggregate_flows, extract_feature_matrix, flow_identity,
-                           label_flows, pad_payloads, parse_packet, poison_training_set,
-                           port_category)
+                           aggregate_flows, extract_feature_matrix, label_flows,
+                           pad_payloads, parse_packet, poison_training_set, port_category)
+from mlsec5g.repro import seeded
 from mlsec5g.scenarios.adapters import ingest_real_dataset
 from mlsec5g.scenarios.generators import generate_traffic
 from views import packets_to_text
@@ -186,77 +187,98 @@ def make_flows(n_attacker=4, n_other=6):
     for i in range(n_attacker):
         flows.append(FlowRecord("10.0.9.9", 40000 + i, "8.8.8.8", 53, "UDP",
                                 float(i), float(i) + 1.0, src_pkts=3, dst_pkts=1,
-                                src_bytes=300, dst_bytes=100, label="active"))
+                                src_bytes=300, dst_bytes=100))
     for i in range(n_other):
         flows.append(FlowRecord("10.0.1.1", 41000 + i, "8.8.8.8", 53, "UDP",
                                 100.0 + i, 101.0 + i, src_pkts=2, dst_pkts=1,
-                                src_bytes=100, dst_bytes=50, label="background"))
+                                src_bytes=100, dst_bytes=50))
     return flows
 
 
-def padded_twins(flows):
-    twins = []
-    for f in flows:
-        t = FlowRecord(f.src_ip, f.src_port, f.dst_ip, f.dst_port, f.protocol,
-                       f.first_ts, f.last_ts, src_pkts=f.src_pkts, dst_pkts=f.dst_pkts,
-                       src_bytes=f.src_bytes + 500, dst_bytes=f.dst_bytes,
-                       label="planted")
-        twins.append(t)
-    return twins
+# four attacker rows among ten, not at the front
+ATTACKER_ROWS = np.isin(np.arange(10), (1, 3, 4, 8))
+
+
+def make_rows():
+    """Ten feature rows and twins that differ from them in every entry."""
+    X = seeded(5, 0).random((10, len(FEATURE_NAMES)))
+    return X, X + 1000.0
+
+
+def chosen_rows(attacker_rows, ratio, seed):
+    """The rows poison_training_set swaps, drawn here the way it draws them."""
+    idx = np.flatnonzero(attacker_rows)
+    k = math.ceil(ratio * idx.size)
+    return set(idx[seeded(seed, 0xB0150).choice(idx.size, size=k, replace=False)].tolist())
 
 
 class TestPoisoning:
     def test_ratio_zero_is_identity(self):
-        flows = make_flows()
-        out = poison_training_set(flows, ["10.0.9.9"], 0.0, padded_twins(flows), seed=1)
-        assert out == flows
+        X, twins = make_rows()
+        out = poison_training_set(X, twins, ATTACKER_ROWS, 0.0, seed=1)
+        assert out is not X and np.array_equal(out, X)
 
     def test_replacement_count_is_ceil_of_ratio(self):
-        flows = make_flows(n_attacker=4)
-        out = poison_training_set(flows, ["10.0.9.9"], 0.5, padded_twins(flows), seed=1)
-        swapped = sum(1 for b, a in zip(flows, out) if a.src_bytes != b.src_bytes)
-        assert swapped == 2
-        out = poison_training_set(flows, ["10.0.9.9"], 0.6, padded_twins(flows), seed=1)
-        swapped = sum(1 for b, a in zip(flows, out) if a.src_bytes != b.src_bytes)
-        assert swapped == 3  # ceil(0.6 * 4)
+        X, twins = make_rows()
+        for ratio, k in ((0.5, 2), (0.6, 3), (1.0, 4)):  # ceil(ratio * 4)
+            out = poison_training_set(X, twins, ATTACKER_ROWS, ratio, seed=1)
+            assert int((out != X).any(axis=1).sum()) == k
 
-    def test_swapped_flows_keep_their_original_label(self):
-        flows = make_flows()
-        out = poison_training_set(flows, ["10.0.9.9"], 1.0, padded_twins(flows), seed=1)
-        for before, after in zip(flows, out):
-            assert after.label == before.label
+    def test_chosen_rows_take_their_twins_rows_and_no_other_row_changes(self):
+        X, twins = make_rows()
+        kept = X.copy()
+        for ratio, seed in ((0.25, 1), (0.5, 2), (0.75, 3)):
+            out = poison_training_set(X, twins, ATTACKER_ROWS, ratio, seed=seed)
+            chosen = chosen_rows(ATTACKER_ROWS, ratio, seed)
+            for i in range(len(X)):
+                assert np.array_equal(out[i], twins[i] if i in chosen else X[i])
+        assert np.array_equal(X, kept)
 
     def test_non_attacker_flows_never_change(self):
-        flows = make_flows()
-        out = poison_training_set(flows, ["10.0.9.9"], 1.0, padded_twins(flows), seed=1)
-        for before, after in zip(flows[4:], out[4:]):
-            assert after is before
+        X, twins = make_rows()
+        out = poison_training_set(X, twins, ATTACKER_ROWS, 1.0, seed=1)
+        assert np.array_equal(out[~ATTACKER_ROWS], X[~ATTACKER_ROWS])
+        assert np.array_equal(out[ATTACKER_ROWS], twins[ATTACKER_ROWS])
 
     def test_missing_twin_is_an_error(self):
-        flows = make_flows()
-        with pytest.raises(ValueError, match="twin"):
-            poison_training_set(flows, ["10.0.9.9"], 1.0, [], seed=1)
+        X, twins = make_rows()
+        for misaligned in (twins[:-1], twins[:, :-1], np.empty((0, len(FEATURE_NAMES)))):
+            with pytest.raises(ValueError, match="twin"):
+                poison_training_set(X, misaligned, ATTACKER_ROWS, 1.0, seed=1)
 
     def test_bad_ratio_rejected(self):
-        with pytest.raises(ValueError):
-            poison_training_set(make_flows(), ["10.0.9.9"], 1.5, [], seed=1)
+        X, twins = make_rows()
+        for ratio in (1.5, -0.1):
+            with pytest.raises(ValueError, match="poison ratio"):
+                poison_training_set(X, twins, ATTACKER_ROWS, ratio, seed=1)
 
-    def test_identity_pairs_clean_and_padded_twins(self):
-        flows = make_flows()
-        twins = padded_twins(flows)
-        assert flow_identity(flows[0]) == flow_identity(twins[0])
-        assert flow_identity(flows[0]) != flow_identity(flows[1])
+    def test_poisoned_rows_are_the_rows_of_the_poisoned_flows(self):
+        """Each row is extracted from its own flow alone, so swapping rows is
+        swapping flows: on a generated trace, the poisoned rows equal the
+        features of the flow list with the same draw's padded twins, paired by
+        endpoints and first timestamp, swapped in."""
+        data = generate_traffic(seed=2, n_hosts=24, sessions_per_host=3)
+        attackers = data["attacker_ips"]
+        flows = aggregate_flows(data["packets"])
+        twins = aggregate_flows(pad_payloads(data["packets"], attackers, 400, seed=3))
+        attacker_rows = np.array([f.src_ip in attackers for f in flows])
+        out = poison_training_set(extract_feature_matrix(flows, PREFIXES),
+                                  extract_feature_matrix(twins, PREFIXES),
+                                  attacker_rows, 0.5, seed=4)
+        twin_of = {(t.key(), t.first_ts): t for t in twins}
+        chosen = chosen_rows(attacker_rows, 0.5, 4)
+        swapped = [twin_of[(f.key(), f.first_ts)] if i in chosen else f
+                   for i, f in enumerate(flows)]
+        assert any(swapped[i].src_bytes != flows[i].src_bytes for i in chosen)
+        assert np.array_equal(out, extract_feature_matrix(swapped, PREFIXES))
 
 
 class TestLabeling:
     def test_each_flow_takes_the_label_of_its_function(self):
-        flows = make_flows()
-        for f in flows:
-            f.label = None
-        labeled = label_flows(
-            flows, lambda f: "planted" if f.src_ip == "10.0.9.9" else "normal")
-        assert {f.label for f in labeled[:4]} == {"planted"}
-        assert {f.label for f in labeled[4:]} == {"normal"}
+        labels = label_flows(
+            make_flows(), lambda f: "planted" if f.src_ip == "10.0.9.9" else "normal")
+        assert isinstance(labels, np.ndarray)
+        assert labels.tolist() == ["planted"] * 4 + ["normal"] * 6
 
     def test_unlabeled_flow_is_an_error(self):
         flows = make_flows()

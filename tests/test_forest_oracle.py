@@ -18,8 +18,9 @@ from forest_oracle import (reference_forest, reference_gini_scores, reference_pr
                            reference_predict_proba)
 
 from mlsec5g import forkmap
-from mlsec5g.models import ModelSpec, distill_forest, load_model, save_model, train_forest
 from mlsec5g.models import forest
+from mlsec5g.models.base import ModelSpec, load_model, save_model
+from mlsec5g.models.forest import distill_forest, train_forest
 
 
 def _data(task, n=240, seed=0, n_classes=3):

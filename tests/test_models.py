@@ -7,8 +7,10 @@ from online_oracle import _sigmoid as masked_sigmoid
 from mlsec5g import config
 from mlsec5g.config import _ROWS
 from mlsec5g.metrics import accuracy, rmse
-from mlsec5g.models import (ModelSpec, distill_forest, init_online, load_model,
-                            save_model, train_forest, train_network)
+from mlsec5g.models.base import ModelSpec, load_model, save_model
+from mlsec5g.models.forest import distill_forest, train_forest
+from mlsec5g.models.network import train_network
+from mlsec5g.models.recurrent import init_online
 from mlsec5g.models.recurrent import _sigmoid
 
 

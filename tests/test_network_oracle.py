@@ -12,7 +12,9 @@ import pytest
 from network_oracle import reference_network
 
 from mlsec5g import forkmap
-from mlsec5g.models import FeedforwardModel, ModelSpec, network, train_network
+from mlsec5g.models import network
+from mlsec5g.models.base import ModelSpec
+from mlsec5g.models.network import FeedforwardModel, train_network
 
 TASKS = ["classify", "regress", "vector_regress"]
 

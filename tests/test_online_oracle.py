@@ -12,7 +12,8 @@ from online_oracle import (_PARAM_ORDER, ReferenceOnlineModel, reference_online_
                            reference_warmup)
 
 from mlsec5g.attacks import run_online_attack, run_online_attacks
-from mlsec5g.models import ModelSpec, OnlineRecurrentModel, init_online, load_model, save_model
+from mlsec5g.models.base import ModelSpec, load_model, save_model
+from mlsec5g.models.recurrent import OnlineRecurrentModel, init_online
 
 SHAPES = [(1, 1), (1, 6), (5, 1), (5, 6), (16, 1), (16, 6)]  # (window, hidden)
 STOCK_ROWS = [270, 570]  # cs3's warm-up rows at half and at full series length

@@ -20,6 +20,7 @@ import pytest
 
 import mlsec5g
 from mlsec5g.config import SCENARIOS, STAGES, build_config
+from mlsec5g.flows import aggregate_flows
 from mlsec5g.report import report_to_dict, write_report
 from mlsec5g.repro import canonical_json, derive_seed, seeded
 from mlsec5g.scenarios.adapters import ingest_real_dataset
@@ -92,6 +93,20 @@ def test_each_stage_is_a_prefix_of_the_next(scenario):
     assert views[-1]["baseline"] and views[-1]["curves"] and views[-1]["plot_series"]
 
 
+def test_a_run_leaves_no_plot_of_an_earlier_run_in_its_directory(tmp_path):
+    """`all` then `train` into one directory leaves what `train` alone leaves:
+    the figures `train` has no rows for do not survive from `all`."""
+    config = build_config({"scenario": "cs6", "seed": 3, **REDUCED["cs6"]})
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    write_report(run_case_study("cs6", config=config, stage="all"), str(reused))
+    before = sorted(p.name for p in (reused / "plots").iterdir())
+    report = run_case_study("cs6", config=config, stage="train")
+    write_report(report, str(reused))
+    write_report(report, str(fresh))
+    assert set(before) > {p.name for p in (fresh / "plots").iterdir()}
+    assert artifact_digest(reused) == artifact_digest(fresh)
+
+
 @pytest.mark.parametrize("scenario", sorted(REDUCED))
 def test_generate_trains_nothing(scenario, monkeypatch):
     def refuse(*args, **kwargs):
@@ -125,6 +140,24 @@ def test_cs1_ratio_zero_control_is_exact_for_every_seed():
         zero = curve.points[0]
         assert zero.x == 0.0 and zero.n_trials == 3
         assert (zero.degradation_mean, zero.degradation_std) == (0.0, 0.0), f"seed {seed}"
+
+
+def test_cs1_refuses_padded_flows_that_leave_the_clean_order(monkeypatch):
+    """Row i of every padded matrix must be the twin of clean row i: two
+    padded flows in swapped order, with the count unchanged, stop the run."""
+    calls = []
+
+    def swapped_when_padded(packets):
+        flows = aggregate_flows(packets)
+        calls.append(len(flows))
+        if len(calls) > 1:  # the first call aggregates the clean trace
+            flows[0], flows[1] = flows[1], flows[0]
+        return flows
+
+    monkeypatch.setattr(runner, "aggregate_flows", swapped_when_padded)
+    config = build_config({"scenario": "cs1", "seed": 3, **REDUCED["cs1"]})
+    with pytest.raises(RuntimeError, match="twin pairing broken"):
+        run_case_study("cs1", config=config, stage="attack")
 
 
 def test_cs4_sweeps_hold_at_most_two_perturbed_copies(monkeypatch):
